@@ -2,13 +2,13 @@
 
 Verbs::
 
-    adaagm-bench run <config> [--out DIR] [--threads N] [--thin K]
+    adaagm-bench run <config> [--out DIR] [--thin K]
     adaagm-bench validate <config>
     adaagm-bench certify <trace.csv> --problem <config> --profile <name>
                  --kind <cert> [--s0 S] [--out DIR]
 
-Exit codes: 0 success, 1 configuration error, 2 runtime divergence in at
-least one cell.
+Exit codes: 0 success, 1 configuration error, 2 at least one cell diverged
+or failed on its inputs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import replace
 from .config import ConfigError, build_problem, load_config, validate_config
 from .diagnostics import CERTIFICATE_KINDS, certify, format_certificates, write_violations_csv
 from .runner import run_experiment
-from .schedule import PROFILES, floor_q, get_profile
+from .schedule import PROFILES, get_profile
 from .solver import read_trace_csv
 
 
@@ -33,10 +33,10 @@ def _cmd_run(args) -> int:
         return 1
     if args.out:
         config.output_dir = args.out
-    if args.thin:
+    if args.thin is not None:
         config.thinning = args.thin
     try:
-        summary = run_experiment(config, threads=args.threads)
+        summary = run_experiment(config)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -45,7 +45,7 @@ def _cmd_run(args) -> int:
         print(f"{r.problem} x {r.solver} seed={r.seed}: {r.status} "
               f"iters={r.iterations}{gap} certs={r.certificates}")
     print(f"summary written to {os.path.join(summary.output_dir, 'summary.csv')}")
-    return 2 if summary.any_divergence else 0
+    return 2 if any(r.status != "ok" for r in summary.results) else 0
 
 
 def _cmd_validate(args) -> int:
@@ -56,8 +56,8 @@ def _cmd_validate(args) -> int:
         print(f"warning: {warn}")
     if report.ok:
         print("ok")
-        for name, q in sorted(report.solver_floors.items()):
-            print(f"solver {name}: step floor constant q = {q:.12g}")
+        for (solver, problem), q in report.solver_floors.items():
+            print(f"solver {solver} on problem {problem}: step floor constant q = {q:.12g}")
         return 0
     return 1
 
@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment matrix")
     p_run.add_argument("config")
     p_run.add_argument("--out", help="override the output directory")
-    p_run.add_argument("--threads", type=int, default=1)
     p_run.add_argument("--thin", type=int, help="record every k-th iteration")
     p_run.set_defaults(func=_cmd_run)
 

@@ -44,7 +44,7 @@ from .problems import (
     make_quadratic,
     make_symmetric_log_sum_exp,
 )
-from .schedule import PROFILES, AlgoParams, floor_q, get_profile, validate_params
+from .schedule import PROFILES, AlgoParams, default_params, floor_q, get_profile, validate_params
 from .solver import StopCriteria
 
 _EXPERIMENT_KEYS = {"output_dir", "seeds", "thinning", "x0_scale"}
@@ -76,7 +76,7 @@ class SolverSpec:
     algorithm: str
     profile: str = "default"
     params: Optional[AlgoParams] = None
-    step: Optional[float] = None
+    step: Optional[float] = None  # None: 1/L at run time when L is known
     stop: StopCriteria = field(default_factory=StopCriteria)
 
 
@@ -196,9 +196,6 @@ def _parse_solver(name: str, items: dict[str, str], section: str) -> SolverSpec:
             report = validate_params(params)
             if not report.valid:
                 raise ConfigError(f"[{section}]: " + "; ".join(report.failures))
-    elif algorithm in ("gd", "nesterov") and step is None:
-        # a default step 1/L is substituted at run time when L is known
-        pass
     return SolverSpec(name=name, algorithm=algorithm, profile=profile,
                       params=params, step=step, stop=stop)
 
@@ -262,17 +259,19 @@ class ConfigReport:
     ok: bool
     errors: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    solver_floors: dict[str, float] = field(default_factory=dict)
+    #: step floor constant q per (solver, problem), as the run resolves it
+    solver_floors: dict[tuple[str, str], float] = field(default_factory=dict)
 
 
 def validate_config(path) -> ConfigReport:
-    """Full validation: parse, check files, check parameter sets, resolve q."""
+    """Full validation: parse, check files, build problems, resolve q per cell."""
     report = ConfigReport(ok=True)
     try:
         config = load_config(path)
     except ConfigError as exc:
         return ConfigReport(ok=False, errors=[str(exc)])
 
+    problems: list[SmoothProblem] = []
     for spec in config.problems:
         for key in ("matrix_csv", "offset_csv", "rows_csv", "features_csv"):
             if key in spec.options:
@@ -281,20 +280,20 @@ def validate_config(path) -> ConfigReport:
                 if not os.path.exists(full):
                     report.errors.append(f"problem {spec.name}: missing file {p}")
         try:
-            build_problem(spec, config.base_dir)
+            problems.append(build_problem(spec, config.base_dir))
         except (ConfigError, ValueError, OSError) as exc:
             report.errors.append(f"problem {spec.name}: {exc}")
 
     for spec in config.solvers:
+        if spec.algorithm != "adaagm":
+            continue
         if spec.params is not None:
-            vr = validate_params(spec.params)
-            report.warnings.extend(f"solver {spec.name}: {w}" for w in vr.warnings)
-            if not vr.valid:
-                report.errors.extend(f"solver {spec.name}: {f}" for f in vr.failures)
-            elif vr.q is not None:
-                report.solver_floors[spec.name] = vr.q
-        elif spec.algorithm == "adaagm":
-            report.solver_floors[spec.name] = floor_q(PROFILES["cor-4.4"])
+            # load_config has already rejected invalid parameter sets
+            report.warnings.extend(f"solver {spec.name}: {w}"
+                                   for w in validate_params(spec.params).warnings)
+        for problem in problems:
+            params = spec.params or default_params(problem)
+            report.solver_floors[(spec.name, problem.name)] = floor_q(params)
 
     report.ok = not report.errors
     return report

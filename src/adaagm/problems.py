@@ -191,9 +191,7 @@ def _reference_minimizer(problem: SmoothProblem) -> Array:
 
     params = get_profile("sc-2")
     stop = StopCriteria(max_iters=200_000, grad_tol=1e-12)
-    trace = run_adaagm(problem, params, stop, np.zeros(problem.dimension),
-                       store_iterates=True)
-    return trace.xs[-1]
+    return run_adaagm(problem, params, stop, np.zeros(problem.dimension)).x_final
 
 
 def check_grad_fd(problem: SmoothProblem, point, step: float) -> float:

@@ -1,21 +1,29 @@
 """Experiment matrix execution: (problem x solver x seed) cells to CSV outputs.
 
-Each cell runs independently over read-only problems, so cells may execute
-in parallel; the summary file is written once after all cells complete.  A
-diverging cell is recorded in the summary and never aborts the matrix.
+Cells run one after another; the summary file is written once after all
+cells complete.  A cell that diverges, or that fails on its inputs (a
+non-convex curvature, a missing step), is recorded in the summary and never
+aborts the matrix.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .config import ExperimentConfig, SolverSpec, build_problem, start_point
-from .diagnostics import certify, format_certificates
+from .config import ConfigError, ExperimentConfig, SolverSpec, build_problem, start_point
+from .diagnostics import certify
 from .problems import SmoothProblem
 from .schedule import AlgoParams, default_params, floor_q
-from .solver import DivergenceError, Trace, run_adaagm, run_gd, run_nesterov, write_trace_csv
+from .solver import (
+    DivergenceError,
+    Trace,
+    _fmt,
+    run_adaagm,
+    run_gd,
+    run_nesterov,
+    write_trace_csv,
+)
 
 
 @dataclass
@@ -23,7 +31,7 @@ class CellResult:
     problem: str
     solver: str
     seed: int
-    status: str  # ok | diverged
+    status: str  # ok | diverged | failed
     iterations: int = 0
     final_gap: float | None = None
     final_grad_norm: float | None = None
@@ -85,6 +93,10 @@ def _run_cell(config: ExperimentConfig, p_idx: int, problem: SmoothProblem,
         result.status = "diverged"
         result.iterations = exc.k
         return result, None
+    except ValueError:
+        # non-convex curvature, a missing step or parameters unfit for this problem
+        result.status = "failed"
+        return result, None
     last = trace.records[-1]
     result.iterations = last.k
     result.final_gap = last.gap
@@ -92,8 +104,10 @@ def _run_cell(config: ExperimentConfig, p_idx: int, problem: SmoothProblem,
     return result, trace
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentSummary:
+def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run every (problem, solver, seed) cell and write traces plus a summary."""
+    if config.thinning < 1:
+        raise ConfigError("thinning must be a positive integer")
     os.makedirs(config.output_dir, exist_ok=True)
     probe = os.path.join(config.output_dir, ".writable")
     try:
@@ -104,34 +118,19 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentSumm
         raise OSError(f"output directory {config.output_dir} is not writable: {exc}")
 
     problems = [build_problem(spec, config.base_dir) for spec in config.problems]
-    cells = [
-        (p_idx, problems[p_idx], s_idx, solver, seed)
-        for p_idx in range(len(problems))
-        for s_idx, solver in enumerate(config.solvers)
-        for seed in config.seeds
-    ]
-
-    def work(cell):
-        p_idx, problem, s_idx, solver, seed = cell
-        result, trace = _run_cell(config, p_idx, problem, s_idx, solver, seed)
-        if trace is not None:
-            name = f"{problem.name}_{solver.name}_{seed}.csv"
-            write_trace_csv(trace, os.path.join(config.output_dir, name))
-        return result
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, cells))
-    else:
-        results = [work(cell) for cell in cells]
+    results = []
+    for p_idx, problem in enumerate(problems):
+        for s_idx, solver in enumerate(config.solvers):
+            for seed in config.seeds:
+                result, trace = _run_cell(config, p_idx, problem, s_idx, solver, seed)
+                if trace is not None:
+                    name = f"{problem.name}_{solver.name}_{seed}.csv"
+                    write_trace_csv(trace, os.path.join(config.output_dir, name))
+                results.append(result)
 
     summary = ExperimentSummary(results=results, output_dir=config.output_dir)
     _write_summary(summary)
     return summary
-
-
-def _fmt(v) -> str:
-    return "" if v is None else format(float(v), ".17g")
 
 
 def _write_summary(summary: ExperimentSummary) -> None:

@@ -9,6 +9,9 @@ Three coupled sequences drive the adaptive solver:
   B_k*s_k and C_k/L_{k+1}.  Under valid parameters A_k and B_k exceed 1, so
   the step can grow, while the third candidate keeps it above a closed-form
   floor q/L.
+
+:class:`ScheduleState` holds (t_k, t_{k+1}, s_k) only; the estimate L_{k+1}
+is an argument of :func:`advance_step`.
 """
 
 from __future__ import annotations
@@ -129,15 +132,11 @@ def local_smoothness(g_next, g_prev, f_next: float, f_prev: float,
 
 @dataclass(frozen=True)
 class ScheduleState:
-    """Current (t_k, t_{k+1}, s_k, L_{k+1}) and the step-candidate coefficients."""
+    """Current inertial weights (t_k, t_{k+1}) and step s_k."""
 
     t_curr: float
     t_next: float
     s_curr: float
-    L_next: float = 0.0
-    coeff_A: float = 1.0
-    coeff_B: float = 1.0
-    coeff_C: float = 1.0
 
 
 def _coefficients(t_next: float, params: AlgoParams) -> tuple[float, float, float]:
@@ -151,27 +150,22 @@ def _coefficients(t_next: float, params: AlgoParams) -> tuple[float, float, floa
 
 def init_schedule(params: AlgoParams, s0: float) -> ScheduleState:
     """Schedule state before the first step: t_0, t_1 and s_0."""
-    t_next = next_t(params.t0, params.m)
-    A, B, C = _coefficients(t_next, params)
-    return ScheduleState(t_curr=params.t0, t_next=t_next, s_curr=s0,
-                         L_next=0.0, coeff_A=A, coeff_B=B, coeff_C=C)
+    return ScheduleState(t_curr=params.t0, t_next=next_t(params.t0, params.m), s_curr=s0)
 
 
-def advance_step(state: ScheduleState, params: AlgoParams) -> ScheduleState:
+def advance_step(state: ScheduleState, L_hat: float, params: AlgoParams) -> ScheduleState:
     """Advance s and t by one iteration.
 
-    ``state.L_next`` must already hold the estimate for the new iterate
-    pair.  The step advances to min{A*s, B*s, C/L}; when the estimate is
-    zero the third candidate never binds.
+    ``L_hat`` is the local smoothness estimate for the new iterate pair.
+    The step advances to min{A*s, B*s, C/L_hat}; when the estimate is zero
+    the third candidate never binds.
     """
     A, B, C = _coefficients(state.t_next, params)
     s_next = min(A * state.s_curr, B * state.s_curr)
-    if state.L_next > 0.0:
-        s_next = min(s_next, C / state.L_next)
-    t_curr = state.t_next
-    t_next = next_t(t_curr, params.m)
-    return ScheduleState(t_curr=t_curr, t_next=t_next, s_curr=s_next,
-                         L_next=0.0, coeff_A=A, coeff_B=B, coeff_C=C)
+    if L_hat > 0.0:
+        s_next = min(s_next, C / L_hat)
+    return ScheduleState(t_curr=state.t_next, t_next=next_t(state.t_next, params.m),
+                         s_curr=s_next)
 
 
 @dataclass

@@ -1,15 +1,29 @@
 """Solver loops: the adaptive accelerated method and two fixed-step baselines.
 
+One driver, :func:`_iterate`, runs all three methods.  Every iteration
+takes y_{k+1} = x_k - s_k*grad f(x_k) and extrapolates
+x_{k+1} = y_{k+1} + (t_k - 1)/t_{k+1}*(y_{k+1} - y_k), plus a
+(gamma - 1)*t_k/t_{k+1}*(y_{k+1} - x_k) correction when gamma != 1.  Only
+the rule that advances (t, s) differs:
+
+* adaptive (:func:`run_adaagm`): s from :func:`local_smoothness` and
+  :func:`advance_step`, t from the recursion at the profile's m;
+* fixed: constant s, t from the recursion at m = 1 from t_0 = 1, which is
+  classical Nesterov momentum (:func:`run_nesterov`), or at m = 0, where t
+  stays 1 and the momentum vanishes, which is gradient descent
+  (:func:`run_gd`).
+
 All runs produce a :class:`Trace` of per-iteration records.  The energy
-column of a record at index k is computed from the iterates available at
-the end of iteration k (it needs x_{k+1} and y_{k+1}), so it lags the other
-columns by one step; the final record carries no energy.
+column of an adaptive record at index k is computed from the iterates
+available at the end of iteration k (it needs x_{k+1} and y_{k+1}), so it
+lags the other columns by one step; the final record carries no energy.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -70,7 +84,8 @@ class Trace:
     """A solver run: per-iteration records plus the start point.
 
     ``xs``/``ys`` hold iterate snapshots when the run was asked to store
-    them, aligned with ``records``.
+    them, aligned with ``records``.  ``x_final`` is the iterate the run
+    stopped at; traces read back from CSV do not carry it.
     """
 
     records: list[TraceRecord]
@@ -78,14 +93,24 @@ class Trace:
     algorithm: str
     xs: Optional[list[Array]] = None
     ys: Optional[list[Array]] = None
+    x_final: Optional[Array] = None
 
     def __len__(self) -> int:
         return len(self.records)
 
 
-def _check_finite(f: float, g: Array, k: int) -> None:
-    if not np.isfinite(f) or not np.all(np.isfinite(g)):
+#: Fixed-rule parameters: the t-recursion from t_0 = 1 at m = 1 (Nesterov)
+#: and at m = 0, where next_t(1, 0) == 1 exactly (gradient descent).
+_NESTEROV = AlgoParams(m=1.0, t0=1.0, gamma=1.0)
+_GD = AlgoParams(m=0.0, t0=1.0, gamma=1.0)
+
+
+def _evaluate(problem: SmoothProblem, x: Array, k: int) -> tuple[float, Array]:
+    f = float(problem.value(x))
+    g = np.asarray(problem.gradient(x), dtype=float)
+    if not np.isfinite(f) or not np.isfinite(g).all():
         raise DivergenceError(k)
+    return f, g
 
 
 def _resolved_grad_tol(stop: StopCriteria, g0: Array) -> float:
@@ -107,68 +132,51 @@ def _probe_s0(problem: SmoothProblem, x0: Array, g0: Array, f0: float,
         return 1.0
     eps = 1e-4 * (1.0 + float(np.linalg.norm(x0)))
     x1 = x0 - eps * g0 / g_norm
-    f1 = float(problem.value(x1))
-    g1 = np.asarray(problem.gradient(x1), dtype=float)
-    _check_finite(f1, g1, 0)
+    f1, g1 = _evaluate(problem, x1, 0)
     L_hat = local_smoothness(g1, g0, f1, f0, x1, x0)
     if L_hat <= 0.0:
         return 1.0
     return q / L_hat
 
 
-def run_adaagm(problem: SmoothProblem, params: Optional[AlgoParams] = None,
-               stop: Optional[StopCriteria] = None, x0=None, *,
-               force_constant_step: bool = False,
-               store_iterates: bool = False, thin: int = 1) -> Trace:
-    """Run the adaptive accelerated method from x0 = y0.
+def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
+             s0: Optional[float], x0, stop: Optional[StopCriteria],
+             thin: int, store_iterates: bool) -> Trace:
+    """The iteration loop of all three methods, from x0 = y0.
 
-    ``force_constant_step`` freezes s at s0 and skips parameter validation;
-    with gamma=1, m=1, t0=1 this makes the loop coincide with the classical
-    momentum baseline, which the tests exploit as a cross-check.
+    ``algorithm == "adaagm"`` selects the adaptive rule, anything else the
+    fixed rule with the constant step ``s0`` and ``params.m``.  The driver
+    owns stopping, recording every ``thin``-th iteration plus the last,
+    stored iterates and the finite checks.  ``s0=None`` resolves by
+    :func:`_probe_s0` at the start point.
     """
-    if x0 is None:
-        x0 = np.zeros(problem.dimension)
-    x0 = np.asarray(x0, dtype=float)
-    if params is None:
-        params = default_params(problem)
-    if not force_constant_step:
-        report = validate_params(params, L_known=problem.L_known)
-        if not report.valid:
-            raise ValueError("invalid parameters: " + "; ".join(report.failures))
+    if thin < 1:
+        raise ValueError(f"thin must be a positive integer, got {thin}")
+    x0 = np.zeros(problem.dimension) if x0 is None else np.asarray(x0, dtype=float)
     stop = stop or StopCriteria()
-    thin = max(1, int(thin))
+    adaptive = algorithm == "adaagm"
 
     x = x0.copy()
     y = x0.copy()
-    f_x = float(problem.value(x))
-    g_x = np.asarray(problem.gradient(x), dtype=float)
-    _check_finite(f_x, g_x, 0)
+    f_x, g_x = _evaluate(problem, x, 0)
     grad_tol = _resolved_grad_tol(stop, g_x)
-
-    s0 = params.s0
     if s0 is None:
-        if force_constant_step:
-            raise ValueError("a constant-step run needs an explicit s0")
-        if problem.L_known is not None and problem.L_known > 0:
-            s0 = floor_q(params) / problem.L_known
-        else:
-            s0 = _probe_s0(problem, x0, g_x, f_x, params)
+        s0 = _probe_s0(problem, x0, g_x, f_x, params)
     sched = init_schedule(params, s0)
 
     has_gap = problem.f_star is not None
-    has_energy = has_gap and problem.x_star is not None
+    has_energy = adaptive and has_gap and problem.x_star is not None
     # import here: diagnostics depends on this module's types only at runtime
     from .diagnostics import EnergyInputs, energy as energy_fn
 
     records: list[TraceRecord] = []
     xs: Optional[list[Array]] = [] if store_iterates else None
     ys: Optional[list[Array]] = [] if store_iterates else None
-    clamp_base = problem.L_known
+    L_curr = 0.0 if adaptive else None
     L_seen = 0.0
-    L_curr = 0.0
     k = 0
     while True:
-        grad_norm = float(np.linalg.norm(g_x))
+        grad_norm = math.sqrt(g_x.dot(g_x))  # np.linalg.norm's own formula, bit for bit
         gap = f_x - problem.f_star if has_gap else None
         stopping = (
             k >= stop.max_iters
@@ -178,8 +186,9 @@ def run_adaagm(problem: SmoothProblem, params: Optional[AlgoParams] = None,
         )
         rec = None
         if k % thin == 0 or stopping:
-            rec = TraceRecord(k=k, gap=gap, grad_norm=grad_norm,
-                              s=sched.s_curr, t=sched.t_curr, L_est=L_curr)
+            rec = TraceRecord(k=k, gap=gap, grad_norm=grad_norm, s=sched.s_curr,
+                              t=None if algorithm == "gd" else sched.t_curr,
+                              L_est=L_curr)
             records.append(rec)
             if store_iterates:
                 xs.append(x.copy())
@@ -188,92 +197,52 @@ def run_adaagm(problem: SmoothProblem, params: Optional[AlgoParams] = None,
             break
 
         y_next = x - sched.s_curr * g_x
-        momentum = (sched.t_curr - 1.0) / sched.t_next
-        correction = (params.gamma - 1.0) * sched.t_curr / sched.t_next
-        x_next = y_next + momentum * (y_next - y) + correction * (y_next - x)
-        f_next = float(problem.value(x_next))
-        g_next = np.asarray(problem.gradient(x_next), dtype=float)
-        _check_finite(f_next, g_next, k + 1)
+        x_next = y_next + (sched.t_curr - 1.0) / sched.t_next * (y_next - y)
+        if params.gamma != 1.0:  # at gamma = 1 the correction is exactly zero
+            x_next = x_next + ((params.gamma - 1.0) * sched.t_curr / sched.t_next
+                               * (y_next - x))
+        f_next, g_next = _evaluate(problem, x_next, k + 1)
 
-        L_new = local_smoothness(g_next, g_x, f_next, f_x, x_next, x,
-                                 clamp=clamp_base,
-                                 underflow_fallback=(L_seen or None))
-        L_seen = max(L_seen, L_new)
-
-        if rec is not None and has_energy:
-            rec.energy = energy_fn(EnergyInputs(
-                x_next=x_next, y_next=y_next, x=x, y=y,
-                grad_x=g_x, f_x=f_x, t=sched.t_curr, t_next=sched.t_next,
-                s=sched.s_curr, x_star=problem.x_star, f_star=problem.f_star,
-                params=params,
-            ))
-
-        if force_constant_step:
-            sched = ScheduleState(
-                t_curr=sched.t_next, t_next=next_t(sched.t_next, params.m),
-                s_curr=s0, L_next=0.0,
-            )
+        if adaptive:
+            L_curr = local_smoothness(g_next, g_x, f_next, f_x, x_next, x,
+                                      clamp=problem.L_known,
+                                      underflow_fallback=(L_seen or None))
+            L_seen = max(L_seen, L_curr)
+            if rec is not None and has_energy:
+                rec.energy = energy_fn(EnergyInputs(
+                    x_next=x_next, y_next=y_next, x=x, y=y,
+                    grad_x=g_x, f_x=f_x, t=sched.t_curr, t_next=sched.t_next,
+                    s=sched.s_curr, x_star=problem.x_star, f_star=problem.f_star,
+                    params=params,
+                ))
+            sched = advance_step(sched, L_curr, params)
         else:
-            sched = advance_step(replace(sched, L_next=L_new), params)
+            sched = ScheduleState(sched.t_next, next_t(sched.t_next, params.m), sched.s_curr)
 
-        x, y, f_x, g_x, L_curr = x_next, y_next, f_next, g_next, L_new
+        x, y, f_x, g_x = x_next, y_next, f_next, g_next
         k += 1
 
-    return Trace(records=records, x0=x0, algorithm="adaagm", xs=xs, ys=ys)
+    return Trace(records=records, x0=x0, algorithm=algorithm, xs=xs, ys=ys,
+                 x_final=x)
 
 
-def _run_fixed(problem: SmoothProblem, step: float, stop: StopCriteria, x0,
-               algorithm: str, store_iterates: bool, thin: int) -> Trace:
-    x0 = np.asarray(x0, dtype=float)
-    thin = max(1, int(thin))
-    x = x0.copy()
-    y = x0.copy()
-    g = np.asarray(problem.gradient(x), dtype=float)
-    f = float(problem.value(x))
-    _check_finite(f, g, 0)
-    grad_tol = _resolved_grad_tol(stop, g)
-    has_gap = problem.f_star is not None
+def run_adaagm(problem: SmoothProblem, params: Optional[AlgoParams] = None,
+               stop: Optional[StopCriteria] = None, x0=None, *,
+               store_iterates: bool = False, thin: int = 1) -> Trace:
+    """Run the adaptive accelerated method from x0 = y0.
 
-    theta_curr = 1.0
-    theta_next = next_t(1.0, 1.0)
-
-    records: list[TraceRecord] = []
-    xs: Optional[list[Array]] = [] if store_iterates else None
-    ys: Optional[list[Array]] = [] if store_iterates else None
-    k = 0
-    while True:
-        grad_norm = float(np.linalg.norm(g))
-        gap = f - problem.f_star if has_gap else None
-        stopping = (
-            k >= stop.max_iters
-            or (grad_tol > 0.0 and grad_norm <= grad_tol)
-            or (stop.gap_tol is not None and stop.gap_tol > 0.0
-                and has_gap and gap <= stop.gap_tol)
-        )
-        if k % thin == 0 or stopping:
-            t_col = theta_curr if algorithm == "nesterov" else None
-            records.append(TraceRecord(k=k, gap=gap, grad_norm=grad_norm,
-                                       s=step, t=t_col, L_est=None))
-            if store_iterates:
-                xs.append(x.copy())
-                ys.append(y.copy())
-        if stopping:
-            break
-
-        if algorithm == "gd":
-            x = x - step * g
-        else:
-            y_next = x - step * g
-            x = y_next + (theta_curr - 1.0) / theta_next * (y_next - y)
-            y = y_next
-            theta_curr = theta_next
-            theta_next = next_t(theta_curr, 1.0)
-        f = float(problem.value(x))
-        g = np.asarray(problem.gradient(x), dtype=float)
-        _check_finite(f, g, k + 1)
-        k += 1
-
-    return Trace(records=records, x0=x0, algorithm=algorithm, xs=xs, ys=ys)
+    ``params.s0=None`` resolves to q/L when L is known, otherwise by a
+    one-step probe at the start point.
+    """
+    if params is None:
+        params = default_params(problem)
+    report = validate_params(params, L_known=problem.L_known)
+    if not report.valid:
+        raise ValueError("invalid parameters: " + "; ".join(report.failures))
+    s0 = params.s0
+    if s0 is None and problem.L_known is not None and problem.L_known > 0:
+        s0 = floor_q(params) / problem.L_known
+    return _iterate(problem, "adaagm", params, s0, x0, stop, thin, store_iterates)
 
 
 def run_gd(problem: SmoothProblem, step: float,
@@ -285,10 +254,7 @@ def run_gd(problem: SmoothProblem, step: float,
     if problem.L_known is not None and problem.L_known > 0 and step >= 2.0 / problem.L_known:
         warnings.warn(f"step {step:.6g} >= 2/L = {2.0 / problem.L_known:.6g}; "
                       "gradient descent may diverge", stacklevel=2)
-    if x0 is None:
-        x0 = np.zeros(problem.dimension)
-    return _run_fixed(problem, step, stop or StopCriteria(), x0, "gd",
-                      store_iterates, thin)
+    return _iterate(problem, "gd", _GD, step, x0, stop, thin, store_iterates)
 
 
 def run_nesterov(problem: SmoothProblem, step: float,
@@ -300,10 +266,7 @@ def run_nesterov(problem: SmoothProblem, step: float,
     if problem.L_known is not None and problem.L_known > 0 and step > 1.0 / problem.L_known:
         warnings.warn(f"step {step:.6g} > 1/L = {1.0 / problem.L_known:.6g}; "
                       "the accelerated rate is not guaranteed", stacklevel=2)
-    if x0 is None:
-        x0 = np.zeros(problem.dimension)
-    return _run_fixed(problem, step, stop or StopCriteria(), x0, "nesterov",
-                      store_iterates, thin)
+    return _iterate(problem, "nesterov", _NESTEROV, step, x0, stop, thin, store_iterates)
 
 
 # --- CSV serialization -------------------------------------------------------

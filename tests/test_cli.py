@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from adaagm.cli import main
@@ -32,7 +34,15 @@ class TestValidate:
         assert main(["validate", config_path]) == 0
         out = capsys.readouterr().out
         assert "ok" in out
-        assert "q = 0.2" in out
+        assert "solver agm on problem quad: step floor constant q = 0.2\n" in out
+
+    def test_demo_config_prints_q_the_run_uses(self, capsys):
+        demo = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.ini")
+        assert main(["validate", demo]) == 0
+        out = capsys.readouterr().out
+        assert "solver agm on problem quad: step floor constant q = 0.0625\n" in out
+        assert "solver agm on problem lse: step floor constant q = 0.2\n" in out
+        assert "solver agm-convex on problem logit: step floor constant q = 0.2\n" in out
 
     def test_bad_config_exit_one(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
@@ -64,10 +74,11 @@ class TestRun:
         ks = [int(r.split(",")[0]) for r in rows]
         assert ks[0] == 0 and ks[1] == 50
 
-    def test_threads_flag(self, config_path, tmp_path):
-        out_dir = tmp_path / "out"
-        assert main(["run", config_path, "--out", str(out_dir),
-                     "--threads", "2"]) == 0
+    @pytest.mark.parametrize("thin", ["0", "-3"])
+    def test_non_positive_thin_is_config_error(self, config_path, tmp_path, capsys, thin):
+        assert main(["run", config_path, "--out", str(tmp_path / "out"),
+                     "--thin", thin]) == 1
+        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:step")

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import adaagm.runner
 from adaagm.config import (
     ConfigError,
     build_problem,
@@ -8,8 +11,11 @@ from adaagm.config import (
     start_point,
     validate_config,
 )
+from adaagm.problems import SmoothProblem
 from adaagm.runner import run_experiment
 from adaagm.schedule import PROFILES
+
+DEMO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.ini")
 
 BASIC = """
 [experiment]
@@ -170,7 +176,18 @@ class TestValidateConfig:
     def test_ok(self, tmp_path):
         report = validate_config(write(tmp_path, BASIC))
         assert report.ok
-        assert report.solver_floors["agm"] == pytest.approx(0.2)
+        assert report.solver_floors == {("agm", "quad"): pytest.approx(0.2)}
+
+    def test_default_profile_q_per_problem(self):
+        # profile = default resolves to sc-2 (q = 1/16) on the strongly convex
+        # problems and to cor-4.4 (q = 1/5) on the merely convex one
+        report = validate_config(DEMO_CONFIG)
+        assert report.ok
+        assert report.solver_floors == {
+            ("agm", "quad"): 0.0625, ("agm", "lse"): 0.2, ("agm", "logit"): 0.0625,
+            ("agm-convex", "quad"): 0.2, ("agm-convex", "lse"): 0.2,
+            ("agm-convex", "logit"): 0.2,
+        }
 
     def test_missing_csv(self, tmp_path):
         text = BASIC.replace("diag = 1 100\noffset = 1 100", "matrix_csv = gone.csv")
@@ -226,17 +243,6 @@ class TestRunner:
             assert r.status == "ok"
             assert "step_floor:pass" in r.certificates
 
-    def test_threaded_matches_serial(self, tmp_path):
-        config = load_config(write(tmp_path, BASIC))
-        config.output_dir = str(tmp_path / "serial")
-        serial = run_experiment(config, threads=1)
-        config.output_dir = str(tmp_path / "par")
-        parallel = run_experiment(config, threads=4)
-        for a, b in zip(serial.results, parallel.results):
-            assert a.final_gap == b.final_gap
-        assert ((tmp_path / "serial" / "quad_agm_0.csv").read_text()
-                == (tmp_path / "par" / "quad_agm_0.csv").read_text())
-
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:step")
     def test_divergent_cell_recorded(self, tmp_path):
@@ -248,3 +254,33 @@ class TestRunner:
         statuses = {(r.solver, r.status) for r in summary.results}
         assert ("bad", "diverged") in statuses
         assert ("agm", "ok") in statuses
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_poisoned_problem_does_not_abort_matrix(self, tmp_path, monkeypatch):
+        # f = -0.5||x||^2 is concave: the adaptive rule's curvature check
+        # rejects it, the fixed-step Nesterov run blows up
+        real_build = adaagm.runner.build_problem
+
+        def build(spec, base_dir="."):
+            problem = real_build(spec, base_dir)
+            if spec.name != "quad":
+                return problem
+            return SmoothProblem(dimension=problem.dimension,
+                                 value=lambda x: -0.5 * float(x @ x),
+                                 gradient=lambda x: -x, L_known=1.0, name="quad")
+
+        monkeypatch.setattr(adaagm.runner, "build_problem", build)
+        config = load_config(DEMO_CONFIG)
+        config.output_dir = str(tmp_path / "out")
+        summary = run_experiment(config)
+        status = {(r.problem, r.solver): r.status for r in summary.results}
+        assert len(summary.results) == 18
+        assert status[("quad", "agm")] == status[("quad", "agm-convex")] == "failed"
+        assert status[("quad", "nesterov")] == "diverged"
+        assert all(s == "ok" for (p, _), s in status.items() if p != "quad")
+        assert not list((tmp_path / "out").glob("quad_*.csv"))
+        rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert len(rows) == 19
+        assert rows[0] == ("problem,solver,seed,status,iterations,final_gap,"
+                           "final_grad_norm,q,certificates")

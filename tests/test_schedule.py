@@ -156,29 +156,25 @@ class TestAdvanceStep:
     def test_growth_when_estimate_inactive(self):
         params = PROFILES["cor-4.4"]
         state = init_schedule(params, s0=0.01)
-        nxt = advance_step(state, params)
+        nxt = advance_step(state, 0.0, params)
         assert nxt.s_curr > state.s_curr
         assert nxt.t_curr == state.t_next
 
     def test_third_candidate_binds(self):
-        from dataclasses import replace
-
         params = PROFILES["cor-4.4"]
         state = init_schedule(params, s0=1.0)
         _, _, C = _coefficients(state.t_next, params)
-        nxt = advance_step(replace(state, L_next=1e6), params)
+        nxt = advance_step(state, 1e6, params)
         assert nxt.s_curr == pytest.approx(C / 1e6)
 
     def test_floor_holds_under_worst_case_estimates(self):
-        # feed L_next = L every step: s_k must stay >= q/L
-        from dataclasses import replace
-
+        # feed L_hat = L every step: s_k must stay >= q/L
         L = 50.0
         for name, params in PROFILES.items():
             q = floor_q(params)
             state = init_schedule(params, s0=q / L)
             for _ in range(200):
-                state = advance_step(replace(state, L_next=L), params)
+                state = advance_step(state, L, params)
                 assert state.s_curr >= q / L * (1 - 1e-12), name
 
     def test_cap_holds_under_free_growth(self):
@@ -188,7 +184,7 @@ class TestAdvanceStep:
         s0 = 0.001
         state = init_schedule(params, s0=s0)
         for k in range(1, 300):
-            state = advance_step(state, params)
+            state = advance_step(state, 0.0, params)
             assert state.s_curr <= s0 * math.exp(growth) * k ** growth
 
 

@@ -51,11 +51,6 @@ class TestStepResolution:
         # the probe's estimate never exceeds the true L, so s0 >= q/L
         assert trace.records[0].s >= floor_q(params) / 100.0 * (1 - 1e-12)
 
-    def test_constant_step_needs_s0(self, diag_problem):
-        with pytest.raises(ValueError, match="s0"):
-            run_adaagm(diag_problem, get_profile("cor-4.4"),
-                       StopCriteria(max_iters=1), x0=X0, force_constant_step=True)
-
     def test_invalid_params_rejected(self, diag_problem):
         with pytest.raises(ValueError, match="invalid parameters"):
             run_adaagm(diag_problem, get_profile("cor-4.4", gamma=1.9), x0=X0)
@@ -99,6 +94,15 @@ class TestThinning:
         stop = StopCriteria(max_iters=5, grad_tol=0.0)
         trace = run_adaagm(diag_problem, stop=stop, x0=X0, thin=1)
         assert [r.k for r in trace.records] == [0, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("thin", [0, -3])
+    def test_non_positive_thin_rejected(self, diag_problem, thin):
+        stop = StopCriteria(max_iters=5)
+        for run in (lambda: run_adaagm(diag_problem, stop=stop, x0=X0, thin=thin),
+                    lambda: run_nesterov(diag_problem, 0.01, stop, X0, thin=thin),
+                    lambda: run_gd(diag_problem, 0.01, stop, X0, thin=thin)):
+            with pytest.raises(ValueError, match="thin"):
+                run()
 
 
 class TestConvergence:
@@ -163,10 +167,9 @@ class TestDivergence:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_forced_constant_step_can_diverge(self, diag_problem):
-        with pytest.raises(DivergenceError):
-            run_adaagm(diag_problem, get_profile("cor-4.4", s0=10.0),
-                       StopCriteria(max_iters=10000), x0=X0,
-                       force_constant_step=True)
+        with pytest.warns(UserWarning, match="1/L"):
+            with pytest.raises(DivergenceError):
+                run_nesterov(diag_problem, 10.0, StopCriteria(max_iters=10000), x0=X0)
 
     def test_adaptive_run_does_not_diverge_from_huge_s0(self, diag_problem):
         # the schedule pulls an oversized s0 back under control
@@ -198,15 +201,38 @@ class TestBaselines:
         assert ts[1] == pytest.approx(next_t(1.0, 1.0))
 
     def test_degenerate_parameters_recover_nesterov(self, diag_problem):
-        # gamma=1, m=1, t0=1, constant step: the two loops coincide bitwise
+        # the driver's fixed rule at m=1, t0=1, gamma=1 is the textbook
+        # momentum loop, bit for bit
         step = 1.0 / diag_problem.L_known
         stop = StopCriteria(max_iters=200, grad_tol=0.0)
-        params = get_profile("cor-4.4", gamma=1.0, m=1.0, t0=1.0, s0=step)
-        a = run_adaagm(diag_problem, params, stop, x0=X0,
-                       force_constant_step=True, store_iterates=True)
-        b = run_nesterov(diag_problem, step, stop, x0=X0, store_iterates=True)
-        for xa, xb in zip(a.xs, b.xs):
-            assert np.array_equal(xa, xb)
+        trace = run_nesterov(diag_problem, step, stop, x0=X0, store_iterates=True)
+        assert len(trace.xs) == 201
+        x, y, theta = X0.copy(), X0.copy(), 1.0
+        for xk in trace.xs:
+            assert np.array_equal(xk, x)
+            y_next = x - step * diag_problem.gradient(x)
+            theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+            x = y_next + (theta - 1.0) / theta_next * (y_next - y)
+            y, theta = y_next, theta_next
+
+    def test_gd_is_textbook_loop(self, diag_problem):
+        # the fixed rule at m=0 keeps t=1, so the momentum term vanishes
+        step = 1.0 / diag_problem.L_known
+        stop = StopCriteria(max_iters=200, grad_tol=0.0)
+        trace = run_gd(diag_problem, step, stop, x0=X0, store_iterates=True)
+        assert len(trace.xs) == 201
+        assert all(r.t is None and r.L_est is None for r in trace.records)
+        x = X0.copy()
+        for xk in trace.xs:
+            assert np.array_equal(xk, x)
+            x = x - step * diag_problem.gradient(x)
+
+    def test_final_iterate_is_last_stored(self, diag_problem):
+        stop = StopCriteria(max_iters=37, grad_tol=0.0)
+        for trace in (run_adaagm(diag_problem, stop=stop, x0=X0, store_iterates=True, thin=10),
+                      run_nesterov(diag_problem, 0.01, stop, X0, store_iterates=True)):
+            assert trace.records[-1].k == 37
+            assert np.array_equal(trace.x_final, trace.xs[-1])
 
 
 class TestScaleCoherence:
