@@ -2,7 +2,6 @@
 
 from .diagnostics import (
     CERTIFICATE_KINDS,
-    EnergyInputs,
     RateCertificate,
     certify,
     energy,
@@ -27,12 +26,10 @@ from .schedule import (
     PROFILES,
     AlgoParams,
     NonConvexInputError,
-    ScheduleState,
     advance_step,
     default_params,
     floor_q,
     get_profile,
-    init_schedule,
     local_smoothness,
     next_t,
     validate_params,

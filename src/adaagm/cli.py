@@ -5,7 +5,9 @@ Verbs::
     adaagm-bench run <config> [--out DIR] [--thin K]
     adaagm-bench validate <config>
     adaagm-bench certify <trace.csv> --problem <config> --profile <name>
-                 --kind <cert> [--s0 S] [--out DIR]
+                 --kind <cert> [--out DIR]
+
+``certify`` takes the initial step s0 from the trace's first row.
 
 Exit codes: 0 success, 1 configuration error, 2 at least one cell diverged
 or failed on its inputs.
@@ -16,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .config import ConfigError, build_problem, load_config, validate_config
 from .diagnostics import CERTIFICATE_KINDS, certify, format_certificates, write_violations_csv
@@ -81,8 +82,6 @@ def _cmd_certify(args) -> int:
     except KeyError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.s0 is not None:
-        params = replace(params, s0=args.s0)
     try:
         cert = certify(trace, problem, params, args.kind)
     except ValueError as exc:
@@ -120,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="config file whose first problem section describes the objective")
     p_cert.add_argument("--profile", required=True, choices=sorted(PROFILES))
     p_cert.add_argument("--kind", required=True, choices=CERTIFICATE_KINDS)
-    p_cert.add_argument("--s0", type=float, help="override the profile's initial step")
     p_cert.add_argument("--out", help="directory for the violations CSV")
     p_cert.set_defaults(func=_cmd_certify)
     return parser

@@ -24,6 +24,10 @@ Problem kinds: ``quadratic`` (diag or matrix_csv, offset or offset_csv),
 ``logistic`` (features or features_csv, labels, ridge).  Inline matrices
 use ';' between rows and spaces between entries.  Solver profiles are the
 named ones from :mod:`adaagm.schedule` or ``custom`` with explicit fields.
+Every solver takes ``max_iters``, ``grad_tol`` and ``gap_tol``; ``adaagm``
+also takes ``profile``, ``m``, ``t0``, ``gamma``, ``beta``, ``omega``,
+``delta`` and ``s0``, while ``gd`` and ``nesterov`` take ``step``.  A key the
+solver's algorithm would ignore is an error.
 """
 
 from __future__ import annotations
@@ -53,9 +57,11 @@ _PROBLEM_KEYS = {
     "log_sum_exp": {"kind", "rows", "rows_csv", "shifts", "temperature", "symmetric"},
     "logistic": {"kind", "features", "features_csv", "labels", "ridge"},
 }
+_STOP_KEYS = {"algorithm", "max_iters", "grad_tol", "gap_tol"}
 _SOLVER_KEYS = {
-    "algorithm", "profile", "m", "t0", "gamma", "beta", "omega", "delta",
-    "s0", "step", "max_iters", "grad_tol", "gap_tol",
+    "adaagm": _STOP_KEYS | {"profile", "m", "t0", "gamma", "beta", "omega", "delta", "s0"},
+    "gd": _STOP_KEYS | {"step"},
+    "nesterov": _STOP_KEYS | {"step"},
 }
 
 
@@ -120,34 +126,38 @@ def load_config(path) -> ExperimentConfig:
 
     for section in parser.sections():
         items = dict(parser.items(section))
-        if section == "experiment":
-            unknown = set(items) - _EXPERIMENT_KEYS
-            if unknown:
-                raise ConfigError(f"unknown keys in [experiment]: {sorted(unknown)}")
-            output_dir = items.get("output_dir", output_dir)
-            if "seeds" in items:
-                seeds = [int(v) for v in items["seeds"].replace(",", " ").split()]
-            thinning = int(items.get("thinning", thinning))
-            if thinning < 1:
-                raise ConfigError("thinning must be a positive integer")
-            x0_scale = float(items.get("x0_scale", x0_scale))
-        elif section.startswith("problem"):
-            name = section[len("problem"):].strip() or f"problem{len(problems)}"
-            kind = items.get("kind")
-            if kind not in _PROBLEM_KEYS:
-                raise ConfigError(f"[{section}]: unknown or missing kind {kind!r}")
-            unknown = set(items) - _PROBLEM_KEYS[kind]
-            if unknown:
-                raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-            problems.append(ProblemSpec(name=name, kind=kind, options=items))
-        elif section.startswith("solver"):
-            name = section[len("solver"):].strip() or f"solver{len(solvers)}"
-            unknown = set(items) - _SOLVER_KEYS
-            if unknown:
-                raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-            solvers.append(_parse_solver(name, items, section))
-        else:
-            raise ConfigError(f"unknown section [{section}]")
+        try:
+            if section == "experiment":
+                unknown = set(items) - _EXPERIMENT_KEYS
+                if unknown:
+                    raise ConfigError(f"unknown keys in [experiment]: {sorted(unknown)}")
+                output_dir = items.get("output_dir", output_dir)
+                if "seeds" in items:
+                    seeds = [int(v) for v in items["seeds"].replace(",", " ").split()]
+                thinning = int(items.get("thinning", thinning))
+                if thinning < 1:
+                    raise ConfigError("thinning must be a positive integer")
+                x0_scale = float(items.get("x0_scale", x0_scale))
+            elif section.startswith("problem"):
+                name = section[len("problem"):].strip() or f"problem{len(problems)}"
+                kind = items.get("kind")
+                if kind not in _PROBLEM_KEYS:
+                    raise ConfigError(f"[{section}]: unknown or missing kind {kind!r}")
+                unknown = set(items) - _PROBLEM_KEYS[kind]
+                if unknown:
+                    raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
+                problems.append(ProblemSpec(name=name, kind=kind, options=items))
+            elif section.startswith("solver"):
+                name = section[len("solver"):].strip() or f"solver{len(solvers)}"
+                solvers.append(_parse_solver(name, items, section))
+            else:
+                raise ConfigError(f"unknown section [{section}]")
+        except ConfigError:
+            raise
+        except KeyError as exc:
+            raise ConfigError(f"[{section}]: missing key {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"[{section}]: {exc}") from exc
 
     if not problems:
         raise ConfigError("no problems defined")
@@ -160,8 +170,12 @@ def load_config(path) -> ExperimentConfig:
 
 def _parse_solver(name: str, items: dict[str, str], section: str) -> SolverSpec:
     algorithm = items.get("algorithm", "adaagm")
-    if algorithm not in ("adaagm", "gd", "nesterov"):
+    if algorithm not in _SOLVER_KEYS:
         raise ConfigError(f"[{section}]: unknown algorithm {algorithm!r}")
+    unknown = set(items) - _SOLVER_KEYS[algorithm]
+    if unknown:
+        raise ConfigError(f"unknown keys in [{section}] for algorithm {algorithm!r}: "
+                          f"{sorted(unknown)}")
     stop = StopCriteria(
         max_iters=int(items.get("max_iters", 100_000)),
         grad_tol=float(items["grad_tol"]) if "grad_tol" in items else None,
@@ -264,7 +278,8 @@ class ConfigReport:
 
 
 def validate_config(path) -> ConfigReport:
-    """Full validation: parse, check files, build problems, resolve q per cell."""
+    """Full validation: parse, check files, build problems, then resolve q and
+    check the parameters against L per (solver, problem)."""
     report = ConfigReport(ok=True)
     try:
         config = load_config(path)
@@ -273,12 +288,13 @@ def validate_config(path) -> ConfigReport:
 
     problems: list[SmoothProblem] = []
     for spec in config.problems:
-        for key in ("matrix_csv", "offset_csv", "rows_csv", "features_csv"):
-            if key in spec.options:
-                p = spec.options[key]
-                full = p if os.path.isabs(p) else os.path.join(config.base_dir, p)
-                if not os.path.exists(full):
-                    report.errors.append(f"problem {spec.name}: missing file {p}")
+        missing = [spec.options[key]
+                   for key in ("matrix_csv", "offset_csv", "rows_csv", "features_csv")
+                   if key in spec.options
+                   and not os.path.exists(os.path.join(config.base_dir, spec.options[key]))]
+        report.errors.extend(f"problem {spec.name}: missing file {p}" for p in missing)
+        if missing:
+            continue
         try:
             problems.append(build_problem(spec, config.base_dir))
         except (ConfigError, ValueError, OSError) as exc:
@@ -287,12 +303,12 @@ def validate_config(path) -> ConfigReport:
     for spec in config.solvers:
         if spec.algorithm != "adaagm":
             continue
-        if spec.params is not None:
-            # load_config has already rejected invalid parameter sets
-            report.warnings.extend(f"solver {spec.name}: {w}"
-                                   for w in validate_params(spec.params).warnings)
         for problem in problems:
             params = spec.params or default_params(problem)
+            # load_config has already rejected invalid parameter sets
+            report.warnings.extend(
+                f"solver {spec.name} on problem {problem.name}: {w}"
+                for w in validate_params(params, problem.L_known).warnings)
             report.solver_floors[(spec.name, problem.name)] = floor_q(params)
 
     report.ok = not report.errors

@@ -13,19 +13,25 @@ strong convexity, which yields checkable per-iteration inequalities:
 All inequalities are certified with relative tolerance 1e-9 on scale
 1 + |rhs| (widened to 1e-6 when the problem's minimizer comes from a
 numerical reference solve).
+
+:func:`energy`, :func:`phi` and :func:`phi_alt` take the iterates and
+scalars they read; the solver calls :func:`energy` on every recorded row of
+an adaptive run whose problem carries x* and f*.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .problems import SmoothProblem
 from .schedule import AlgoParams, floor_q
-from .solver import Trace
+
+if TYPE_CHECKING:  # solver imports this module
+    from .solver import Trace
 
 Array = np.ndarray
 
@@ -35,52 +41,33 @@ CERTIFICATE_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class EnergyInputs:
-    """Everything the energy at index k depends on.
-
-    Requires the iterates from step k+1 (x_next, y_next) alongside the
-    step-k quantities; the energy column therefore lags the trace by one.
-    """
-
-    x_next: Array
-    y_next: Array
-    x: Array
-    y: Array
-    grad_x: Array
-    f_x: float
-    t: float
-    t_next: float
-    s: float
-    x_star: Array
-    f_star: float
-    params: AlgoParams
-
-
-def phi(inputs: EnergyInputs) -> Array:
+def phi(x_next: Array, y_next: Array, t_next: float, x_star: Array) -> Array:
     """Shifted-distance vector t_{k+1}(x_{k+1} - y_{k+1}) + (y_{k+1} - x*)."""
-    return inputs.t_next * (inputs.x_next - inputs.y_next) + (inputs.y_next - inputs.x_star)
+    return t_next * (x_next - y_next) + (y_next - x_star)
 
 
-def phi_alt(inputs: EnergyInputs) -> Array:
+def phi_alt(x: Array, y: Array, y_next: Array, t: float, gamma: float,
+            x_star: Array) -> Array:
     """Equivalent form (t_k - 1)(x_k - y_k) + gamma*t_k(y_{k+1} - x_k) + (x_k - x*).
 
     Agrees with :func:`phi` up to rounding; the tests check both forms.
     """
-    g = inputs.params.gamma
-    return ((inputs.t - 1.0) * (inputs.x - inputs.y)
-            + g * inputs.t * (inputs.y_next - inputs.x)
-            + (inputs.x - inputs.x_star))
+    return (t - 1.0) * (x - y) + gamma * t * (y_next - x) + (x - x_star)
 
 
-def energy(inputs: EnergyInputs) -> float:
-    """E_k = 0.5||phi_k||^2 + (beta/2)g^2 t^2 s^2 ||grad||^2 + g t^2 s (f - f*)."""
-    p = inputs.params
-    ph = phi(inputs)
-    grad_sq = float(inputs.grad_x @ inputs.grad_x)
+def energy(x_next: Array, y_next: Array, grad_x: Array, f_x: float, t: float,
+           t_next: float, s: float, x_star: Array, f_star: float,
+           params: AlgoParams) -> float:
+    """E_k = 0.5||phi_k||^2 + (beta/2)g^2 t^2 s^2 ||grad||^2 + g t^2 s (f - f*).
+
+    Needs the iterates from step k+1 (x_next, y_next) alongside the step-k
+    quantities, so the energy column lags the trace by one row.
+    """
+    ph = phi(x_next, y_next, t_next, x_star)
+    grad_sq = float(grad_x @ grad_x)
     return (0.5 * float(ph @ ph)
-            + 0.5 * p.beta * p.gamma ** 2 * inputs.t ** 2 * inputs.s ** 2 * grad_sq
-            + p.gamma * inputs.t ** 2 * inputs.s * (inputs.f_x - inputs.f_star))
+            + 0.5 * params.beta * params.gamma ** 2 * t ** 2 * s ** 2 * grad_sq
+            + params.gamma * t ** 2 * s * (f_x - f_star))
 
 
 def initial_D(x0, problem: SmoothProblem, params: AlgoParams,

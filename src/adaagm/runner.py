@@ -44,10 +44,6 @@ class ExperimentSummary:
     results: list[CellResult] = field(default_factory=list)
     output_dir: str = "."
 
-    @property
-    def any_divergence(self) -> bool:
-        return any(r.status == "diverged" for r in self.results)
-
 
 def _applicable_certificates(problem: SmoothProblem, params: AlgoParams) -> list[str]:
     kinds: list[str] = []

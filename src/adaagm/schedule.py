@@ -10,8 +10,9 @@ Three coupled sequences drive the adaptive solver:
   the step can grow, while the third candidate keeps it above a closed-form
   floor q/L.
 
-:class:`ScheduleState` holds (t_k, t_{k+1}, s_k) only; the estimate L_{k+1}
-is an argument of :func:`advance_step`.
+The solver keeps t_k, t_{k+1} and s_k as plain numbers: :func:`next_t`
+advances t and :func:`advance_step` returns s_{k+1} from t_{k+1}, s_k and
+the estimate L_{k+1}.
 """
 
 from __future__ import annotations
@@ -130,15 +131,6 @@ def local_smoothness(g_next, g_prev, f_next: float, f_prev: float,
     return ratio
 
 
-@dataclass(frozen=True)
-class ScheduleState:
-    """Current inertial weights (t_k, t_{k+1}) and step s_k."""
-
-    t_curr: float
-    t_next: float
-    s_curr: float
-
-
 def _coefficients(t_next: float, params: AlgoParams) -> tuple[float, float, float]:
     A = (t_next - params.m) / (t_next - 1.0)
     B = 2.0 / ((1.0 + params.beta) * params.gamma) * (1.0 - 1.0 / t_next)
@@ -148,24 +140,18 @@ def _coefficients(t_next: float, params: AlgoParams) -> tuple[float, float, floa
     return A, B, C
 
 
-def init_schedule(params: AlgoParams, s0: float) -> ScheduleState:
-    """Schedule state before the first step: t_0, t_1 and s_0."""
-    return ScheduleState(t_curr=params.t0, t_next=next_t(params.t0, params.m), s_curr=s0)
-
-
-def advance_step(state: ScheduleState, L_hat: float, params: AlgoParams) -> ScheduleState:
-    """Advance s and t by one iteration.
+def advance_step(t_next: float, s: float, L_hat: float, params: AlgoParams) -> float:
+    """The next step s_{k+1} from t_{k+1}, the step s_k and the estimate L_hat.
 
     ``L_hat`` is the local smoothness estimate for the new iterate pair.
     The step advances to min{A*s, B*s, C/L_hat}; when the estimate is zero
     the third candidate never binds.
     """
-    A, B, C = _coefficients(state.t_next, params)
-    s_next = min(A * state.s_curr, B * state.s_curr)
+    A, B, C = _coefficients(t_next, params)
+    s_next = min(A * s, B * s)
     if L_hat > 0.0:
         s_next = min(s_next, C / L_hat)
-    return ScheduleState(t_curr=state.t_next, t_next=next_t(state.t_next, params.m),
-                         s_curr=s_next)
+    return s_next
 
 
 @dataclass
@@ -175,8 +161,6 @@ class ValidationReport:
     valid: bool
     failures: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    q: Optional[float] = None
-    s0_floor: Optional[float] = None
 
 
 def validate_params(params: AlgoParams, L_known: Optional[float] = None) -> ValidationReport:
@@ -206,7 +190,6 @@ def validate_params(params: AlgoParams, L_known: Optional[float] = None) -> Vali
     if params.s0 is not None and params.s0 <= 0.0:
         failures.append(f"s0={params.s0} must be positive")
 
-    growth = None
     if params.beta > 0.0 and params.gamma > 0.0 and params.t0 >= 1.0:
         growth = 2.0 / ((1.0 + params.beta) * params.gamma) * (1.0 - 1.0 / params.t0)
         if growth < 1.0:
@@ -215,16 +198,12 @@ def validate_params(params: AlgoParams, L_known: Optional[float] = None) -> Vali
                 f"(2/((1+beta)*gamma))*(1-1/t0) = {growth:.6g} < 1"
             )
 
-    q = None
-    s0_floor = None
-    if not failures and params.t0 > 1.0:
-        q = floor_q(params)
-        if L_known is not None and L_known > 0:
-            s0_floor = q / L_known
-            if params.s0 is not None and params.s0 < s0_floor * (1.0 - 1e-12):
-                warnings.append(
-                    f"s0={params.s0:.6g} is below the floor q/L={s0_floor:.6g}; "
-                    "the step floor degrades to min(s0, q/L)"
-                )
-    return ValidationReport(valid=not failures, failures=failures,
-                            warnings=warnings, q=q, s0_floor=s0_floor)
+    if (not failures and params.t0 > 1.0 and params.s0 is not None
+            and L_known is not None and L_known > 0):
+        s0_floor = floor_q(params) / L_known
+        if params.s0 < s0_floor * (1.0 - 1e-12):
+            warnings.append(
+                f"s0={params.s0:.6g} is below the floor q/L={s0_floor:.6g}; "
+                "the step floor degrades to min(s0, q/L)"
+            )
+    return ValidationReport(valid=not failures, failures=failures, warnings=warnings)

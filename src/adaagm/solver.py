@@ -3,15 +3,16 @@
 One driver, :func:`_iterate`, runs all three methods.  Every iteration
 takes y_{k+1} = x_k - s_k*grad f(x_k) and extrapolates
 x_{k+1} = y_{k+1} + (t_k - 1)/t_{k+1}*(y_{k+1} - y_k), plus a
-(gamma - 1)*t_k/t_{k+1}*(y_{k+1} - x_k) correction when gamma != 1.  Only
-the rule that advances (t, s) differs:
+(gamma - 1)*t_k/t_{k+1}*(y_{k+1} - x_k) correction when gamma != 1.  The
+loop keeps t_k, t_{k+1} and s_k as plain numbers, and every method advances
+t by :func:`next_t` at its own m.  Only the step rule and the t-recursion's
+constants differ:
 
 * adaptive (:func:`run_adaagm`): s from :func:`local_smoothness` and
-  :func:`advance_step`, t from the recursion at the profile's m;
-* fixed: constant s, t from the recursion at m = 1 from t_0 = 1, which is
-  classical Nesterov momentum (:func:`run_nesterov`), or at m = 0, where t
-  stays 1 and the momentum vanishes, which is gradient descent
-  (:func:`run_gd`).
+  :func:`advance_step`, t from the profile's t_0 and m;
+* fixed: constant s, t from t_0 = 1 at m = 1, which is classical Nesterov
+  momentum (:func:`run_nesterov`), or at m = 0, where t stays 1 and the
+  momentum vanishes, which is gradient descent (:func:`run_gd`).
 
 All runs produce a :class:`Trace` of per-iteration records.  The energy
 column of an adaptive record at index k is computed from the iterates
@@ -28,14 +29,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import diagnostics
 from .problems import SmoothProblem
 from .schedule import (
     AlgoParams,
-    ScheduleState,
     advance_step,
     default_params,
     floor_q,
-    init_schedule,
     local_smoothness,
     next_t,
     validate_params,
@@ -160,14 +160,11 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
     y = x0.copy()
     f_x, g_x = _evaluate(problem, x, 0)
     grad_tol = _resolved_grad_tol(stop, g_x)
-    if s0 is None:
-        s0 = _probe_s0(problem, x0, g_x, f_x, params)
-    sched = init_schedule(params, s0)
+    s = _probe_s0(problem, x0, g_x, f_x, params) if s0 is None else s0
+    t, t_next = params.t0, next_t(params.t0, params.m)
 
     has_gap = problem.f_star is not None
     has_energy = adaptive and has_gap and problem.x_star is not None
-    # import here: diagnostics depends on this module's types only at runtime
-    from .diagnostics import EnergyInputs, energy as energy_fn
 
     records: list[TraceRecord] = []
     xs: Optional[list[Array]] = [] if store_iterates else None
@@ -186,9 +183,8 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
         )
         rec = None
         if k % thin == 0 or stopping:
-            rec = TraceRecord(k=k, gap=gap, grad_norm=grad_norm, s=sched.s_curr,
-                              t=None if algorithm == "gd" else sched.t_curr,
-                              L_est=L_curr)
+            rec = TraceRecord(k=k, gap=gap, grad_norm=grad_norm, s=s,
+                              t=None if algorithm == "gd" else t, L_est=L_curr)
             records.append(rec)
             if store_iterates:
                 xs.append(x.copy())
@@ -196,11 +192,10 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
         if stopping:
             break
 
-        y_next = x - sched.s_curr * g_x
-        x_next = y_next + (sched.t_curr - 1.0) / sched.t_next * (y_next - y)
+        y_next = x - s * g_x
+        x_next = y_next + (t - 1.0) / t_next * (y_next - y)
         if params.gamma != 1.0:  # at gamma = 1 the correction is exactly zero
-            x_next = x_next + ((params.gamma - 1.0) * sched.t_curr / sched.t_next
-                               * (y_next - x))
+            x_next = x_next + (params.gamma - 1.0) * t / t_next * (y_next - x)
         f_next, g_next = _evaluate(problem, x_next, k + 1)
 
         if adaptive:
@@ -209,15 +204,10 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
                                       underflow_fallback=(L_seen or None))
             L_seen = max(L_seen, L_curr)
             if rec is not None and has_energy:
-                rec.energy = energy_fn(EnergyInputs(
-                    x_next=x_next, y_next=y_next, x=x, y=y,
-                    grad_x=g_x, f_x=f_x, t=sched.t_curr, t_next=sched.t_next,
-                    s=sched.s_curr, x_star=problem.x_star, f_star=problem.f_star,
-                    params=params,
-                ))
-            sched = advance_step(sched, L_curr, params)
-        else:
-            sched = ScheduleState(sched.t_next, next_t(sched.t_next, params.m), sched.s_curr)
+                rec.energy = diagnostics.energy(x_next, y_next, g_x, f_x, t, t_next, s,
+                                                problem.x_star, problem.f_star, params)
+            s = advance_step(t_next, s, L_curr, params)
+        t, t_next = t_next, next_t(t_next, params.m)
 
         x, y, f_x, g_x = x_next, y_next, f_next, g_next
         k += 1

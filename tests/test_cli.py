@@ -52,6 +52,26 @@ class TestValidate:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["run", "validate"])
+@pytest.mark.parametrize("old,new,section,fragment", [
+    pytest.param("seeds = 0", "seeds = a", "[experiment]", "'a'", id="seeds"),
+    pytest.param("thinning = 1", "thinning = x", "[experiment]", "'x'", id="thinning"),
+    pytest.param("profile = cor-4.4", "profile = cor-4.4\nm = abc", "[solver agm]",
+                 "'abc'", id="m"),
+    pytest.param("profile = cor-4.4", "profile = custom\nm = 0.99\nt0 = 3\nbeta = 0.3",
+                 "[solver agm]", "missing key 'gamma'", id="custom-without-gamma"),
+])
+def test_malformed_value_exit_one(tmp_path, capsys, verb, old, new, section, fragment):
+    path = tmp_path / "bad.ini"
+    path.write_text(CONFIG.replace(old, new))
+    out = ["--out", str(tmp_path / "out")] if verb == "run" else []
+    assert main([verb, str(path), *out]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {section}: " in err and fragment in err
+    if verb == "run":
+        assert "config error" in err
+
+
 class TestRun:
     def test_end_to_end(self, config_path, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -131,9 +151,3 @@ class TestCertify:
         with pytest.raises(SystemExit):
             main(["certify", trace_path, "--problem", config_path,
                   "--profile", "cor-4.4", "--kind", "bogus"])
-
-    def test_s0_override(self, trace_path, config_path, capsys):
-        assert main(["certify", trace_path, "--problem", config_path,
-                     "--profile", "cor-4.4", "--kind", "step_floor",
-                     "--s0", "0.002"]) == 0
-        assert "PASS" in capsys.readouterr().out

@@ -110,6 +110,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="thinning"):
             load_config(write(tmp_path, text))
 
+    @pytest.mark.parametrize("algorithm,line", [
+        ("adaagm", "step = 0.01"),
+        ("gd", "step = 0.01\nprofile = cor-4.4"),
+        ("gd", "step = 0.01\ns0 = 0.01"),
+        ("nesterov", "step = 0.01\nm = 0.5"),
+        ("nesterov", "step = 0.01\ndelta = 0.5"),
+    ])
+    def test_key_ignored_by_algorithm(self, tmp_path, algorithm, line):
+        text = ("[problem p]\nkind = quadratic\ndiag = 1\n"
+                f"[solver s]\nalgorithm = {algorithm}\n{line}\n")
+        with pytest.raises(ConfigError, match=f"for algorithm '{algorithm}'"):
+            load_config(write(tmp_path, text))
+
     def test_unknown_algorithm(self, tmp_path):
         text = BASIC.replace("algorithm = adaagm", "algorithm = bfgs")
         with pytest.raises(ConfigError, match="unknown algorithm"):
@@ -193,7 +206,17 @@ class TestValidateConfig:
         text = BASIC.replace("diag = 1 100\noffset = 1 100", "matrix_csv = gone.csv")
         report = validate_config(write(tmp_path, text))
         assert not report.ok
-        assert any("missing file" in e for e in report.errors)
+        assert report.errors == ["problem quad: missing file gone.csv"]
+
+    def test_small_s0_warns_with_problem_L(self, tmp_path):
+        # L = 10 and q = 1/5 put the floor at q/L = 0.02
+        text = BASIC.replace("diag = 1 100", "diag = 1 10").replace(
+            "profile = cor-4.4", "profile = cor-4.4\ns0 = 1e-6")
+        report = validate_config(write(tmp_path, text))
+        assert report.ok
+        assert report.warnings == [
+            "solver agm on problem quad: s0=1e-06 is below the floor q/L=0.02; "
+            "the step floor degrades to min(s0, q/L)"]
 
     def test_parse_error_reported(self, tmp_path):
         report = validate_config(write(tmp_path, "[experiment]\nbogus = 1\n"))
@@ -233,7 +256,7 @@ class TestRunner:
         config.output_dir = str(tmp_path / "out")
         summary = run_experiment(config)
         assert len(summary.results) == 2  # 1 problem x 1 solver x 2 seeds
-        assert not summary.any_divergence
+        assert all(r.status != "diverged" for r in summary.results)
         assert (tmp_path / "out" / "quad_agm_0.csv").exists()
         assert (tmp_path / "out" / "quad_agm_1.csv").exists()
         lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
@@ -250,7 +273,7 @@ class TestRunner:
         config = load_config(write(tmp_path, text))
         config.output_dir = str(tmp_path / "out")
         summary = run_experiment(config)
-        assert summary.any_divergence
+        assert any(r.status == "diverged" for r in summary.results)
         statuses = {(r.solver, r.status) for r in summary.results}
         assert ("bad", "diverged") in statuses
         assert ("agm", "ok") in statuses

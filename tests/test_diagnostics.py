@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaagm import (
-    EnergyInputs,
     PROFILES,
     StopCriteria,
     certify,
@@ -27,15 +26,13 @@ from adaagm import (
 from conftest import random_quadratic
 
 
-def _inputs_from_update(x, y, t, t_next, s, grad, params, x_star, f_x=1.0, f_star=0.0):
-    """Build EnergyInputs with x_next produced by the solver's update rule."""
+def _update(x, y, t, t_next, s, grad, gamma):
+    """(x_next, y_next) produced by the solver's update rule."""
     y_next = x - s * grad
     momentum = (t - 1.0) / t_next
-    correction = (params.gamma - 1.0) * t / t_next
+    correction = (gamma - 1.0) * t / t_next
     x_next = y_next + momentum * (y_next - y) + correction * (y_next - x)
-    return EnergyInputs(x_next=x_next, y_next=y_next, x=x, y=y, grad_x=grad,
-                        f_x=f_x, t=t, t_next=t_next, s=s, x_star=x_star,
-                        f_star=f_star, params=params)
+    return x_next, y_next
 
 
 vec3 = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3).map(np.array)
@@ -48,9 +45,10 @@ class TestPhi:
     def test_two_forms_agree(self, x, y, grad, x_star, t, s, gamma):
         params = get_profile("cor-4.4", gamma=gamma)
         from adaagm import next_t
-        inp = _inputs_from_update(x, y, t, next_t(t, params.m), s, grad,
-                                  params, x_star)
-        a, b = phi(inp), phi_alt(inp)
+        t_next = next_t(t, params.m)
+        x_next, y_next = _update(x, y, t, t_next, s, grad, params.gamma)
+        a = phi(x_next, y_next, t_next, x_star)
+        b = phi_alt(x, y, y_next, t, params.gamma, x_star)
         scale = 1.0 + np.linalg.norm(a)
         assert np.linalg.norm(a - b) <= 1e-12 * scale
 
@@ -63,33 +61,30 @@ class TestPhi:
         grad = rng.normal(size=3)
         x_star = rng.normal(size=3)
         s0 = 0.05
-        inp = _inputs_from_update(x0, x0, params.t0, next_t(params.t0, params.m),
-                                  s0, grad, params, x_star)
+        t1 = next_t(params.t0, params.m)
+        x1, y1 = _update(x0, x0, params.t0, t1, s0, grad, params.gamma)
         expected = -params.gamma * s0 * params.t0 * grad + (x0 - x_star)
-        assert np.linalg.norm(phi(inp) - expected) <= 1e-12 * (1 + np.linalg.norm(expected))
+        assert (np.linalg.norm(phi(x1, y1, t1, x_star) - expected)
+                <= 1e-12 * (1 + np.linalg.norm(expected)))
 
 
 class TestEnergy:
     def test_one_dimensional_oracle(self):
         # hand-computed: phi = 2*(0.5) + (1.5 - 0) = 2.5 with the pieces below
         params = get_profile("cor-4.4", gamma=1.0, beta=0.5)
-        inp = EnergyInputs(
-            x_next=np.array([2.0]), y_next=np.array([1.5]), x=np.array([1.0]),
-            y=np.array([1.0]), grad_x=np.array([3.0]), f_x=4.0, t=2.0,
-            t_next=2.0, s=0.25, x_star=np.array([0.0]), f_star=1.0,
-            params=params,
-        )
+        e = energy(x_next=np.array([2.0]), y_next=np.array([1.5]),
+                   grad_x=np.array([3.0]), f_x=4.0, t=2.0, t_next=2.0, s=0.25,
+                   x_star=np.array([0.0]), f_star=1.0, params=params)
         # E = 0.5*2.5^2 + 0.5*0.5*1*4*0.0625*9 + 1*4*0.25*3
         expected = 0.5 * 6.25 + 0.5 * 0.5 * 4.0 * 0.0625 * 9.0 + 4.0 * 0.25 * 3.0
-        assert energy(inp) == pytest.approx(expected, rel=1e-15)
+        assert e == pytest.approx(expected, rel=1e-15)
 
     def test_zero_at_minimizer(self):
         params = PROFILES["cor-4.4"]
         x_star = np.zeros(2)
-        inp = EnergyInputs(x_next=x_star, y_next=x_star, x=x_star, y=x_star,
-                           grad_x=np.zeros(2), f_x=0.0, t=3.0, t_next=3.5,
-                           s=0.1, x_star=x_star, f_star=0.0, params=params)
-        assert energy(inp) == 0.0
+        assert energy(x_next=x_star, y_next=x_star, grad_x=np.zeros(2), f_x=0.0,
+                      t=3.0, t_next=3.5, s=0.1, x_star=x_star, f_star=0.0,
+                      params=params) == 0.0
 
 
 class TestRateConstants:

@@ -12,7 +12,6 @@ from adaagm import (
     advance_step,
     floor_q,
     get_profile,
-    init_schedule,
     local_smoothness,
     next_t,
     validate_params,
@@ -155,47 +154,49 @@ class TestCoefficients:
 class TestAdvanceStep:
     def test_growth_when_estimate_inactive(self):
         params = PROFILES["cor-4.4"]
-        state = init_schedule(params, s0=0.01)
-        nxt = advance_step(state, 0.0, params)
-        assert nxt.s_curr > state.s_curr
-        assert nxt.t_curr == state.t_next
+        assert advance_step(next_t(params.t0, params.m), 0.01, 0.0, params) > 0.01
 
     def test_third_candidate_binds(self):
         params = PROFILES["cor-4.4"]
-        state = init_schedule(params, s0=1.0)
-        _, _, C = _coefficients(state.t_next, params)
-        nxt = advance_step(state, 1e6, params)
-        assert nxt.s_curr == pytest.approx(C / 1e6)
+        t1 = next_t(params.t0, params.m)
+        _, _, C = _coefficients(t1, params)
+        assert advance_step(t1, 1.0, 1e6, params) == pytest.approx(C / 1e6)
 
     def test_floor_holds_under_worst_case_estimates(self):
         # feed L_hat = L every step: s_k must stay >= q/L
         L = 50.0
         for name, params in PROFILES.items():
             q = floor_q(params)
-            state = init_schedule(params, s0=q / L)
+            t, s = params.t0, q / L
             for _ in range(200):
-                state = advance_step(state, L, params)
-                assert state.s_curr >= q / L * (1 - 1e-12), name
+                t = next_t(t, params.m)
+                s = advance_step(t, s, L, params)
+                assert s >= q / L * (1 - 1e-12), name
 
     def test_cap_holds_under_free_growth(self):
         # never binding the estimate lets s grow at the fastest legal rate
         params = get_profile("cor-4.4", m=0.5)
         growth = 2.0 * (1.0 - params.m) / params.m
         s0 = 0.001
-        state = init_schedule(params, s0=s0)
+        t, s = params.t0, s0
         for k in range(1, 300):
-            state = advance_step(state, 0.0, params)
-            assert state.s_curr <= s0 * math.exp(growth) * k ** growth
+            t = next_t(t, params.m)
+            s = advance_step(t, s, 0.0, params)
+            assert s <= s0 * math.exp(growth) * k ** growth
 
 
 class TestValidateParams:
     def test_profiles_valid(self):
-        for params in PROFILES.values():
+        for name, params in PROFILES.items():
             report = validate_params(params, L_known=10.0)
             assert report.valid
             assert not report.failures
-            assert report.q == pytest.approx(floor_q(params))
-            assert report.s0_floor == pytest.approx(report.q / 10.0)
+            # the s0 warning uses the floor q/L, with q = floor_q(params)
+            s0_floor = floor_q(params) / 10.0
+            at_floor = validate_params(get_profile(name, s0=s0_floor), L_known=10.0)
+            assert not at_floor.warnings
+            below = validate_params(get_profile(name, s0=0.99 * s0_floor), L_known=10.0)
+            assert any(f"q/L={s0_floor:.6g}" in w for w in below.warnings)
 
     @pytest.mark.parametrize("field,value,fragment", [
         ("m", 0.0, "m="),
