@@ -134,6 +134,8 @@ def load_config(path) -> ExperimentConfig:
                 output_dir = items.get("output_dir", output_dir)
                 if "seeds" in items:
                     seeds = [int(v) for v in items["seeds"].replace(",", " ").split()]
+                    if not seeds:
+                        raise ValueError("seeds must list at least one seed")
                 thinning = int(items.get("thinning", thinning))
                 if thinning < 1:
                     raise ConfigError("thinning must be a positive integer")

@@ -88,8 +88,8 @@ def initial_D(x0, problem: SmoothProblem, params: AlgoParams,
     x0 = np.asarray(x0, dtype=float)
     L = problem.L_known
     q = floor_q(params)
-    g0 = np.asarray(problem.gradient(x0), dtype=float)
-    gap0 = float(problem.value(x0)) - problem.f_star
+    f0, g0 = problem.value_and_grad(x0)
+    gap0 = f0 - problem.f_star
     dist_sq = float(np.sum((x0 - problem.x_star) ** 2))
     grad_sq = float(g0 @ g0)
     t0, gam, bet = params.t0, params.gamma, params.beta

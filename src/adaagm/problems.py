@@ -1,10 +1,13 @@
 """Smooth convex test problems with known constants.
 
-Each factory returns an immutable :class:`SmoothProblem` whose ground-truth
-constants (smoothness L, strong-convexity modulus mu, minimizer, minimum
-value) are filled in whenever they are available analytically or by a
-high-accuracy reference solve.  These constants are what the diagnostics
-layer checks solver runs against.
+Each factory returns an immutable :class:`SmoothProblem` with one oracle,
+``value_and_grad``, that computes the value and the gradient from a single
+matrix product; ``value`` and ``gradient`` are derived from it for callers
+off the hot path.  The ground-truth constants (smoothness L,
+strong-convexity modulus mu, minimizer, minimum value) are filled in
+whenever they are available analytically or by a high-accuracy reference
+solve.  These constants are what the diagnostics layer checks solver runs
+against.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit, logsumexp, softmax
+from scipy.special import expit
 
 Array = np.ndarray
 
@@ -27,8 +30,8 @@ class SmoothProblem:
     """
 
     dimension: int
-    value: Callable[[Array], float]
-    gradient: Callable[[Array], Array]
+    # (f(x), grad f(x)) as a Python float and a float array
+    value_and_grad: Callable[[Array], tuple[float, Array]]
     L_known: Optional[float] = None
     mu_known: Optional[float] = None
     x_star: Optional[Array] = None
@@ -37,6 +40,12 @@ class SmoothProblem:
     # True when x_star/f_star come from a numerical reference solve rather
     # than a closed form; certificate tolerances widen accordingly.
     solution_is_reference: bool = False
+
+    def value(self, x: Array) -> float:
+        return self.value_and_grad(x)[0]
+
+    def gradient(self, x: Array) -> Array:
+        return self.value_and_grad(x)[1]
 
     def with_minimizer(self, x_star, f_star: Optional[float] = None,
                        reference: bool = False) -> "SmoothProblem":
@@ -82,14 +91,12 @@ def make_quadratic(matrix, offset, name: str = "quadratic") -> SmoothProblem:
         raise ValueError("offset is not in the column space of the matrix; "
                          "the quadratic has no minimizer")
 
-    def value(x: Array) -> float:
-        return float(0.5 * x @ (A @ x) - b @ x)
-
-    def gradient(x: Array) -> Array:
-        return A @ x - b
+    def value_and_grad(x: Array) -> tuple[float, Array]:
+        Ax = A @ x
+        return float(0.5 * x @ Ax - b @ x), Ax - b
 
     prob = SmoothProblem(
-        dimension=n, value=value, gradient=gradient,
+        dimension=n, value_and_grad=value_and_grad,
         L_known=lam_max, mu_known=max(lam_min, 0.0), name=name,
     )
     return prob.with_minimizer(x_star)
@@ -116,14 +123,24 @@ def make_log_sum_exp(rows, shifts, temperature: float,
     t = float(temperature)
     sigma_max = float(np.linalg.norm(A, 2))
 
-    def value(x: Array) -> float:
-        return t * float(logsumexp((A @ x + b) / t))
-
-    def gradient(x: Array) -> Array:
-        return A.T @ softmax((A @ x + b) / t)
+    def value_and_grad(x: Array) -> tuple[float, Array]:
+        # The shifted log-sum-exp/softmax pair of Blanchard, Higham & Higham
+        # (IMA J. Numer. Anal. 41(4), 2021), operation for operation as
+        # scipy.special.logsumexp/softmax compute it for a real vector: the
+        # m entries tied at the maximum leave the sum and come back as
+        # log(m).  SciPy skips s/m when s == 0; 0/m is 0 for m >= 1, and
+        # m == 0 only when z holds a NaN, which makes s NaN either way.
+        z = (A @ x + b) / t
+        zmax = z.max(keepdims=True)
+        e = np.exp(z - zmax)
+        tied = z == zmax
+        m = tied.sum(keepdims=True, dtype=float)
+        s = np.where(tied, 0.0, e).sum(keepdims=True) / m
+        lse = np.log1p(s) + np.log(m) + zmax
+        return t * float(lse[0]), A.T @ (e / e.sum())
 
     return SmoothProblem(
-        dimension=A.shape[1], value=value, gradient=gradient,
+        dimension=A.shape[1], value_and_grad=value_and_grad,
         L_known=sigma_max ** 2 / t, mu_known=0.0, name=name,
     )
 
@@ -166,16 +183,13 @@ def make_logistic(features, labels, ridge: float,
     ridge = float(ridge)
     sigma_max = float(np.linalg.norm(A, 2))
 
-    def value(x: Array) -> float:
+    def value_and_grad(x: Array) -> tuple[float, Array]:
         margins = y * (A @ x)
-        return float(np.sum(np.logaddexp(0.0, -margins))) + 0.5 * ridge * float(x @ x)
-
-    def gradient(x: Array) -> Array:
-        margins = y * (A @ x)
-        return -(A.T @ (y * expit(-margins))) + ridge * x
+        f = float(np.sum(np.logaddexp(0.0, -margins))) + 0.5 * ridge * float(x @ x)
+        return f, -(A.T @ (y * expit(-margins))) + ridge * x
 
     prob = SmoothProblem(
-        dimension=A.shape[1], value=value, gradient=gradient,
+        dimension=A.shape[1], value_and_grad=value_and_grad,
         L_known=0.25 * sigma_max ** 2 + ridge, mu_known=ridge, name=name,
     )
     if ridge > 0:

@@ -106,8 +106,9 @@ def local_smoothness(g_next, g_prev, f_next: float, f_prev: float,
     g_next = np.asarray(g_next, dtype=float)
     g_prev = np.asarray(g_prev, dtype=float)
     diff = g_next - g_prev
-    diff_norm = float(np.linalg.norm(diff))
-    if diff_norm <= 1e-14 * (1.0 + float(np.linalg.norm(g_next))):
+    # np.linalg.norm's own 1-D formula, bit for bit
+    diff_norm = math.sqrt(diff.dot(diff))
+    if diff_norm <= 1e-14 * (1.0 + math.sqrt(g_next.dot(g_next))):
         return 0.0
     x_next = np.asarray(x_next, dtype=float)
     x_prev = np.asarray(x_prev, dtype=float)

@@ -14,10 +14,13 @@ constants differ:
   momentum (:func:`run_nesterov`), or at m = 0, where t stays 1 and the
   momentum vanishes, which is gradient descent (:func:`run_gd`).
 
-All runs produce a :class:`Trace` of per-iteration records.  The energy
-column of an adaptive record at index k is computed from the iterates
-available at the end of iteration k (it needs x_{k+1} and y_{k+1}), so it
-lags the other columns by one step; the final record carries no energy.
+Every iteration, and the s0 probe, makes exactly one oracle call,
+``problem.value_and_grad``; a non-finite value or gradient raises
+:class:`DivergenceError`.  All runs produce a :class:`Trace` of
+per-iteration records.  The energy column of an adaptive record at index k
+is computed from the iterates available at the end of iteration k (it needs
+x_{k+1} and y_{k+1}), so it lags the other columns by one step; the final
+record carries no energy.
 """
 
 from __future__ import annotations
@@ -106,9 +109,8 @@ _GD = AlgoParams(m=0.0, t0=1.0, gamma=1.0)
 
 
 def _evaluate(problem: SmoothProblem, x: Array, k: int) -> tuple[float, Array]:
-    f = float(problem.value(x))
-    g = np.asarray(problem.gradient(x), dtype=float)
-    if not np.isfinite(f) or not np.isfinite(g).all():
+    f, g = problem.value_and_grad(x)
+    if not math.isfinite(f) or not np.isfinite(g).all():
         raise DivergenceError(k)
     return f, g
 
@@ -222,13 +224,16 @@ def run_adaagm(problem: SmoothProblem, params: Optional[AlgoParams] = None,
     """Run the adaptive accelerated method from x0 = y0.
 
     ``params.s0=None`` resolves to q/L when L is known, otherwise by a
-    one-step probe at the start point.
+    one-step probe at the start point.  Invalid parameters raise
+    ``ValueError``; :func:`validate_params`' warnings are emitted.
     """
     if params is None:
         params = default_params(problem)
     report = validate_params(params, L_known=problem.L_known)
     if not report.valid:
         raise ValueError("invalid parameters: " + "; ".join(report.failures))
+    for message in report.warnings:
+        warnings.warn(message, stacklevel=2)
     s0 = params.s0
     if s0 is None and problem.L_known is not None and problem.L_known > 0:
         s0 = floor_q(params) / problem.L_known

@@ -55,6 +55,8 @@ class TestValidate:
 @pytest.mark.parametrize("verb", ["run", "validate"])
 @pytest.mark.parametrize("old,new,section,fragment", [
     pytest.param("seeds = 0", "seeds = a", "[experiment]", "'a'", id="seeds"),
+    pytest.param("seeds = 0", "seeds =", "[experiment]",
+                 "seeds must list at least one seed", id="empty-seeds"),
     pytest.param("thinning = 1", "thinning = x", "[experiment]", "'x'", id="thinning"),
     pytest.param("profile = cor-4.4", "profile = cor-4.4\nm = abc", "[solver agm]",
                  "'abc'", id="m"),

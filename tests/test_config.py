@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,17 @@ class TestRunner:
             assert r.status == "ok"
             assert "step_floor:pass" in r.certificates
 
+    def test_demo_matrix_emits_no_parameter_warning(self, tmp_path):
+        # profile = default leaves s0 unset, and the logistic problem's
+        # reference solve runs the sc-2 profile: neither warns
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            config = load_config(DEMO_CONFIG)
+            config.output_dir = str(tmp_path / "out")
+            summary = run_experiment(config)
+        assert all(r.status == "ok" for r in summary.results)
+        assert [str(w.message) for w in record] == []
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:step")
     def test_divergent_cell_recorded(self, tmp_path):
@@ -290,8 +302,8 @@ class TestRunner:
             if spec.name != "quad":
                 return problem
             return SmoothProblem(dimension=problem.dimension,
-                                 value=lambda x: -0.5 * float(x @ x),
-                                 gradient=lambda x: -x, L_known=1.0, name="quad")
+                                 value_and_grad=lambda x: (-0.5 * float(x @ x), -x),
+                                 L_known=1.0, name="quad")
 
         monkeypatch.setattr(adaagm.runner, "build_problem", build)
         config = load_config(DEMO_CONFIG)

@@ -55,6 +55,19 @@ class TestStepResolution:
         with pytest.raises(ValueError, match="invalid parameters"):
             run_adaagm(diag_problem, get_profile("cor-4.4", gamma=1.9), x0=X0)
 
+    def test_s0_below_floor_warns(self):
+        p = make_quadratic(np.diag([1.0, 10.0]), np.array([1.0, 10.0]))
+        with pytest.warns(UserWarning, match="below the floor q/L") as record:
+            run_adaagm(p, get_profile("cor-4.4", s0=1e-6), StopCriteria(max_iters=1), x0=X0)
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
+    def test_m_one_warns(self, diag_problem):
+        with pytest.warns(UserWarning, match="m=1 disables step growth") as record:
+            run_adaagm(diag_problem, get_profile("cor-4.4", m=1.0),
+                       StopCriteria(max_iters=1), x0=X0)
+        assert len(record) == 1
+
 
 class TestStopping:
     def test_max_iters(self, diag_problem):
