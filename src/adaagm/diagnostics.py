@@ -78,6 +78,13 @@ def initial_D(x0, problem: SmoothProblem, params: AlgoParams,
     D that avoids the raw gradient term; the certificates use the smaller
     of the two.
     """
+    full, min_bound = _initial_D_forms(x0, problem, params, s0)
+    return min_bound if min_form else full
+
+
+def _initial_D_forms(x0, problem: SmoothProblem, params: AlgoParams,
+                     s0: Optional[float] = None) -> tuple[float, float]:
+    """Both forms of D, full and min-form, from one oracle call at x0."""
     if problem.x_star is None or problem.f_star is None:
         raise ValueError("initial_D needs x_star and f_star on the problem")
     if problem.L_known is None or problem.L_known <= 0:
@@ -94,18 +101,17 @@ def initial_D(x0, problem: SmoothProblem, params: AlgoParams,
     grad_sq = float(g0 @ g0)
     t0, gam, bet = params.t0, params.gamma, params.beta
     st = s0 * t0
-    if not min_form:
-        return (1.0 / q) * (
-            dist_sq / (2.0 * gam)
-            + st * ((1.0 + bet) * gam * st * L - 1.0) / (2.0 * L) * grad_sq
-            + st * (t0 - 1.0) * gap0
-        )
+    full = (1.0 / q) * (
+        dist_sq / (2.0 * gam)
+        + st * ((1.0 + bet) * gam * st * L - 1.0) / (2.0 * L) * grad_sq
+        + st * (t0 - 1.0) * gap0
+    )
     first = (dist_sq / (2.0 * gam)
              + st * (t0 * ((1.0 + bet) * gam * s0 * L + 1.0) - 2.0) * gap0)
     second = ((1.0 + gam * st * L * ((1.0 + bet) * gam * st * L - 1.0))
               / (2.0 * gam) * dist_sq
               + st * (t0 - 1.0) * gap0)
-    return (1.0 / q) * min(first, second)
+    return full, (1.0 / q) * min(first, second)
 
 
 def rho(params: AlgoParams, mu: float, L: float) -> float:
@@ -171,8 +177,7 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
 
     if kind == "sublinear":
         _require(problem, kind, "x_star", "f_star", "L_known")
-        D = min(initial_D(trace.x0, problem, params, s0),
-                initial_D(trace.x0, problem, params, s0, min_form=True))
+        D = min(_initial_D_forms(trace.x0, problem, params, s0))
         cert.constant_D = D
         L = problem.L_known
         for r in recs:
@@ -183,8 +188,7 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
         if problem.mu_known is None or problem.mu_known <= 0:
             raise ValueError("the linear certificate needs mu_known > 0")
         rho_val = rho(params, problem.mu_known, problem.L_known)
-        D = min(initial_D(trace.x0, problem, params, s0),
-                initial_D(trace.x0, problem, params, s0, min_form=True))
+        D = min(_initial_D_forms(trace.x0, problem, params, s0))
         cert.constant_D = D
         cert.constant_rho = rho_val
         L = problem.L_known

@@ -18,7 +18,7 @@ from .schedule import AlgoParams, default_params, floor_q
 from .solver import (
     DivergenceError,
     Trace,
-    _fmt,
+    format_float,
     run_adaagm,
     run_gd,
     run_nesterov,
@@ -134,7 +134,8 @@ def _write_summary(summary: ExperimentSummary) -> None:
     for r in summary.results:
         lines.append(",".join([
             r.problem, r.solver, str(r.seed), r.status, str(r.iterations),
-            _fmt(r.final_gap), _fmt(r.final_grad_norm), _fmt(r.q), r.certificates,
+            format_float(r.final_gap), format_float(r.final_grad_norm),
+            format_float(r.q), r.certificates,
         ]))
     with open(os.path.join(summary.output_dir, "summary.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-import numpy as np
-
 
 class NonConvexInputError(ValueError):
     """The local smoothness ratio saw a denominator that convexity forbids."""
@@ -88,7 +86,7 @@ def floor_q(params: AlgoParams) -> float:
 def local_smoothness(g_next, g_prev, f_next: float, f_prev: float,
                      x_next, x_prev, clamp: Optional[float] = None,
                      underflow_fallback: Optional[float] = None) -> float:
-    """Local smoothness estimate from one iterate pair.
+    """Local smoothness estimate from one iterate pair of float arrays.
 
     Returns 0.5*||g_next - g_prev||^2 / (<g_next, x_next - x_prev> -
     (f_next - f_prev)), with the 0/0 = 0 convention.  Exact gradient
@@ -103,15 +101,11 @@ def local_smoothness(g_next, g_prev, f_next: float, f_prev: float,
     it, so the estimate is capped.  ``underflow_fallback`` replaces the
     ratio when the denominator underflows and no clamp is known.
     """
-    g_next = np.asarray(g_next, dtype=float)
-    g_prev = np.asarray(g_prev, dtype=float)
     diff = g_next - g_prev
     # np.linalg.norm's own 1-D formula, bit for bit
     diff_norm = math.sqrt(diff.dot(diff))
     if diff_norm <= 1e-14 * (1.0 + math.sqrt(g_next.dot(g_next))):
         return 0.0
-    x_next = np.asarray(x_next, dtype=float)
-    x_prev = np.asarray(x_prev, dtype=float)
     denom = float(g_next @ (x_next - x_prev)) - (f_next - f_prev)
     scale = abs(f_next) + abs(f_prev) + 1.0
     if denom <= 0.0:

@@ -269,7 +269,8 @@ def run_nesterov(problem: SmoothProblem, step: float,
 _CSV_HEADER = "k,gap,grad_norm,s,t,L_est,energy"
 
 
-def _fmt(v: Optional[float]) -> str:
+def format_float(v: Optional[float]) -> str:
+    """17 significant digits, so the float reads back exactly; None is empty."""
     return "" if v is None else format(float(v), ".17g")
 
 
@@ -281,14 +282,14 @@ def write_trace_csv(trace: Trace, path) -> None:
     """
     lines = [
         f"# algorithm = {trace.algorithm}",
-        "# x0 = " + " ".join(format(v, ".17g") for v in trace.x0),
+        "# x0 = " + " ".join(map(format_float, trace.x0)),
         "# note: energy[k] uses the step-(k+1) iterates and lags the other columns by one row",
         _CSV_HEADER,
     ]
     for r in trace.records:
         lines.append(",".join([
-            str(r.k), _fmt(r.gap), _fmt(r.grad_norm), _fmt(r.s),
-            _fmt(r.t), _fmt(r.L_est), _fmt(r.energy),
+            str(r.k), format_float(r.gap), format_float(r.grad_norm), format_float(r.s),
+            format_float(r.t), format_float(r.L_est), format_float(r.energy),
         ]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

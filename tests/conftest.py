@@ -17,7 +17,7 @@ def random_quadratic(dim, seed, lam_min=1e-3, lam_max=1.0, name="quad"):
 
 @pytest.fixture(scope="session")
 def logistic_problem():
-    # session-scoped: construction runs a reference solve
+    # session-scoped: construction runs the damped Newton reference solve
     rng = np.random.default_rng(7)
     A = rng.normal(size=(20, 5))
     y = np.where(rng.normal(size=20) < 0, -1.0, 1.0)

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -269,7 +271,7 @@ class TestRunner:
 
     def test_demo_matrix_emits_no_parameter_warning(self, tmp_path):
         # profile = default leaves s0 unset, and the logistic problem's
-        # reference solve runs the sc-2 profile: neither warns
+        # Newton reference solve runs no solver profile: nothing warns
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             config = load_config(DEMO_CONFIG)
@@ -319,3 +321,20 @@ class TestRunner:
         assert len(rows) == 19
         assert rows[0] == ("problem,solver,seed,status,iterations,final_gap,"
                            "final_grad_norm,q,certificates")
+
+
+def test_demo_problems_load_no_scipy_linalg():
+    # scipy.linalg adds several MB of resident memory; NumPy's dense solve
+    # is all the logistic reference solve needs
+    code = ("import sys\n"
+            "from adaagm.config import build_problem, load_config\n"
+            f"config = load_config({DEMO_CONFIG!r})\n"
+            "problems = [build_problem(s, config.base_dir) for s in config.problems]\n"
+            "assert len(problems) == 3 and problems[2].x_star is not None\n"
+            "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

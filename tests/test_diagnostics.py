@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -172,6 +173,23 @@ class TestCertify:
                      "energy_monotone", "grad_summable"):
             cert = certify(trace, p, params, kind)
             assert cert.passed, f"{kind}: worst {cert.max_violation_rel:.3e}"
+
+    @pytest.mark.parametrize("kind, run", [("sublinear", "convex_run"),
+                                           ("sublinear", "sc_run"),
+                                           ("linear", "sc_run")])
+    def test_one_oracle_call_per_D_certificate(self, kind, run, request):
+        p, params, trace = request.getfixturevalue(run)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return p.value_and_grad(x)
+
+        cert = certify(trace, dataclasses.replace(p, value_and_grad=counted), params, kind)
+        assert len(calls) == 1
+        s0 = trace.records[0].s
+        assert cert.constant_D == min(initial_D(trace.x0, p, params, s0),
+                                      initial_D(trace.x0, p, params, s0, min_form=True))
 
     def test_linear_requires_mu(self, convex_run):
         _, params, trace = convex_run

@@ -3,14 +3,19 @@ import dataclasses
 import numpy as np
 import pytest
 
+import adaagm.solver
 from adaagm import (
+    StopCriteria,
     check_grad_fd,
+    get_profile,
     load_matrix_csv,
     make_log_sum_exp,
     make_logistic,
     make_quadratic,
     make_symmetric_log_sum_exp,
+    run_adaagm,
 )
+from adaagm.problems import _newton_minimizer
 
 from conftest import random_quadratic
 
@@ -79,6 +84,16 @@ class TestLogSumExp:
             assert check_grad_fd(p, x, 1e-5) <= 1e-6
 
 
+@pytest.fixture(scope="module")
+def benchmark_logistic():
+    # 1000 x 200, built like the dense benchmark's: features scaled by
+    # 1/sqrt(m), labels from a noisy linear model, ridge 0.01
+    rng = np.random.default_rng(42)
+    A = rng.standard_normal((1000, 200)) / np.sqrt(1000)
+    margin = A @ rng.standard_normal(200) + 0.5 * rng.standard_normal(1000) / np.sqrt(200)
+    return make_logistic(A, np.where(margin >= 0.0, 1.0, -1.0), 0.01)
+
+
 class TestLogistic:
     def test_zero_features_decoupled_quadratic(self):
         # f(x) = n*log 2 + 0.5||x||^2, minimized at the origin
@@ -96,10 +111,44 @@ class TestLogistic:
         with pytest.raises(ValueError, match="labels"):
             make_logistic(np.ones((2, 2)), np.array([1.0, 0.0]), 0.1)
 
-    def test_reference_solve_is_tight(self, logistic_problem):
-        g = logistic_problem.gradient(logistic_problem.x_star)
-        assert np.linalg.norm(g) <= 1e-8
-        assert logistic_problem.solution_is_reference
+    def test_reference_solve_is_tight(self, logistic_problem, benchmark_logistic):
+        for p in (logistic_problem, benchmark_logistic):
+            assert np.linalg.norm(p.gradient(p.x_star)) <= 1e-12
+            assert p.solution_is_reference
+
+    def test_reference_solve_uses_no_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference solve must not run adaagm")
+
+        monkeypatch.setattr(adaagm.solver, "run_adaagm", refuse)
+        rng = np.random.default_rng(8)
+        y = np.where(rng.normal(size=30) < 0, -1.0, 1.0)
+        p = make_logistic(rng.normal(size=(30, 4)), y, 0.2)
+        assert np.linalg.norm(p.gradient(p.x_star)) <= 1e-12
+
+    def test_reference_solve_agrees_with_adaagm(self, logistic_problem):
+        stop = StopCriteria(max_iters=200_000, grad_tol=1e-12)
+        x = run_adaagm(logistic_problem, get_profile("sc-2"), stop,
+                       np.zeros(logistic_problem.dimension)).x_final
+        assert np.linalg.norm(x - logistic_problem.x_star) <= 1e-8
+
+    def test_reference_solve_stops_at_rounding_floor(self):
+        # features of size 1e3 put the gradient's rounding floor above
+        # 1e-12 (about 5e-12 here): the solve must stop there, not loop
+        rng = np.random.default_rng(0)
+        A = 1e3 * rng.normal(size=(200, 20))
+        y = np.where(rng.normal(size=200) < 0, -1.0, 1.0)
+        p = make_logistic(A, y, 0.1)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return p.value_and_grad(x)
+
+        x = _newton_minimizer(dataclasses.replace(p, value_and_grad=counted), A, y, 0.1)
+        assert len(calls) <= 40
+        g0 = np.linalg.norm(p.gradient(np.zeros(p.dimension)))
+        assert np.linalg.norm(p.gradient(x)) <= 1e-8 * (1.0 + g0)
 
     def test_constants(self, logistic_problem):
         assert logistic_problem.mu_known == pytest.approx(0.1)
