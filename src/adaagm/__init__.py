@@ -5,17 +5,14 @@ from .diagnostics import (
     RateCertificate,
     certify,
     energy,
-    fitted_energy_contraction,
     format_certificates,
     initial_D,
     phi,
-    phi_alt,
     rho,
     write_violations_csv,
 )
 from .problems import (
     SmoothProblem,
-    check_grad_fd,
     load_matrix_csv,
     make_log_sum_exp,
     make_logistic,

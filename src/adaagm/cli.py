@@ -22,7 +22,7 @@ import sys
 from .config import ConfigError, build_problem, load_config, validate_config
 from .diagnostics import CERTIFICATE_KINDS, certify, format_certificates, write_violations_csv
 from .runner import run_experiment
-from .schedule import PROFILES, get_profile
+from .schedule import PROFILES
 from .solver import read_trace_csv
 
 
@@ -37,16 +37,16 @@ def _cmd_run(args) -> int:
     if args.thin is not None:
         config.thinning = args.thin
     try:
-        summary = run_experiment(config)
+        results = run_experiment(config)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    for r in summary.results:
+    for r in results:
         gap = "" if r.final_gap is None else f" gap={r.final_gap:.6g}"
         print(f"{r.problem} x {r.solver} seed={r.seed}: {r.status} "
               f"iters={r.iterations}{gap} certs={r.certificates}")
-    print(f"summary written to {os.path.join(summary.output_dir, 'summary.csv')}")
-    return 2 if any(r.status != "ok" for r in summary.results) else 0
+    print(f"summary written to {os.path.join(config.output_dir, 'summary.csv')}")
+    return 2 if any(r.status != "ok" for r in results) else 0
 
 
 def _cmd_validate(args) -> int:
@@ -69,22 +69,11 @@ def _cmd_certify(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"config error: cannot read trace: {exc}", file=sys.stderr)
         return 1
-    try:
+    try:  # the parser has already restricted --profile to PROFILES
         config = load_config(args.problem)
-        if not config.problems:
-            raise ConfigError("no problems defined")
         problem = build_problem(config.problems[0], config.base_dir)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        params = get_profile(args.profile)
-    except KeyError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        cert = certify(trace, problem, params, args.kind)
-    except ValueError as exc:
+        cert = certify(trace, problem, PROFILES[args.profile], args.kind)
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     print(format_certificates([cert]))

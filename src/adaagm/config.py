@@ -27,12 +27,14 @@ named ones from :mod:`adaagm.schedule` or ``custom`` with explicit fields.
 Every solver takes ``max_iters``, ``grad_tol`` and ``gap_tol``; ``adaagm``
 also takes ``profile``, ``m``, ``t0``, ``gamma``, ``beta``, ``omega``,
 ``delta`` and ``s0``, while ``gd`` and ``nesterov`` take ``step``.  A key the
-solver's algorithm would ignore is an error.
+solver's algorithm would ignore is an error, as is a ``step`` that is not
+positive and finite or a negative or NaN tolerance.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -80,7 +82,6 @@ class ProblemSpec:
 class SolverSpec:
     name: str
     algorithm: str
-    profile: str = "default"
     params: Optional[AlgoParams] = None
     step: Optional[float] = None  # None: 1/L at run time when L is known
     stop: StopCriteria = field(default_factory=StopCriteria)
@@ -185,7 +186,13 @@ def _parse_solver(name: str, items: dict[str, str], section: str) -> SolverSpec:
     )
     if stop.max_iters < 1:
         raise ConfigError(f"[{section}]: max_iters must be positive")
+    for key in ("grad_tol", "gap_tol"):
+        tol = getattr(stop, key)
+        if tol is not None and not tol >= 0.0:  # also rejects NaN
+            raise ConfigError(f"[{section}]: {key} must be a non-negative number")
     step = float(items["step"]) if "step" in items else None
+    if step is not None and not 0.0 < step < math.inf:
+        raise ConfigError(f"[{section}]: step must be a positive finite number")
 
     params = None
     profile = items.get("profile", "default")
@@ -212,8 +219,7 @@ def _parse_solver(name: str, items: dict[str, str], section: str) -> SolverSpec:
             report = validate_params(params)
             if not report.valid:
                 raise ConfigError(f"[{section}]: " + "; ".join(report.failures))
-    return SolverSpec(name=name, algorithm=algorithm, profile=profile,
-                      params=params, step=step, stop=stop)
+    return SolverSpec(name=name, algorithm=algorithm, params=params, step=step, stop=stop)
 
 
 def build_problem(spec: ProblemSpec, base_dir: str = ".") -> SmoothProblem:

@@ -14,9 +14,9 @@ All inequalities are certified with relative tolerance 1e-9 on scale
 1 + |rhs| (widened to 1e-6 when the problem's minimizer comes from a
 numerical reference solve).
 
-:func:`energy`, :func:`phi` and :func:`phi_alt` take the iterates and
-scalars they read; the solver calls :func:`energy` on every recorded row of
-an adaptive run whose problem carries x* and f*.
+:func:`energy` and :func:`phi` take the iterates and scalars they read;
+the solver calls :func:`energy` on every recorded row of an adaptive run
+whose problem carries x* and f*.
 """
 
 from __future__ import annotations
@@ -46,15 +46,6 @@ def phi(x_next: Array, y_next: Array, t_next: float, x_star: Array) -> Array:
     return t_next * (x_next - y_next) + (y_next - x_star)
 
 
-def phi_alt(x: Array, y: Array, y_next: Array, t: float, gamma: float,
-            x_star: Array) -> Array:
-    """Equivalent form (t_k - 1)(x_k - y_k) + gamma*t_k(y_{k+1} - x_k) + (x_k - x*).
-
-    Agrees with :func:`phi` up to rounding; the tests check both forms.
-    """
-    return (t - 1.0) * (x - y) + gamma * t * (y_next - x) + (x - x_star)
-
-
 def energy(x_next: Array, y_next: Array, grad_x: Array, f_x: float, t: float,
            t_next: float, s: float, x_star: Array, f_star: float,
            params: AlgoParams) -> float:
@@ -71,20 +62,13 @@ def energy(x_next: Array, y_next: Array, grad_x: Array, f_x: float, t: float,
 
 
 def initial_D(x0, problem: SmoothProblem, params: AlgoParams,
-              s0: Optional[float] = None, *, min_form: bool = False) -> float:
-    """Closed-form rate constant D from the start point.
+              s0: Optional[float] = None) -> tuple[float, float]:
+    """Closed-form rate constant D from the start point, in two forms.
 
-    With ``min_form=True``, returns instead the min-form upper bound on
-    D that avoids the raw gradient term; the certificates use the smaller
-    of the two.
+    Returns the pair (full form, min-form bound) from one oracle call at
+    x0; the min-form upper bound on D avoids the raw gradient term.  The
+    certificates use the smaller of the two.
     """
-    full, min_bound = _initial_D_forms(x0, problem, params, s0)
-    return min_bound if min_form else full
-
-
-def _initial_D_forms(x0, problem: SmoothProblem, params: AlgoParams,
-                     s0: Optional[float] = None) -> tuple[float, float]:
-    """Both forms of D, full and min-form, from one oracle call at x0."""
     if problem.x_star is None or problem.f_star is None:
         raise ValueError("initial_D needs x_star and f_star on the problem")
     if problem.L_known is None or problem.L_known <= 0:
@@ -135,8 +119,8 @@ class RateCertificate:
     """Outcome of checking one inequality along a trace."""
 
     kind: str
+    constant_q: float
     constant_D: Optional[float] = None
-    constant_q: Optional[float] = None
     constant_rho: Optional[float] = None
     violations: list[tuple[int, float, float]] = field(default_factory=list)
     max_violation_rel: float = 0.0
@@ -177,7 +161,7 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
 
     if kind == "sublinear":
         _require(problem, kind, "x_star", "f_star", "L_known")
-        D = min(_initial_D_forms(trace.x0, problem, params, s0))
+        D = min(initial_D(trace.x0, problem, params, s0))
         cert.constant_D = D
         L = problem.L_known
         for r in recs:
@@ -188,7 +172,7 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
         if problem.mu_known is None or problem.mu_known <= 0:
             raise ValueError("the linear certificate needs mu_known > 0")
         rho_val = rho(params, problem.mu_known, problem.L_known)
-        D = min(_initial_D_forms(trace.x0, problem, params, s0))
+        D = min(initial_D(trace.x0, problem, params, s0))
         cert.constant_D = D
         cert.constant_rho = rho_val
         L = problem.L_known
@@ -243,36 +227,11 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
     return cert
 
 
-def fitted_energy_contraction(trace: Trace) -> Optional[float]:
-    """Geometric-mean per-step contraction of the energy column.
-
-    Fitted over the prefix where the energy stays above 1e-10 of its start
-    value, so rounding noise near convergence does not pollute the fit.
-    Returns None when no usable energy pair exists.
-    """
-    energies = [(r.k, r.energy) for r in trace.records if r.energy is not None]
-    if len(energies) < 2:
-        return None
-    k0, e0 = energies[0]
-    if e0 <= 0.0:
-        return None
-    cutoff = 1e-10 * e0
-    last = None
-    for k, e in energies[1:]:
-        if e is None or e <= cutoff:
-            break
-        last = (k, e)
-    if last is None:
-        return None
-    k1, e1 = last
-    return (e1 / e0) ** (1.0 / (k1 - k0))
-
-
 def format_certificates(certs: list[RateCertificate]) -> str:
     """One summary line per certificate: kind, constants, pass/fail, worst slack."""
     lines = []
     for c in certs:
-        parts = [f"kind={c.kind}", f"q={c.constant_q:.12g}" if c.constant_q is not None else "q=-"]
+        parts = [f"kind={c.kind}", f"q={c.constant_q:.12g}"]
         if c.constant_D is not None:
             parts.append(f"D={c.constant_D:.12g}")
         if c.constant_rho is not None:

@@ -2,8 +2,7 @@
 
 Each factory returns an immutable :class:`SmoothProblem` with one oracle,
 ``value_and_grad``, that computes the value and the gradient from a single
-matrix product; ``value`` and ``gradient`` are derived from it for callers
-off the hot path.  The ground-truth constants (smoothness L,
+matrix product.  The ground-truth constants (smoothness L,
 strong-convexity modulus mu, minimizer, minimum value) are filled in
 whenever they are available analytically or by a reference solve that uses
 none of the solvers they grade (damped Newton for ridge logistic).  These
@@ -12,7 +11,7 @@ constants are what the diagnostics layer checks solver runs against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,12 +40,6 @@ class SmoothProblem:
     # than a closed form; certificate tolerances widen accordingly.
     solution_is_reference: bool = False
 
-    def value(self, x: Array) -> float:
-        return self.value_and_grad(x)[0]
-
-    def gradient(self, x: Array) -> Array:
-        return self.value_and_grad(x)[1]
-
     def with_minimizer(self, x_star, f_star: Optional[float] = None,
                        reference: bool = False) -> "SmoothProblem":
         """Return a copy with the minimizer fields filled in."""
@@ -54,7 +47,7 @@ class SmoothProblem:
         if x_star.shape != (self.dimension,):
             raise ValueError("minimizer has wrong dimension")
         if f_star is None:
-            f_star = float(self.value(x_star))
+            f_star = self.value_and_grad(x_star)[0]
         return replace(self, x_star=x_star, f_star=float(f_star),
                        solution_is_reference=reference)
 
@@ -230,23 +223,3 @@ def _newton_minimizer(problem: SmoothProblem, A: Array, y: Array, ridge: float) 
                 return x
         x, f, g, g_norm = x_new, f_new, g_new, g_norm_new
     return x
-
-
-def check_grad_fd(problem: SmoothProblem, point, step: float) -> float:
-    """Max per-coordinate error of the gradient vs. central finite differences.
-
-    The error in coordinate i is |g_i - fd_i| / max(1, |g_i|); the caller
-    thresholds the returned maximum.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    x = np.asarray(point, dtype=float)
-    g = np.asarray(problem.gradient(x), dtype=float)
-    worst = 0.0
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = step
-        fd = (problem.value(x + e) - problem.value(x - e)) / (2.0 * step)
-        err = abs(g[i] - fd) / max(1.0, abs(g[i]))
-        worst = max(worst, err)
-    return worst

@@ -9,7 +9,7 @@ aborts the matrix.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import ConfigError, ExperimentConfig, SolverSpec, build_problem, start_point
 from .diagnostics import certify
@@ -37,12 +37,6 @@ class CellResult:
     final_grad_norm: float | None = None
     q: float | None = None
     certificates: str = "-"
-
-
-@dataclass
-class ExperimentSummary:
-    results: list[CellResult] = field(default_factory=list)
-    output_dir: str = "."
 
 
 def _applicable_certificates(problem: SmoothProblem, params: AlgoParams) -> list[str]:
@@ -100,8 +94,11 @@ def _run_cell(config: ExperimentConfig, p_idx: int, problem: SmoothProblem,
     return result, trace
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
-    """Run every (problem, solver, seed) cell and write traces plus a summary."""
+def run_experiment(config: ExperimentConfig) -> list[CellResult]:
+    """Run every (problem, solver, seed) cell and write traces plus a summary.
+
+    Returns the cell results in the order of ``summary.csv``.
+    """
     if config.thinning < 1:
         raise ConfigError("thinning must be a positive integer")
     os.makedirs(config.output_dir, exist_ok=True)
@@ -124,18 +121,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
                     write_trace_csv(trace, os.path.join(config.output_dir, name))
                 results.append(result)
 
-    summary = ExperimentSummary(results=results, output_dir=config.output_dir)
-    _write_summary(summary)
-    return summary
+    _write_summary(results, config.output_dir)
+    return results
 
 
-def _write_summary(summary: ExperimentSummary) -> None:
+def _write_summary(results: list[CellResult], output_dir: str) -> None:
     lines = ["problem,solver,seed,status,iterations,final_gap,final_grad_norm,q,certificates"]
-    for r in summary.results:
+    for r in results:
         lines.append(",".join([
             r.problem, r.solver, str(r.seed), r.status, str(r.iterations),
             format_float(r.final_gap), format_float(r.final_grad_norm),
             format_float(r.q), r.certificates,
         ]))
-    with open(os.path.join(summary.output_dir, "summary.csv"), "w") as fh:
+    with open(os.path.join(output_dir, "summary.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -17,10 +17,11 @@ constants differ:
 Every iteration, and the s0 probe, makes exactly one oracle call,
 ``problem.value_and_grad``; a non-finite value or gradient raises
 :class:`DivergenceError`.  All runs produce a :class:`Trace` of
-per-iteration records.  The energy column of an adaptive record at index k
-is computed from the iterates available at the end of iteration k (it needs
-x_{k+1} and y_{k+1}), so it lags the other columns by one step; the final
-record carries no energy.
+per-iteration records and the final iterate; the iterates along the way are
+not kept.  The energy column of an adaptive record at index k is computed
+from the iterates available at the end of iteration k (it needs x_{k+1} and
+y_{k+1}), so it lags the other columns by one step; the final record carries
+no energy.
 """
 
 from __future__ import annotations
@@ -86,16 +87,13 @@ class TraceRecord:
 class Trace:
     """A solver run: per-iteration records plus the start point.
 
-    ``xs``/``ys`` hold iterate snapshots when the run was asked to store
-    them, aligned with ``records``.  ``x_final`` is the iterate the run
-    stopped at; traces read back from CSV do not carry it.
+    ``x_final`` is the iterate the run stopped at; traces read back from CSV
+    do not carry it.
     """
 
     records: list[TraceRecord]
     x0: Array
     algorithm: str
-    xs: Optional[list[Array]] = None
-    ys: Optional[list[Array]] = None
     x_final: Optional[Array] = None
 
     def __len__(self) -> int:
@@ -143,14 +141,14 @@ def _probe_s0(problem: SmoothProblem, x0: Array, g0: Array, f0: float,
 
 def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
              s0: Optional[float], x0, stop: Optional[StopCriteria],
-             thin: int, store_iterates: bool) -> Trace:
+             thin: int) -> Trace:
     """The iteration loop of all three methods, from x0 = y0.
 
     ``algorithm == "adaagm"`` selects the adaptive rule, anything else the
     fixed rule with the constant step ``s0`` and ``params.m``.  The driver
-    owns stopping, recording every ``thin``-th iteration plus the last,
-    stored iterates and the finite checks.  ``s0=None`` resolves by
-    :func:`_probe_s0` at the start point.
+    owns stopping, recording every ``thin``-th iteration plus the last, and
+    the finite checks.  ``s0=None`` resolves by :func:`_probe_s0` at the
+    start point.
     """
     if thin < 1:
         raise ValueError(f"thin must be a positive integer, got {thin}")
@@ -169,8 +167,6 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
     has_energy = adaptive and has_gap and problem.x_star is not None
 
     records: list[TraceRecord] = []
-    xs: Optional[list[Array]] = [] if store_iterates else None
-    ys: Optional[list[Array]] = [] if store_iterates else None
     L_curr = 0.0 if adaptive else None
     L_seen = 0.0
     k = 0
@@ -188,9 +184,6 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
             rec = TraceRecord(k=k, gap=gap, grad_norm=grad_norm, s=s,
                               t=None if algorithm == "gd" else t, L_est=L_curr)
             records.append(rec)
-            if store_iterates:
-                xs.append(x.copy())
-                ys.append(y.copy())
         if stopping:
             break
 
@@ -214,13 +207,11 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
         x, y, f_x, g_x = x_next, y_next, f_next, g_next
         k += 1
 
-    return Trace(records=records, x0=x0, algorithm=algorithm, xs=xs, ys=ys,
-                 x_final=x)
+    return Trace(records=records, x0=x0, algorithm=algorithm, x_final=x)
 
 
 def run_adaagm(problem: SmoothProblem, params: Optional[AlgoParams] = None,
-               stop: Optional[StopCriteria] = None, x0=None, *,
-               store_iterates: bool = False, thin: int = 1) -> Trace:
+               stop: Optional[StopCriteria] = None, x0=None, *, thin: int = 1) -> Trace:
     """Run the adaptive accelerated method from x0 = y0.
 
     ``params.s0=None`` resolves to q/L when L is known, otherwise by a
@@ -237,31 +228,29 @@ def run_adaagm(problem: SmoothProblem, params: Optional[AlgoParams] = None,
     s0 = params.s0
     if s0 is None and problem.L_known is not None and problem.L_known > 0:
         s0 = floor_q(params) / problem.L_known
-    return _iterate(problem, "adaagm", params, s0, x0, stop, thin, store_iterates)
+    return _iterate(problem, "adaagm", params, s0, x0, stop, thin)
 
 
 def run_gd(problem: SmoothProblem, step: float,
-           stop: Optional[StopCriteria] = None, x0=None, *,
-           store_iterates: bool = False, thin: int = 1) -> Trace:
+           stop: Optional[StopCriteria] = None, x0=None, *, thin: int = 1) -> Trace:
     """Fixed-step gradient descent baseline."""
     if step <= 0:
         raise ValueError("step must be positive")
     if problem.L_known is not None and problem.L_known > 0 and step >= 2.0 / problem.L_known:
         warnings.warn(f"step {step:.6g} >= 2/L = {2.0 / problem.L_known:.6g}; "
                       "gradient descent may diverge", stacklevel=2)
-    return _iterate(problem, "gd", _GD, step, x0, stop, thin, store_iterates)
+    return _iterate(problem, "gd", _GD, step, x0, stop, thin)
 
 
 def run_nesterov(problem: SmoothProblem, step: float,
-                 stop: Optional[StopCriteria] = None, x0=None, *,
-                 store_iterates: bool = False, thin: int = 1) -> Trace:
+                 stop: Optional[StopCriteria] = None, x0=None, *, thin: int = 1) -> Trace:
     """Classical momentum baseline with the theta recursion from theta_0 = 1."""
     if step <= 0:
         raise ValueError("step must be positive")
     if problem.L_known is not None and problem.L_known > 0 and step > 1.0 / problem.L_known:
         warnings.warn(f"step {step:.6g} > 1/L = {1.0 / problem.L_known:.6g}; "
                       "the accelerated rate is not guaranteed", stacklevel=2)
-    return _iterate(problem, "nesterov", _NESTEROV, step, x0, stop, thin, store_iterates)
+    return _iterate(problem, "nesterov", _NESTEROV, step, x0, stop, thin)
 
 
 # --- CSV serialization -------------------------------------------------------

@@ -15,8 +15,6 @@ from adaagm import (
     PROFILES,
     StopCriteria,
     certify,
-    check_grad_fd,
-    fitted_energy_contraction,
     floor_q,
     get_profile,
     make_logistic,
@@ -26,6 +24,8 @@ from adaagm import (
     run_adaagm,
     run_nesterov,
 )
+
+from conftest import check_grad_fd, fitted_energy_contraction, run_with_iterates
 
 
 def _report(criterion: int, label: str, ok: bool, detail: str = "") -> bool:
@@ -175,17 +175,17 @@ def test_criterion_7_nesterov_degeneration():
     step = 1.0 / p.L_known
     stop = StopCriteria(max_iters=1000, grad_tol=0.0)
     x0 = np.array([5.0, -3.0])
-    trace = run_nesterov(p, step, stop, x0=x0, store_iterates=True)
+    _, xs, _ = run_with_iterates(run_nesterov, p, step, stop, x0=x0)
     # classical momentum written out independently of the solver's driver
     x, y, theta = x0.copy(), x0.copy(), 1.0
     worst = 0.0
-    for xk in trace.xs:
+    for xk in xs:
         worst = max(worst, float(np.linalg.norm(xk - x)) / (1.0 + float(np.linalg.norm(x))))
-        y_next = x - step * p.gradient(x)
+        y_next = x - step * p.value_and_grad(x)[1]
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         x = y_next + (theta - 1.0) / theta_next * (y_next - y)
         y, theta = y_next, theta_next
-    ok = len(trace.xs) == 1001 and worst <= 1e-10
+    ok = len(xs) == 1001 and worst <= 1e-10
     assert _report(7, "degenerate parameters match classical momentum", ok,
                    f"worst rel diff={worst:.3e} over 10^3 iters")
 
@@ -218,10 +218,10 @@ def test_criterion_9_iterate_tail_cauchy():
                       np.where(rng.normal(size=30) < 0, -1.0, 1.0), 0.1),
     ]
     for p in problems:
-        trace = run_adaagm(p, params, stop, x0=rng.normal(size=p.dimension),
-                           store_iterates=True)
-        x_final = trace.xs[-1]
-        tail = trace.xs[-max(2, len(trace.xs) // 10):]
+        _, xs, _ = run_with_iterates(run_adaagm, p, params, stop,
+                                     x0=rng.normal(size=p.dimension))
+        x_final = xs[-1]
+        tail = xs[-max(2, len(xs) // 10):]
         bound = 1e-6 * (1.0 + float(np.linalg.norm(x_final)))
         worsts.append(max(float(np.linalg.norm(x - x_final)) for x in tail) / bound)
     ok = all(w <= 1.0 for w in worsts)

@@ -62,6 +62,17 @@ class TestValidate:
                  "'abc'", id="m"),
     pytest.param("profile = cor-4.4", "profile = custom\nm = 0.99\nt0 = 3\nbeta = 0.3",
                  "[solver agm]", "missing key 'gamma'", id="custom-without-gamma"),
+    pytest.param("grad_tol = 1e-9", "grad_tol = -1", "[solver agm]",
+                 "grad_tol must be a non-negative number", id="negative-grad-tol"),
+    pytest.param("grad_tol = 1e-9", "grad_tol = nan", "[solver agm]",
+                 "grad_tol must be a non-negative number", id="nan-grad-tol"),
+    pytest.param("grad_tol = 1e-9", "gap_tol = -1e-3", "[solver agm]",
+                 "gap_tol must be a non-negative number", id="negative-gap-tol"),
+    pytest.param("grad_tol = 1e-9", "gap_tol = nan", "[solver agm]",
+                 "gap_tol must be a non-negative number", id="nan-gap-tol"),
+    *[pytest.param("algorithm = adaagm\nprofile = cor-4.4", f"algorithm = nesterov\nstep = {step}",
+                   "[solver agm]", "step must be a positive finite number", id=f"step-{step}")
+      for step in ("-0.5", "0", "inf", "nan")],
 ])
 def test_malformed_value_exit_one(tmp_path, capsys, verb, old, new, section, fragment):
     path = tmp_path / "bad.ini"

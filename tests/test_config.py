@@ -257,15 +257,15 @@ class TestRunner:
     def test_matrix_outputs(self, tmp_path):
         config = load_config(write(tmp_path, BASIC))
         config.output_dir = str(tmp_path / "out")
-        summary = run_experiment(config)
-        assert len(summary.results) == 2  # 1 problem x 1 solver x 2 seeds
-        assert all(r.status != "diverged" for r in summary.results)
+        results = run_experiment(config)
+        assert len(results) == 2  # 1 problem x 1 solver x 2 seeds
+        assert all(r.status != "diverged" for r in results)
         assert (tmp_path / "out" / "quad_agm_0.csv").exists()
         assert (tmp_path / "out" / "quad_agm_1.csv").exists()
         lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert lines[0].startswith("problem,solver,seed,status")
         assert len(lines) == 3
-        for r in summary.results:
+        for r in results:
             assert r.status == "ok"
             assert "step_floor:pass" in r.certificates
 
@@ -276,8 +276,8 @@ class TestRunner:
             warnings.simplefilter("always")
             config = load_config(DEMO_CONFIG)
             config.output_dir = str(tmp_path / "out")
-            summary = run_experiment(config)
-        assert all(r.status == "ok" for r in summary.results)
+            results = run_experiment(config)
+        assert all(r.status == "ok" for r in results)
         assert [str(w.message) for w in record] == []
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -286,9 +286,9 @@ class TestRunner:
         text = BASIC + "\n[solver bad]\nalgorithm = gd\nstep = 10.0\nmax_iters = 500\n"
         config = load_config(write(tmp_path, text))
         config.output_dir = str(tmp_path / "out")
-        summary = run_experiment(config)
-        assert any(r.status == "diverged" for r in summary.results)
-        statuses = {(r.solver, r.status) for r in summary.results}
+        results = run_experiment(config)
+        assert any(r.status == "diverged" for r in results)
+        statuses = {(r.solver, r.status) for r in results}
         assert ("bad", "diverged") in statuses
         assert ("agm", "ok") in statuses
 
@@ -310,9 +310,9 @@ class TestRunner:
         monkeypatch.setattr(adaagm.runner, "build_problem", build)
         config = load_config(DEMO_CONFIG)
         config.output_dir = str(tmp_path / "out")
-        summary = run_experiment(config)
-        status = {(r.problem, r.solver): r.status for r in summary.results}
-        assert len(summary.results) == 18
+        results = run_experiment(config)
+        status = {(r.problem, r.solver): r.status for r in results}
+        assert len(results) == 18
         assert status[("quad", "agm")] == status[("quad", "agm-convex")] == "failed"
         assert status[("quad", "nesterov")] == "diverged"
         assert all(s == "ok" for (p, _), s in status.items() if p != "quad")

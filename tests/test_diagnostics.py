@@ -11,20 +11,18 @@ from adaagm import (
     StopCriteria,
     certify,
     energy,
-    fitted_energy_contraction,
     floor_q,
     format_certificates,
     get_profile,
     initial_D,
     make_quadratic,
     phi,
-    phi_alt,
     rho,
     run_adaagm,
     write_violations_csv,
 )
 
-from conftest import random_quadratic
+from conftest import fitted_energy_contraction, random_quadratic, run_with_iterates
 
 
 def _update(x, y, t, t_next, s, grad, gamma):
@@ -34,6 +32,11 @@ def _update(x, y, t, t_next, s, grad, gamma):
     correction = (gamma - 1.0) * t / t_next
     x_next = y_next + momentum * (y_next - y) + correction * (y_next - x)
     return x_next, y_next
+
+
+def phi_alt(x, y, y_next, t, gamma, x_star):
+    """phi's equivalent form (t_k - 1)(x_k - y_k) + gamma*t_k(y_{k+1} - x_k) + (x_k - x*)."""
+    return (t - 1.0) * (x - y) + gamma * t * (y_next - x) + (x - x_star)
 
 
 vec3 = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3).map(np.array)
@@ -114,7 +117,7 @@ class TestRateConstants:
     def test_initial_D_zero_at_minimizer(self):
         p = make_quadratic(np.diag([1.0, 100.0]), np.array([1.0, 100.0]))
         params = PROFILES["cor-4.4"]
-        assert initial_D(p.x_star, p, params, s0=1e-3) == pytest.approx(0.0, abs=1e-12)
+        assert initial_D(p.x_star, p, params, s0=1e-3) == pytest.approx((0.0, 0.0), abs=1e-12)
 
     def test_initial_D_requires_fields(self):
         p = make_quadratic(np.diag([1.0, 100.0]), np.array([1.0, 100.0]))
@@ -126,22 +129,26 @@ class TestRateConstants:
         params = PROFILES["cor-4.4"]
         x0 = np.array([5.0, -3.0])
         s0 = floor_q(params) / p.L_known
-        base = initial_D(x0, p, params, s0)
-        tightened = initial_D(x0, p, params, s0, min_form=True)
+        base, tightened = initial_D(x0, p, params, s0)
         assert base > 0 and tightened > 0
 
 
 @pytest.fixture(scope="module")
-def convex_run():
+def convex_iterates():
     p = random_quadratic(20, seed=14)
     stop = StopCriteria(max_iters=2000, grad_tol=1e-8)
     params = PROFILES["cor-4.4"]
-    trace = run_adaagm(p, params, stop, x0=np.full(20, 1.5), store_iterates=True)
-    return p, params, trace
+    trace, xs, ys = run_with_iterates(run_adaagm, p, params, stop, x0=np.full(20, 1.5))
+    return p, params, trace, xs, ys
 
 
 @pytest.fixture(scope="module")
-def sc_run():
+def convex_run(convex_iterates):
+    return convex_iterates[:3]
+
+
+@pytest.fixture(scope="module")
+def sc_iterates():
     # b = 0 puts the minimum value at exactly zero, so the gap column has no
     # cancellation error and the energy stays meaningful down to tiny values
     rng = np.random.default_rng(15)
@@ -151,8 +158,13 @@ def sc_run():
     p = make_quadratic(0.5 * (A + A.T), np.zeros(20))
     stop = StopCriteria(max_iters=8000, grad_tol=1e-10)
     params = PROFILES["sc-2"]
-    trace = run_adaagm(p, params, stop, x0=np.full(20, 1.5), store_iterates=True)
-    return p, params, trace
+    trace, xs, ys = run_with_iterates(run_adaagm, p, params, stop, x0=np.full(20, 1.5))
+    return p, params, trace, xs, ys
+
+
+@pytest.fixture(scope="module")
+def sc_run(sc_iterates):
+    return sc_iterates[:3]
 
 
 class TestCertify:
@@ -188,8 +200,7 @@ class TestCertify:
         cert = certify(trace, dataclasses.replace(p, value_and_grad=counted), params, kind)
         assert len(calls) == 1
         s0 = trace.records[0].s
-        assert cert.constant_D == min(initial_D(trace.x0, p, params, s0),
-                                      initial_D(trace.x0, p, params, s0, min_form=True))
+        assert cert.constant_D == min(initial_D(trace.x0, p, params, s0))
 
     def test_linear_requires_mu(self, convex_run):
         _, params, trace = convex_run
@@ -238,36 +249,36 @@ class TestCertify:
 
 
 class TestTrajectoryInvariants:
-    def test_update_identity(self, convex_run):
+    def test_update_identity(self, convex_iterates):
         # t_{k+1}(x_{k+1}-y_{k+1}) = t_k(x_k-y_k) + gamma*t_k(y_{k+1}-x_k)
         #                            - (y_{k+1}-y_k), relative 1e-10
-        p, params, trace = convex_run
+        p, params, trace, xs, ys = convex_iterates
         g = params.gamma
         for i in range(1, len(trace.records) - 1):
             t_k = trace.records[i].t
             t_next = trace.records[i + 1].t
-            x_k, y_k = trace.xs[i], trace.ys[i]
-            x_n, y_n = trace.xs[i + 1], trace.ys[i + 1]
+            x_k, y_k = xs[i], ys[i]
+            x_n, y_n = xs[i + 1], ys[i + 1]
             lhs = t_next * (x_n - y_n)
             rhs = t_k * (x_k - y_k) + g * t_k * (y_n - x_k) - (y_n - y_k)
             scale = 1.0 + np.linalg.norm(lhs)
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * scale
 
-    def test_phi_bounded_by_initial_energy(self, convex_run):
+    def test_phi_bounded_by_initial_energy(self, convex_iterates):
         # 0.5||phi_k||^2 <= E_k <= E_0, so ||phi_k|| <= sqrt(2 E_0)
-        p, params, trace = convex_run
+        p, params, trace, xs, ys = convex_iterates
         e0 = trace.records[0].energy
         bound = math.sqrt(2.0 * e0) * (1 + 1e-9)
         for i in range(len(trace.records) - 1):
             t_next = trace.records[i + 1].t
-            x_n, y_n = trace.xs[i + 1], trace.ys[i + 1]
+            x_n, y_n = xs[i + 1], ys[i + 1]
             ph = t_next * (x_n - y_n) + (y_n - p.x_star)
             assert np.linalg.norm(ph) <= bound
 
-    def test_iterates_bounded(self, convex_run):
-        p, params, trace = convex_run
-        assert np.isfinite(max(np.linalg.norm(x) for x in trace.xs))
-        assert np.isfinite(max(np.linalg.norm(y) for y in trace.ys))
+    def test_iterates_bounded(self, convex_iterates):
+        p, params, trace, xs, ys = convex_iterates
+        assert np.isfinite(max(np.linalg.norm(x) for x in xs))
+        assert np.isfinite(max(np.linalg.norm(y) for y in ys))
 
     def test_partial_sums_bounded_by_initial_energy(self, sc_run):
         # sum_j (beta*gamma^2*t_j^2*s_j^2/4)*||grad_j||^2 <= E_0
@@ -279,17 +290,17 @@ class TestTrajectoryInvariants:
                       / 4.0) * r.grad_norm ** 2
             assert total <= e0 * (1 + 1e-9)
 
-    def test_iterate_tail_cauchy_strongly_convex(self, sc_run):
-        p, params, trace = sc_run
-        x_final = trace.xs[-1]
-        tail = trace.xs[-max(2, len(trace.xs) // 10):]
+    def test_iterate_tail_cauchy_strongly_convex(self, sc_iterates):
+        p, params, trace, xs, ys = sc_iterates
+        x_final = xs[-1]
+        tail = xs[-max(2, len(xs) // 10):]
         bound = 1e-6 * (1.0 + np.linalg.norm(x_final))
         assert max(np.linalg.norm(x - x_final) for x in tail) <= bound
 
-    def test_x_minus_y_vanishes_convex(self, convex_run):
-        p, params, trace = convex_run
-        early = np.linalg.norm(trace.xs[1] - trace.ys[1])
-        late = np.linalg.norm(trace.xs[-1] - trace.ys[-1])
+    def test_x_minus_y_vanishes_convex(self, convex_iterates):
+        p, params, trace, xs, ys = convex_iterates
+        early = np.linalg.norm(xs[1] - ys[1])
+        late = np.linalg.norm(xs[-1] - ys[-1])
         assert late <= 1e-2 * early
 
 
@@ -310,10 +321,10 @@ class TestScaleCoherence:
         params_scaled = get_profile("cor-4.4", s0=0.25 * c ** 2)
         stop = StopCriteria(max_iters=400, grad_tol=0.0)
         x0 = np.ones(6)
-        a = run_adaagm(p, params, stop, x0=x0, store_iterates=True)
-        b = run_adaagm(p_scaled, params_scaled, stop, x0=c * x0,
-                       store_iterates=True)
-        for xa, xb in zip(a.xs, b.xs):
+        a, xs_a, _ = run_with_iterates(run_adaagm, p, params, stop, x0=x0)
+        b, xs_b, _ = run_with_iterates(run_adaagm, p_scaled, params_scaled, stop, x0=c * x0)
+        assert len(xs_a) == len(xs_b) == 401
+        for xa, xb in zip(xs_a, xs_b):
             assert np.array_equal(c * xa, xb)
         ca = certify(a, p, params, "sublinear")
         cb = certify(b, p_scaled, params_scaled, "sublinear")

@@ -6,7 +6,6 @@ import pytest
 import adaagm.solver
 from adaagm import (
     StopCriteria,
-    check_grad_fd,
     get_profile,
     load_matrix_csv,
     make_log_sum_exp,
@@ -17,7 +16,7 @@ from adaagm import (
 )
 from adaagm.problems import _newton_minimizer
 
-from conftest import random_quadratic
+from conftest import check_grad_fd, random_quadratic
 
 
 class TestQuadratic:
@@ -59,14 +58,14 @@ class TestLogSumExp:
         # f(x) = x has no minimizer; construction succeeds, fields stay unset
         p = make_log_sum_exp(np.array([[1.0]]), np.array([0.0]), 1.0)
         assert p.x_star is None and p.f_star is None
-        assert p.value(np.array([3.0])) == pytest.approx(3.0)
+        assert p.value_and_grad(np.array([3.0]))[0] == pytest.approx(3.0)
 
     def test_symmetric_pair_minimized_at_origin(self):
         # f(x) = log(e^x + e^-x): symmetry forces x* = 0, f* = log 2
         p = make_symmetric_log_sum_exp(np.array([[1.0]]), 1.0)
         assert np.allclose(p.x_star, 0.0)
         assert p.f_star == pytest.approx(np.log(2.0), abs=1e-15)
-        assert np.linalg.norm(p.gradient(p.x_star)) == 0.0
+        assert np.linalg.norm(p.value_and_grad(p.x_star)[1]) == 0.0
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -99,7 +98,7 @@ class TestLogistic:
         # f(x) = n*log 2 + 0.5||x||^2, minimized at the origin
         p = make_logistic(np.zeros((4, 3)), np.ones(4), 1.0)
         x = np.array([1.0, -2.0, 0.5])
-        assert p.value(x) == pytest.approx(4 * np.log(2.0) + 0.5 * float(x @ x))
+        assert p.value_and_grad(x)[0] == pytest.approx(4 * np.log(2.0) + 0.5 * float(x @ x))
         assert np.linalg.norm(p.x_star) <= 1e-8
         assert p.f_star == pytest.approx(4 * np.log(2.0), abs=1e-12)
 
@@ -113,7 +112,7 @@ class TestLogistic:
 
     def test_reference_solve_is_tight(self, logistic_problem, benchmark_logistic):
         for p in (logistic_problem, benchmark_logistic):
-            assert np.linalg.norm(p.gradient(p.x_star)) <= 1e-12
+            assert np.linalg.norm(p.value_and_grad(p.x_star)[1]) <= 1e-12
             assert p.solution_is_reference
 
     def test_reference_solve_uses_no_solver(self, monkeypatch):
@@ -124,7 +123,7 @@ class TestLogistic:
         rng = np.random.default_rng(8)
         y = np.where(rng.normal(size=30) < 0, -1.0, 1.0)
         p = make_logistic(rng.normal(size=(30, 4)), y, 0.2)
-        assert np.linalg.norm(p.gradient(p.x_star)) <= 1e-12
+        assert np.linalg.norm(p.value_and_grad(p.x_star)[1]) <= 1e-12
 
     def test_reference_solve_agrees_with_adaagm(self, logistic_problem):
         stop = StopCriteria(max_iters=200_000, grad_tol=1e-12)
@@ -147,8 +146,8 @@ class TestLogistic:
 
         x = _newton_minimizer(dataclasses.replace(p, value_and_grad=counted), A, y, 0.1)
         assert len(calls) <= 40
-        g0 = np.linalg.norm(p.gradient(np.zeros(p.dimension)))
-        assert np.linalg.norm(p.gradient(x)) <= 1e-8 * (1.0 + g0)
+        g0 = np.linalg.norm(p.value_and_grad(np.zeros(p.dimension))[1])
+        assert np.linalg.norm(p.value_and_grad(x)[1]) <= 1e-8 * (1.0 + g0)
 
     def test_constants(self, logistic_problem):
         assert logistic_problem.mu_known == pytest.approx(0.1)
@@ -194,7 +193,7 @@ class TestSharedInvariants:
             for _ in range(20):
                 a = rng.normal(size=p.dimension)
                 b = rng.normal(size=p.dimension)
-                lhs = np.linalg.norm(p.gradient(a) - p.gradient(b))
+                lhs = np.linalg.norm(p.value_and_grad(a)[1] - p.value_and_grad(b)[1])
                 assert lhs <= p.L_known * np.linalg.norm(a - b) * (1 + 1e-9)
 
     def test_cocoercivity(self, logistic_problem):
@@ -204,10 +203,10 @@ class TestSharedInvariants:
             for _ in range(20):
                 a = rng.normal(size=p.dimension)
                 b = rng.normal(size=p.dimension)
-                ga, gb = p.gradient(a), p.gradient(b)
-                lhs = float(ga @ (a - b)) - (p.value(a) - p.value(b))
+                (fa, ga), (fb, gb) = p.value_and_grad(a), p.value_and_grad(b)
+                lhs = float(ga @ (a - b)) - (fa - fb)
                 rhs = float((ga - gb) @ (ga - gb)) / (2.0 * p.L_known)
-                scale = abs(p.value(a)) + abs(p.value(b)) + 1.0
+                scale = abs(fa) + abs(fb) + 1.0
                 assert lhs >= rhs - 1e-9 * scale
 
 

@@ -22,7 +22,7 @@ from adaagm import (
     write_trace_csv,
 )
 
-from conftest import random_quadratic
+from conftest import random_quadratic, run_with_iterates
 
 
 @pytest.fixture()
@@ -41,7 +41,8 @@ class TestStepResolution:
 
     def test_s0_explicit(self, diag_problem):
         params = get_profile("cor-4.4", s0=1e-3)
-        trace = run_adaagm(diag_problem, params, StopCriteria(max_iters=1), x0=X0)
+        with pytest.warns(UserWarning, match="below the floor"):
+            trace = run_adaagm(diag_problem, params, StopCriteria(max_iters=1), x0=X0)
         assert trace.records[0].s == 1e-3
 
     def test_s0_probe_when_L_unknown(self, diag_problem):
@@ -198,8 +199,8 @@ class TestBaselines:
         # x1 = x0 - s*(x0 - 0) with A = I, b = 0
         p = make_quadratic(np.eye(2), np.zeros(2))
         trace = run_gd(p, step=0.5, stop=StopCriteria(max_iters=1, grad_tol=0.0),
-                       x0=np.array([2.0, -4.0]), store_iterates=True)
-        assert np.allclose(trace.xs[1], [1.0, -2.0])
+                       x0=np.array([2.0, -4.0]))
+        assert np.allclose(trace.x_final, [1.0, -2.0])
 
     def test_nesterov_warns_above_one_over_L(self, diag_problem):
         with pytest.warns(UserWarning, match="1/L"):
@@ -218,12 +219,12 @@ class TestBaselines:
         # momentum loop, bit for bit
         step = 1.0 / diag_problem.L_known
         stop = StopCriteria(max_iters=200, grad_tol=0.0)
-        trace = run_nesterov(diag_problem, step, stop, x0=X0, store_iterates=True)
-        assert len(trace.xs) == 201
+        _, xs, _ = run_with_iterates(run_nesterov, diag_problem, step, stop, x0=X0)
+        assert len(xs) == 201
         x, y, theta = X0.copy(), X0.copy(), 1.0
-        for xk in trace.xs:
+        for xk in xs:
             assert np.array_equal(xk, x)
-            y_next = x - step * diag_problem.gradient(x)
+            y_next = x - step * diag_problem.value_and_grad(x)[1]
             theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
             x = y_next + (theta - 1.0) / theta_next * (y_next - y)
             y, theta = y_next, theta_next
@@ -232,20 +233,42 @@ class TestBaselines:
         # the fixed rule at m=0 keeps t=1, so the momentum term vanishes
         step = 1.0 / diag_problem.L_known
         stop = StopCriteria(max_iters=200, grad_tol=0.0)
-        trace = run_gd(diag_problem, step, stop, x0=X0, store_iterates=True)
-        assert len(trace.xs) == 201
+        trace, xs, _ = run_with_iterates(run_gd, diag_problem, step, stop, x0=X0)
+        assert len(xs) == 201
         assert all(r.t is None and r.L_est is None for r in trace.records)
         x = X0.copy()
-        for xk in trace.xs:
+        for xk in xs:
             assert np.array_equal(xk, x)
-            x = x - step * diag_problem.gradient(x)
+            x = x - step * diag_problem.value_and_grad(x)[1]
 
-    def test_final_iterate_is_last_stored(self, diag_problem):
+    def test_final_iterate_at_thinned_stop(self, diag_problem):
         stop = StopCriteria(max_iters=37, grad_tol=0.0)
-        for trace in (run_adaagm(diag_problem, stop=stop, x0=X0, store_iterates=True, thin=10),
-                      run_nesterov(diag_problem, 0.01, stop, X0, store_iterates=True)):
-            assert trace.records[-1].k == 37
-            assert np.array_equal(trace.x_final, trace.xs[-1])
+        thinned = run_adaagm(diag_problem, stop=stop, x0=X0, thin=10)
+        assert thinned.records[-1].k == 37
+        assert np.array_equal(thinned.x_final, run_adaagm(diag_problem, stop=stop, x0=X0).x_final)
+
+
+class TestRecordedIterates:
+    """The test helper's iterates, rebuilt from the oracle calls of a run."""
+
+    @pytest.mark.parametrize("run, args, gamma", [
+        (run_adaagm, (get_profile("sc-1"),), 0.5),
+        (run_nesterov, (0.01,), 1.0),
+        (run_gd, (0.01,), 1.0),
+    ], ids=["adaagm-sc-1", "nesterov", "gd"])
+    def test_iterates_match_the_run(self, diag_problem, run, args, gamma):
+        stop = StopCriteria(max_iters=37, grad_tol=0.0)
+        trace, xs, ys = run_with_iterates(run, diag_problem, *args, stop, X0)
+        assert trace.records[-1].k == 37
+        assert len(xs) == len(ys) == trace.records[-1].k + 1
+        assert np.array_equal(xs[-1], trace.x_final)
+        # t_{k+1}(x_{k+1}-y_{k+1}) = t_k(x_k-y_k) + gamma*t_k(y_{k+1}-x_k) - (y_{k+1}-y_k)
+        ts = [1.0 if r.t is None else r.t for r in trace.records]
+        for k in range(len(xs) - 1):
+            lhs = ts[k + 1] * (xs[k + 1] - ys[k + 1])
+            rhs = (ts[k] * (xs[k] - ys[k]) + gamma * ts[k] * (ys[k + 1] - xs[k])
+                   - (ys[k + 1] - ys[k]))
+            assert np.linalg.norm(lhs - rhs) <= 1e-10 * (1.0 + np.linalg.norm(lhs))
 
 
 class TestScaleCoherence:
@@ -264,10 +287,12 @@ class TestScaleCoherence:
         stop = StopCriteria(max_iters=100, grad_tol=0.0)
         params = get_profile("cor-4.4", s0=s)
         params4 = get_profile("cor-4.4", s0=s / 4.0)
-        a = run_adaagm(p, params, stop, x0=np.ones(5), store_iterates=True)
-        b = run_adaagm(p4, params4, stop, x0=np.ones(5), store_iterates=True)
-        for xa, xb in zip(a.xs, b.xs):
-            assert np.array_equal(xa, xb)
+        with pytest.warns(UserWarning, match="below the floor"):
+            _, xa, _ = run_with_iterates(run_adaagm, p, params, stop, x0=np.ones(5))
+            _, xb, _ = run_with_iterates(run_adaagm, p4, params4, stop, x0=np.ones(5))
+        assert len(xa) == len(xb) == 101
+        for a, b in zip(xa, xb):
+            assert np.array_equal(a, b)
 
 
 class TestCsv:
