@@ -7,7 +7,9 @@ Verbs::
     adaagm-bench certify <trace.csv> --problem <config> --profile <name>
                  --kind <cert> [--out DIR]
 
-``certify`` takes the initial step s0 from the trace's first row.
+``certify`` takes the initial step s0 from the trace's first row;
+``--profile default`` resolves per problem, as ``profile = default`` does in
+a run.
 
 Exit codes: 0 success, 1 configuration error, 2 at least one cell diverged
 or failed on its inputs.
@@ -22,7 +24,7 @@ import sys
 from .config import ConfigError, build_problem, load_config, validate_config
 from .diagnostics import CERTIFICATE_KINDS, certify, format_certificates, write_violations_csv
 from .runner import run_experiment
-from .schedule import PROFILES
+from .schedule import PROFILES, default_params
 from .solver import read_trace_csv
 
 
@@ -69,10 +71,12 @@ def _cmd_certify(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"config error: cannot read trace: {exc}", file=sys.stderr)
         return 1
-    try:  # the parser has already restricted --profile to PROFILES
+    try:  # the parser has already restricted --profile to PROFILES and default
         config = load_config(args.problem)
         problem = build_problem(config.problems[0], config.base_dir)
-        cert = certify(trace, problem, PROFILES[args.profile], args.kind)
+        params = (default_params(problem) if args.profile == "default"
+                  else PROFILES[args.profile])
+        cert = certify(trace, problem, params, args.kind)
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -106,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("trace")
     p_cert.add_argument("--problem", required=True,
                         help="config file whose first problem section describes the objective")
-    p_cert.add_argument("--profile", required=True, choices=sorted(PROFILES))
+    p_cert.add_argument("--profile", required=True, choices=["default", *sorted(PROFILES)],
+                        help="default resolves per problem, as profile = default does in a run")
     p_cert.add_argument("--kind", required=True, choices=CERTIFICATE_KINDS)
     p_cert.add_argument("--out", help="directory for the violations CSV")
     p_cert.set_defaults(func=_cmd_certify)

@@ -23,18 +23,20 @@ Problem kinds: ``quadratic`` (diag or matrix_csv, offset or offset_csv),
 ``log_sum_exp`` (rows or rows_csv, shifts, temperature, symmetric),
 ``logistic`` (features or features_csv, labels, ridge).  Inline matrices
 use ';' between rows and spaces between entries.  Solver profiles are the
-named ones from :mod:`adaagm.schedule` or ``custom`` with explicit fields.
+named ones from :mod:`adaagm.schedule`, ``custom`` with explicit fields, or
+``default`` (also when ``profile`` is absent), which
+:func:`~adaagm.schedule.default_params` resolves per problem.
 Every solver takes ``max_iters``, ``grad_tol`` and ``gap_tol``; ``adaagm``
 also takes ``profile``, ``m``, ``t0``, ``gamma``, ``beta``, ``omega``,
 ``delta`` and ``s0``, while ``gd`` and ``nesterov`` take ``step``.  A key the
-solver's algorithm would ignore is an error, as is a ``step`` that is not
-positive and finite or a negative or NaN tolerance.
+solver would ignore is an error (so is a parameter field under
+``profile = default``), as is a ``step`` that is not positive and finite or
+a negative or NaN tolerance.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -51,7 +53,7 @@ from .problems import (
     make_symmetric_log_sum_exp,
 )
 from .schedule import PROFILES, AlgoParams, default_params, floor_q, get_profile, validate_params
-from .solver import StopCriteria
+from .solver import StopCriteria, check_step
 
 _EXPERIMENT_KEYS = {"output_dir", "seeds", "thinning", "x0_scale"}
 _PROBLEM_KEYS = {
@@ -60,8 +62,9 @@ _PROBLEM_KEYS = {
     "logistic": {"kind", "features", "features_csv", "labels", "ridge"},
 }
 _STOP_KEYS = {"algorithm", "max_iters", "grad_tol", "gap_tol"}
+_PARAM_KEYS = {"m", "t0", "gamma", "beta", "omega", "delta", "s0"}
 _SOLVER_KEYS = {
-    "adaagm": _STOP_KEYS | {"profile", "m", "t0", "gamma", "beta", "omega", "delta", "s0"},
+    "adaagm": _STOP_KEYS | _PARAM_KEYS | {"profile"},
     "gd": _STOP_KEYS | {"step"},
     "nesterov": _STOP_KEYS | {"step"},
 }
@@ -184,19 +187,14 @@ def _parse_solver(name: str, items: dict[str, str], section: str) -> SolverSpec:
         grad_tol=float(items["grad_tol"]) if "grad_tol" in items else None,
         gap_tol=float(items["gap_tol"]) if "gap_tol" in items else None,
     )
-    if stop.max_iters < 1:
-        raise ConfigError(f"[{section}]: max_iters must be positive")
-    for key in ("grad_tol", "gap_tol"):
-        tol = getattr(stop, key)
-        if tol is not None and not tol >= 0.0:  # also rejects NaN
-            raise ConfigError(f"[{section}]: {key} must be a non-negative number")
     step = float(items["step"]) if "step" in items else None
-    if step is not None and not 0.0 < step < math.inf:
-        raise ConfigError(f"[{section}]: step must be a positive finite number")
+    if step is not None:
+        check_step(step)
 
     params = None
     profile = items.get("profile", "default")
     if algorithm == "adaagm":
+        fields = sorted(set(items) & _PARAM_KEYS)
         if profile == "custom":
             params = AlgoParams(
                 m=float(items["m"]), t0=float(items["t0"]),
@@ -206,13 +204,13 @@ def _parse_solver(name: str, items: dict[str, str], section: str) -> SolverSpec:
                 s0=float(items["s0"]) if "s0" in items else None,
             )
         elif profile == "default":
-            params = None  # resolved per problem (convex vs strongly convex)
+            # resolved per problem (convex vs strongly convex), so a field set
+            # here would be silently dropped
+            if fields:
+                raise ValueError(f"profile = default takes no {', '.join(fields)}; "
+                                 "name a profile or use profile = custom")
         elif profile in PROFILES:
-            overrides = {}
-            for key in ("m", "t0", "gamma", "beta", "omega", "delta", "s0"):
-                if key in items:
-                    overrides[key] = float(items[key])
-            params = get_profile(profile, **overrides)
+            params = get_profile(profile, **{key: float(items[key]) for key in fields})
         else:
             raise ConfigError(f"[{section}]: unknown profile {profile!r}")
         if params is not None:

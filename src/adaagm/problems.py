@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 Array = np.ndarray
 
@@ -177,9 +176,11 @@ def make_logistic(features, labels, ridge: float,
     sigma_max = float(np.linalg.norm(A, 2))
 
     def value_and_grad(x: Array) -> tuple[float, Array]:
-        margins = y * (A @ x)
-        f = float(np.sum(np.logaddexp(0.0, -margins))) + 0.5 * ridge * float(x @ x)
-        return f, -(A.T @ (y * expit(-margins))) + ridge * x
+        neg_margins = -(y * (A @ x))
+        losses = np.logaddexp(0.0, neg_margins)  # log(1 + exp(-m))
+        f = float(np.sum(losses)) + 0.5 * ridge * float(x @ x)
+        # sigma(-m) = exp(-m - log(1 + exp(-m))); the exponent is <= 0
+        return f, -(A.T @ (y * np.exp(neg_margins - losses))) + ridge * x
 
     prob = SmoothProblem(
         dimension=A.shape[1], value_and_grad=value_and_grad,
@@ -207,7 +208,8 @@ def _newton_minimizer(problem: SmoothProblem, A: Array, y: Array, ridge: float) 
         if g_norm <= 1e-12:
             break
         margins = y * (A @ x)
-        w = expit(margins) * expit(-margins)
+        # sigma(m) sigma(-m) = exp(-m - 2 log(1 + exp(-m))); the exponent is <= 0
+        w = np.exp(-margins - 2.0 * np.logaddexp(0.0, -margins))
         d = -np.linalg.solve((A.T * w) @ A + ridge_eye, g)
         slope = float(g @ d)
         flat = -slope <= 1e-12 * (1.0 + abs(f))

@@ -69,6 +69,14 @@ class StopCriteria:
     grad_tol: Optional[float] = None
     gap_tol: Optional[float] = None
 
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be positive")
+        for key in ("grad_tol", "gap_tol"):
+            tol = getattr(self, key)
+            if tol is not None and not tol >= 0.0:  # also rejects NaN
+                raise ValueError(f"{key} must be a non-negative number")
+
 
 @dataclass
 class TraceRecord:
@@ -106,11 +114,23 @@ _NESTEROV = AlgoParams(m=1.0, t0=1.0, gamma=1.0)
 _GD = AlgoParams(m=0.0, t0=1.0, gamma=1.0)
 
 
-def _evaluate(problem: SmoothProblem, x: Array, k: int) -> tuple[float, Array]:
+def check_step(step: float) -> None:
+    """Reject a fixed step that is not positive and finite."""
+    if not 0.0 < step < math.inf:  # also rejects NaN
+        raise ValueError("step must be a positive finite number")
+
+
+def _evaluate(problem: SmoothProblem, x: Array, k: int) -> tuple[float, Array, float]:
+    """f, g and g.g at x; a non-finite f or g raises DivergenceError.
+
+    g.g is finite whenever every entry of g is, unless it overflows on huge
+    finite entries, so the entry-wise check runs only when g.g is not finite.
+    """
     f, g = problem.value_and_grad(x)
-    if not math.isfinite(f) or not np.isfinite(g).all():
+    gg = g.dot(g)
+    if not math.isfinite(f) or (not math.isfinite(gg) and not np.isfinite(g).all()):
         raise DivergenceError(k)
-    return f, g
+    return f, g, gg
 
 
 def _resolved_grad_tol(stop: StopCriteria, g0: Array) -> float:
@@ -132,7 +152,7 @@ def _probe_s0(problem: SmoothProblem, x0: Array, g0: Array, f0: float,
         return 1.0
     eps = 1e-4 * (1.0 + float(np.linalg.norm(x0)))
     x1 = x0 - eps * g0 / g_norm
-    f1, g1 = _evaluate(problem, x1, 0)
+    f1, g1, _ = _evaluate(problem, x1, 0)
     L_hat = local_smoothness(g1, g0, f1, f0, x1, x0)
     if L_hat <= 0.0:
         return 1.0
@@ -158,7 +178,7 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
 
     x = x0.copy()
     y = x0.copy()
-    f_x, g_x = _evaluate(problem, x, 0)
+    f_x, g_x, gg_x = _evaluate(problem, x, 0)
     grad_tol = _resolved_grad_tol(stop, g_x)
     s = _probe_s0(problem, x0, g_x, f_x, params) if s0 is None else s0
     t, t_next = params.t0, next_t(params.t0, params.m)
@@ -171,7 +191,7 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
     L_seen = 0.0
     k = 0
     while True:
-        grad_norm = math.sqrt(g_x.dot(g_x))  # np.linalg.norm's own formula, bit for bit
+        grad_norm = math.sqrt(gg_x)  # np.linalg.norm's own formula, bit for bit
         gap = f_x - problem.f_star if has_gap else None
         stopping = (
             k >= stop.max_iters
@@ -191,7 +211,7 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
         x_next = y_next + (t - 1.0) / t_next * (y_next - y)
         if params.gamma != 1.0:  # at gamma = 1 the correction is exactly zero
             x_next = x_next + (params.gamma - 1.0) * t / t_next * (y_next - x)
-        f_next, g_next = _evaluate(problem, x_next, k + 1)
+        f_next, g_next, gg_next = _evaluate(problem, x_next, k + 1)
 
         if adaptive:
             L_curr = local_smoothness(g_next, g_x, f_next, f_x, x_next, x,
@@ -204,7 +224,7 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
             s = advance_step(t_next, s, L_curr, params)
         t, t_next = t_next, next_t(t_next, params.m)
 
-        x, y, f_x, g_x = x_next, y_next, f_next, g_next
+        x, y, f_x, g_x, gg_x = x_next, y_next, f_next, g_next, gg_next
         k += 1
 
     return Trace(records=records, x0=x0, algorithm=algorithm, x_final=x)
@@ -234,8 +254,7 @@ def run_adaagm(problem: SmoothProblem, params: Optional[AlgoParams] = None,
 def run_gd(problem: SmoothProblem, step: float,
            stop: Optional[StopCriteria] = None, x0=None, *, thin: int = 1) -> Trace:
     """Fixed-step gradient descent baseline."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    check_step(step)
     if problem.L_known is not None and problem.L_known > 0 and step >= 2.0 / problem.L_known:
         warnings.warn(f"step {step:.6g} >= 2/L = {2.0 / problem.L_known:.6g}; "
                       "gradient descent may diverge", stacklevel=2)
@@ -245,8 +264,7 @@ def run_gd(problem: SmoothProblem, step: float,
 def run_nesterov(problem: SmoothProblem, step: float,
                  stop: Optional[StopCriteria] = None, x0=None, *, thin: int = 1) -> Trace:
     """Classical momentum baseline with the theta recursion from theta_0 = 1."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    check_step(step)
     if problem.L_known is not None and problem.L_known > 0 and step > 1.0 / problem.L_known:
         warnings.warn(f"step {step:.6g} > 1/L = {1.0 / problem.L_known:.6g}; "
                       "the accelerated rate is not guaranteed", stacklevel=2)

@@ -3,6 +3,9 @@ import os
 import pytest
 
 from adaagm.cli import main
+from adaagm.diagnostics import CERTIFICATE_KINDS
+
+DEMO = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.ini")
 
 CONFIG = """
 [experiment]
@@ -37,8 +40,7 @@ class TestValidate:
         assert "solver agm on problem quad: step floor constant q = 0.2\n" in out
 
     def test_demo_config_prints_q_the_run_uses(self, capsys):
-        demo = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.ini")
-        assert main(["validate", demo]) == 0
+        assert main(["validate", DEMO]) == 0
         out = capsys.readouterr().out
         assert "solver agm on problem quad: step floor constant q = 0.0625\n" in out
         assert "solver agm on problem lse: step floor constant q = 0.2\n" in out
@@ -70,6 +72,10 @@ class TestValidate:
                  "gap_tol must be a non-negative number", id="negative-gap-tol"),
     pytest.param("grad_tol = 1e-9", "gap_tol = nan", "[solver agm]",
                  "gap_tol must be a non-negative number", id="nan-gap-tol"),
+    pytest.param("profile = cor-4.4", "profile = default\nm = 0.5\ns0 = 123", "[solver agm]",
+                 "profile = default takes no m, s0", id="default-with-fields"),
+    pytest.param("profile = cor-4.4", "t0 = 3", "[solver agm]",
+                 "profile = default takes no t0", id="no-profile-with-field"),
     *[pytest.param("algorithm = adaagm\nprofile = cor-4.4", f"algorithm = nesterov\nstep = {step}",
                    "[solver agm]", "step must be a positive finite number", id=f"step-{step}")
       for step in ("-0.5", "0", "inf", "nan")],
@@ -164,3 +170,22 @@ class TestCertify:
         with pytest.raises(SystemExit):
             main(["certify", trace_path, "--problem", config_path,
                   "--profile", "cor-4.4", "--kind", "bogus"])
+
+
+def test_certify_default_profile_on_demo_trace(tmp_path, capsys):
+    # --profile default resolves per problem as the run's profile = default:
+    # sc-2 at m = 1/2 on the strongly convex quad, so every kind applies
+    out_dir = tmp_path / "out"
+    assert main(["run", DEMO, "--out", str(out_dir)]) == 0
+    trace = str(out_dir / "quad_agm_0.csv")
+    capsys.readouterr()
+    for kind in CERTIFICATE_KINDS:
+        assert main(["certify", trace, "--problem", DEMO, "--profile", "default",
+                     "--kind", kind]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == len(CERTIFICATE_KINDS) and "FAIL" not in out
+    assert "q=0.0625 " in out
+    # the paper profile's m = 0.99 caps the step far below the steps taken
+    assert main(["certify", trace, "--problem", DEMO, "--profile", "sc-2",
+                 "--kind", "step_cap"]) == 0
+    assert "FAIL" in capsys.readouterr().out

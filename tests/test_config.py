@@ -280,6 +280,22 @@ class TestRunner:
         assert all(r.status == "ok" for r in results)
         assert [str(w.message) for w in record] == []
 
+    def test_default_profile_certificates_pass_at_thin_one(self, tmp_path):
+        # thin = 1, so energy_monotone compares every adjacent pair; at
+        # m = 0.99 it fails on quad from start seeds 24-31
+        config = load_config(DEMO_CONFIG)
+        config.solvers = [s for s in config.solvers if s.name == "agm"]
+        config.seeds = list(range(24, 32))
+        config.thinning = 1
+        config.output_dir = str(tmp_path / "out")
+        results = run_experiment(config)
+        assert len(results) == 24
+        for r in results:
+            assert r.status == "ok" and r.final_grad_norm <= 1e-9
+            verdicts = r.certificates.split(";")
+            assert "energy_monotone:pass" in verdicts
+            assert all(v.endswith(":pass") for v in verdicts), (r.problem, r.seed, verdicts)
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:step")
     def test_divergent_cell_recorded(self, tmp_path):
@@ -324,14 +340,16 @@ class TestRunner:
 
 
 def test_demo_problems_load_no_scipy_linalg():
-    # scipy.linalg adds several MB of resident memory; NumPy's dense solve
-    # is all the logistic reference solve needs
+    # SciPy adds about 24 MB of resident memory; NumPy's dense solve and
+    # exp/logaddexp are all the oracles and the reference solve need
     code = ("import sys\n"
             "from adaagm.config import build_problem, load_config\n"
             f"config = load_config({DEMO_CONFIG!r})\n"
             "problems = [build_problem(s, config.base_dir) for s in config.problems]\n"
             "assert len(problems) == 3 and problems[2].x_star is not None\n"
-            "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n")
+            "for p in problems: p.value_and_grad(p.x_star)\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

@@ -1,9 +1,11 @@
 """The fused oracle against the separate value/gradient formulas it replaced.
 
 Each problem computes f and grad f in one ``value_and_grad`` call.  The
-reference closures below are the earlier two-call formulas (for
-log-sum-exp, ``scipy.special.logsumexp``/``softmax``); the fused oracle
-must reproduce them bit for bit, alone and through whole solver runs.
+reference closures below are the two-call formulas (for log-sum-exp,
+``scipy.special.logsumexp``/``softmax``); the fused oracle must reproduce
+them bit for bit, alone and through whole solver runs.  The logistic
+gradient's sigma(-m) is NumPy arithmetic, not ``scipy.special.expit``; it
+is checked against ``expit`` within a rounding bound.
 """
 
 import dataclasses
@@ -43,7 +45,8 @@ def ref_logistic(A, y, ridge):
 
     def gradient(x):
         margins = y * (A @ x)
-        return -(A.T @ (y * expit(-margins))) + ridge * x
+        sigma = np.exp(-margins - np.logaddexp(0.0, -margins))
+        return -(A.T @ (y * sigma)) + ridge * x
 
     return value, gradient
 
@@ -94,6 +97,28 @@ class TestBitwise:
         for scale in SCALES:
             for _ in range(25):
                 assert_bitwise(problem, ref_logistic(A, y, 0.0), scale * rng.normal(size=4))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_logistic_against_expit(self, seed):
+        # f is the same arithmetic as before; sigma(-m) = exp(-m - log(1 + e^-m))
+        # carries a relative error of a few eps*(1 + |m|) through the exponent,
+        # and the A' product sums one such term per row
+        rng = np.random.default_rng(200 + seed)
+        rows = 12
+        A = rng.normal(size=(rows, 4))
+        y = np.where(rng.normal(size=rows) < 0, -1.0, 1.0)
+        problem = make_logistic(A, y, 0.0)
+        eps = np.finfo(float).eps
+        for scale in SCALES + (1e3,):
+            for _ in range(25):
+                x = scale * rng.normal(size=4)
+                margins = y * (A @ x)
+                f, g = problem.value_and_grad(x)
+                assert f == float(np.sum(np.logaddexp(0.0, -margins)))
+                sigma = expit(-margins)
+                g_ref = -(A.T @ (y * sigma))
+                bound = 4.0 * (rows + np.abs(margins).max()) * eps * (np.abs(A).T @ sigma)
+                assert np.all(np.abs(g - g_ref) <= bound)
 
     @pytest.mark.parametrize("t", [0.01, 0.1, 0.5, 1.0, 3.0])
     def test_log_sum_exp(self, t):

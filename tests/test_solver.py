@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from adaagm import (
     StopCriteria,
     Trace,
     TraceRecord,
+    certify,
     floor_q,
     get_profile,
     make_quadratic,
@@ -21,6 +23,10 @@ from adaagm import (
     run_nesterov,
     write_trace_csv,
 )
+
+from adaagm.diagnostics import CERTIFICATE_KINDS
+from adaagm.problems import SmoothProblem
+from adaagm.schedule import default_params
 
 from conftest import random_quadratic, run_with_iterates
 
@@ -97,6 +103,18 @@ class TestStopping:
         assert trace.records[-1].k == 0
         assert trace.records[0].grad_norm == 0.0
 
+    @pytest.mark.parametrize("field,value,fragment", [
+        ("max_iters", 0, "max_iters must be positive"),
+        ("max_iters", -5, "max_iters must be positive"),
+        ("grad_tol", -1.0, "grad_tol must be a non-negative number"),
+        ("grad_tol", float("nan"), "grad_tol must be a non-negative number"),
+        ("gap_tol", -1e-3, "gap_tol must be a non-negative number"),
+        ("gap_tol", float("nan"), "gap_tol must be a non-negative number"),
+    ])
+    def test_invalid_criteria_rejected(self, field, value, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            StopCriteria(**{field: value})
+
 
 class TestThinning:
     def test_thin_keeps_every_nth_and_last(self, diag_problem):
@@ -150,8 +168,9 @@ class TestConvergence:
     def test_t_column_follows_recursion(self, diag_problem):
         stop = StopCriteria(max_iters=40, grad_tol=0.0)
         trace = run_adaagm(diag_problem, stop=stop, x0=X0)
+        m = default_params(diag_problem).m  # the params the run resolved
         for prev, curr in zip(trace.records, trace.records[1:]):
-            assert curr.t == pytest.approx(next_t(prev.t, 0.99), rel=1e-14)
+            assert curr.t == pytest.approx(next_t(prev.t, m), rel=1e-14)
 
     def test_L_estimates_never_exceed_L(self, diag_problem):
         stop = StopCriteria(max_iters=3000, grad_tol=1e-10)
@@ -185,6 +204,19 @@ class TestDivergence:
             with pytest.raises(DivergenceError):
                 run_nesterov(diag_problem, 10.0, StopCriteria(max_iters=10000), x0=X0)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_finite_check_sees_entries_not_the_norm(self):
+        # g.g overflows to inf on a finite gradient: not a divergence; a NaN
+        # entry is one, at the iteration where it appears
+        def oracle(bad):
+            return lambda x: (0.0, np.array([1e200, bad if x[0] < 0.5 else 1e200]))
+        stop = StopCriteria(max_iters=3, grad_tol=0.0)
+        trace = run_gd(SmoothProblem(2, oracle(1e200)), 1e-300, stop, x0=np.ones(2))
+        assert [r.grad_norm for r in trace.records] == [math.inf] * 4
+        with pytest.raises(DivergenceError) as info:
+            run_gd(SmoothProblem(2, oracle(np.nan)), 1e-200, stop, x0=np.ones(2))
+        assert info.value.k == 1
+
     def test_adaptive_run_does_not_diverge_from_huge_s0(self, diag_problem):
         # the schedule pulls an oversized s0 back under control
         params = get_profile("cor-4.4", s0=1.0)
@@ -201,6 +233,12 @@ class TestBaselines:
         trace = run_gd(p, step=0.5, stop=StopCriteria(max_iters=1, grad_tol=0.0),
                        x0=np.array([2.0, -4.0]))
         assert np.allclose(trace.x_final, [1.0, -2.0])
+
+    @pytest.mark.parametrize("step", [0.0, -0.5, float("nan"), float("inf"), -float("inf")])
+    def test_step_must_be_positive_and_finite(self, diag_problem, step):
+        for run in (run_gd, run_nesterov):
+            with pytest.raises(ValueError, match="step must be a positive finite number"):
+                run(diag_problem, step, StopCriteria(max_iters=5), x0=X0)
 
     def test_nesterov_warns_above_one_over_L(self, diag_problem):
         with pytest.warns(UserWarning, match="1/L"):
@@ -341,3 +379,45 @@ class TestCsv:
         r = back.records[0]
         assert r.gap is None and r.s is None and r.t is None
         assert r.grad_norm == 1.0
+
+
+def _dense_quadratic(seed, n=500, cond=1e2):
+    """A rotated quadratic with log-spaced spectrum in [1, cond], as the
+    dense-oracle benchmark workload builds its ``dquad`` problem."""
+    gen = np.random.default_rng([seed, 1])
+    Q, _ = np.linalg.qr(gen.standard_normal((n, n)))
+    A = (Q * np.logspace(0.0, np.log10(cond), n)) @ Q.T
+    return make_quadratic(0.5 * (A + A.T), gen.standard_normal(n), name="dquad")
+
+
+class TestDefaultProfile:
+    def test_paper_profiles_at_half_m(self, diag_problem):
+        convex = make_quadratic(np.diag([0.0, 1.0]), np.array([0.0, 1.0]))
+        cases = [(diag_problem, "sc-2"), (convex, "cor-4.4")]
+        for problem, name in cases:
+            params = default_params(problem)
+            assert params == dataclasses.replace(PROFILES[name], m=0.5)
+            assert floor_q(params) == floor_q(PROFILES[name])
+
+    def test_fewer_iterations_than_sc2_on_ill_conditioned_quadratic(self):
+        # condition number 1e3: at m = 0.99 the step creeps up from q/L
+        p = random_quadratic(40, seed=0, lam_min=1e-3, lam_max=1.0)
+        stop = StopCriteria(max_iters=15_000, grad_tol=1e-9)
+        fast = run_adaagm(p, default_params(p), stop, x0=np.ones(40))
+        slow = run_adaagm(p, PROFILES["sc-2"], stop, x0=np.ones(40))
+        assert fast.records[-1].grad_norm <= 1e-9
+        assert fast.records[-1].k < slow.records[-1].k
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_certificates_pass_at_thin_one_on_dense_quadratic(self, seed):
+        # thin = 1, so energy_monotone compares every adjacent pair
+        p = _dense_quadratic(seed)
+        params = default_params(p)
+        x0 = 2.0 * np.random.default_rng(seed).standard_normal(p.dimension)
+        trace = run_adaagm(p, params, StopCriteria(max_iters=20_000, grad_tol=1e-9), x0)
+        assert trace.records[-1].grad_norm <= 1e-9
+        for kind in CERTIFICATE_KINDS:  # all apply: mu > 0, x*, f* and L known
+            cert = certify(trace, p, params, kind)
+            assert cert.passed, (kind, cert.violations[:3])
+        # the step grows past 1/L
+        assert max(r.s for r in trace.records) * p.L_known > 1.0
