@@ -93,14 +93,15 @@ def floor_q(params: AlgoParams) -> float:
 
 
 def local_smoothness(g_next, g_prev, f_next: float, f_prev: float,
-                     x_next, x_prev, clamp: Optional[float] = None,
+                     x_next, x_prev, gg_next: float, clamp: Optional[float] = None,
                      underflow_fallback: Optional[float] = None) -> float:
     """Local smoothness estimate from one iterate pair of float arrays.
 
     Returns 0.5*||g_next - g_prev||^2 / (<g_next, x_next - x_prev> -
-    (f_next - f_prev)), with the 0/0 = 0 convention.  Exact gradient
-    equality never fires in floating point, so the zero branch triggers on
-    ||g_next - g_prev|| <= 1e-14*(1 + ||g_next||).  Tiny negative
+    (f_next - f_prev)), with the 0/0 = 0 convention.  ``gg_next`` is
+    g_next.g_next, which the caller's oracle evaluation already has.  Exact
+    gradient equality never fires in floating point, so the zero branch
+    triggers on ||g_next - g_prev|| <= 1e-14*(1 + ||g_next||).  Tiny negative
     denominators are rounding and map to the zero branch; genuinely
     negative ones raise, since convexity makes them impossible.
 
@@ -113,7 +114,7 @@ def local_smoothness(g_next, g_prev, f_next: float, f_prev: float,
     diff = g_next - g_prev
     # np.linalg.norm's own 1-D formula, bit for bit
     diff_norm = math.sqrt(diff.dot(diff))
-    if diff_norm <= 1e-14 * (1.0 + math.sqrt(g_next.dot(g_next))):
+    if diff_norm <= 1e-14 * (1.0 + math.sqrt(gg_next)):
         return 0.0
     denom = float(g_next @ (x_next - x_prev)) - (f_next - f_prev)
     scale = abs(f_next) + abs(f_prev) + 1.0

@@ -152,8 +152,8 @@ def _probe_s0(problem: SmoothProblem, x0: Array, g0: Array, f0: float,
         return 1.0
     eps = 1e-4 * (1.0 + float(np.linalg.norm(x0)))
     x1 = x0 - eps * g0 / g_norm
-    f1, g1, _ = _evaluate(problem, x1, 0)
-    L_hat = local_smoothness(g1, g0, f1, f0, x1, x0)
+    f1, g1, gg1 = _evaluate(problem, x1, 0)
+    L_hat = local_smoothness(g1, g0, f1, f0, x1, x0, gg1)
     if L_hat <= 0.0:
         return 1.0
     return q / L_hat
@@ -214,12 +214,12 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
         f_next, g_next, gg_next = _evaluate(problem, x_next, k + 1)
 
         if adaptive:
-            L_curr = local_smoothness(g_next, g_x, f_next, f_x, x_next, x,
+            L_curr = local_smoothness(g_next, g_x, f_next, f_x, x_next, x, gg_next,
                                       clamp=problem.L_known,
                                       underflow_fallback=(L_seen or None))
             L_seen = max(L_seen, L_curr)
             if rec is not None and has_energy:
-                rec.energy = diagnostics.energy(x_next, y_next, g_x, f_x, t, t_next, s,
+                rec.energy = diagnostics.energy(x_next, y_next, gg_x, f_x, t, t_next, s,
                                                 problem.x_star, problem.f_star, params)
             s = advance_step(t_next, s, L_curr, params)
         t, t_next = t_next, next_t(t_next, params.m)
@@ -308,26 +308,27 @@ def read_trace_csv(path) -> Trace:
     x0: Optional[Array] = None
     records: list[TraceRecord] = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
+        text = fh.read()
+    for line in text.splitlines():
+        line = line.strip()
+        if line[:1] in "#k":  # a comment, the header, or a blank line ("" is in "#k")
+            if line[:1] == "#":
                 body = line.lstrip("# ").strip()
                 if body.startswith("algorithm ="):
                     algorithm = body.split("=", 1)[1].strip()
                 elif body.startswith("x0 ="):
                     x0 = np.array([float(v) for v in body.split("=", 1)[1].split()])
                 continue
-            if line == _CSV_HEADER:
+            if line in ("", _CSV_HEADER):
                 continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise ValueError(f"malformed trace row: {line!r}")
-            vals = [None if p == "" else float(p) for p in parts[1:]]
-            records.append(TraceRecord(k=int(parts[0]), gap=vals[0],
-                                       grad_norm=vals[1], s=vals[2],
-                                       t=vals[3], L_est=vals[4], energy=vals[5]))
+        parts = line.split(",")
+        if len(parts) != 7:
+            raise ValueError(f"malformed trace row: {line!r}")
+        k, gap, grad_norm, s, t, L_est, e = parts
+        records.append(TraceRecord(
+            int(k), float(gap) if gap else None, float(grad_norm) if grad_norm else None,
+            float(s) if s else None, float(t) if t else None,
+            float(L_est) if L_est else None, float(e) if e else None))
     if x0 is None:
         raise ValueError(f"trace file {path} is missing the x0 comment line")
     return Trace(records=records, x0=x0, algorithm=algorithm)

@@ -1,9 +1,19 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from adaagm import make_logistic, make_quadratic
+from adaagm import (
+    CERTIFICATE_KINDS,
+    RateCertificate,
+    floor_q,
+    initial_D,
+    make_logistic,
+    make_quadratic,
+    rho,
+)
+from adaagm.diagnostics import _require, _tolerance
 
 
 def random_quadratic(dim, seed, lam_min=1e-3, lam_max=1.0, name="quad"):
@@ -81,6 +91,99 @@ def fitted_energy_contraction(trace):
         return None
     k1, e1 = last
     return (e1 / e0) ** (1.0 / (k1 - k0))
+
+
+def certify_rows(trace, problem, params, kind):
+    """``diagnostics.certify`` as a walk over the rows, one check per row.
+
+    The reference the array form is compared against: the same constants,
+    tolerances and errors, with Python's scalar arithmetic on each row.
+    ``checks`` counts the rows compared.
+    """
+    if kind not in CERTIFICATE_KINDS:
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    if not trace.records:
+        raise ValueError("trace is empty")
+    tol = _tolerance(problem)
+    recs = trace.records
+    s0 = recs[0].s
+    q = floor_q(params)
+    cert = RateCertificate(kind=kind, constant_q=q)
+
+    def check(k, lhs, rhs):
+        rel = (lhs - rhs) / (1.0 + abs(rhs))
+        cert.checks += 1
+        if rel > tol:
+            cert.violations.append((k, lhs, rhs))
+        cert.max_violation_rel = max(cert.max_violation_rel, rel)
+
+    if kind == "sublinear":
+        _require(problem, kind, "x_star", "f_star", "L_known")
+        D = min(initial_D(trace.x0, problem, params, s0))
+        cert.constant_D = D
+        L = problem.L_known
+        for r in recs:
+            check(r.k, r.gap, D * L / r.t ** 2)
+
+    elif kind == "linear":
+        _require(problem, kind, "x_star", "f_star", "L_known")
+        if problem.mu_known is None or problem.mu_known <= 0:
+            raise ValueError("the linear certificate needs mu_known > 0")
+        rho_val = rho(params, problem.mu_known, problem.L_known)
+        D = min(initial_D(trace.x0, problem, params, s0))
+        cert.constant_D = D
+        cert.constant_rho = rho_val
+        L = problem.L_known
+        log1m = math.log1p(-rho_val)
+        for r in recs:
+            check(r.k, r.gap, D * L / r.t ** 2 * math.exp(r.k * log1m))
+
+    elif kind == "step_floor":
+        _require(problem, kind, "L_known")
+        floor = min(s0, q / problem.L_known)
+        for r in recs:
+            check(r.k, floor, r.s)
+
+    elif kind == "step_cap":
+        growth = 2.0 * (1.0 - params.m) / params.m
+        lead = s0 * math.exp(growth)
+        for r in recs:
+            if r.k < 1:
+                continue
+            check(r.k, r.s, lead * r.k ** growth)
+
+    elif kind == "energy_monotone":
+        factor = 1.0
+        if (params.omega == 0.5 and params.delta == 0.5
+                and problem.mu_known is not None and problem.mu_known > 0
+                and problem.L_known is not None):
+            factor = 1.0 - rho(params, problem.mu_known, problem.L_known)
+            cert.constant_rho = 1.0 - factor
+        prev = None
+        for r in recs:
+            if prev is not None and prev.energy is not None \
+                    and r.energy is not None and r.k == prev.k + 1:
+                check(r.k, r.energy, factor * prev.energy)
+            prev = r
+        if all(r.energy is None for r in recs):
+            raise ValueError("the energy certificate needs an energy column "
+                             "(problem must carry x_star and f_star)")
+
+    elif kind == "grad_summable":
+        total = 0.0
+        partials = []
+        for r in recs:
+            total += r.k ** 2 * r.grad_norm ** 2
+            partials.append(total)
+        if total > 0.0:
+            half = partials[len(partials) // 2]
+            increment = (total - half) / total
+            cert.checks = 1
+            if increment > 0.01:
+                cert.violations.append((recs[-1].k, increment, 0.01))
+            cert.max_violation_rel = max(0.0, increment - 0.01)
+
+    return cert
 
 
 @pytest.fixture(scope="session")

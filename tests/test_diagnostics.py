@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaagm import (
+    CERTIFICATE_KINDS,
     PROFILES,
     StopCriteria,
+    Trace,
     certify,
+    default_params,
     energy,
     floor_q,
     format_certificates,
@@ -22,7 +27,12 @@ from adaagm import (
     write_violations_csv,
 )
 
-from conftest import fitted_energy_contraction, random_quadratic, run_with_iterates
+from conftest import (
+    certify_rows,
+    fitted_energy_contraction,
+    random_quadratic,
+    run_with_iterates,
+)
 
 
 def _update(x, y, t, t_next, s, grad, gamma):
@@ -77,7 +87,7 @@ class TestEnergy:
         # hand-computed: phi = 2*(0.5) + (1.5 - 0) = 2.5 with the pieces below
         params = get_profile("cor-4.4", gamma=1.0, beta=0.5)
         e = energy(x_next=np.array([2.0]), y_next=np.array([1.5]),
-                   grad_x=np.array([3.0]), f_x=4.0, t=2.0, t_next=2.0, s=0.25,
+                   grad_sq=9.0, f_x=4.0, t=2.0, t_next=2.0, s=0.25,
                    x_star=np.array([0.0]), f_star=1.0, params=params)
         # E = 0.5*2.5^2 + 0.5*0.5*1*4*0.0625*9 + 1*4*0.25*3
         expected = 0.5 * 6.25 + 0.5 * 0.5 * 4.0 * 0.0625 * 9.0 + 4.0 * 0.25 * 3.0
@@ -86,7 +96,7 @@ class TestEnergy:
     def test_zero_at_minimizer(self):
         params = PROFILES["cor-4.4"]
         x_star = np.zeros(2)
-        assert energy(x_next=x_star, y_next=x_star, grad_x=np.zeros(2), f_x=0.0,
+        assert energy(x_next=x_star, y_next=x_star, grad_sq=0.0, f_x=0.0,
                       t=3.0, t_next=3.5, s=0.1, x_star=x_star, f_star=0.0,
                       params=params) == 0.0
 
@@ -246,6 +256,100 @@ class TestCertify:
         fitted = fitted_energy_contraction(trace)
         assert fitted is not None
         assert fitted <= 1.0 - r
+
+
+def _within_ulps(a, b, n=4):
+    return a == b or abs(a - b) <= n * np.spacing(max(abs(a), abs(b)))
+
+
+def assert_matches_rows(trace, problem, params, kind):
+    """``certify`` agrees with the row-by-row reference, or both raise alike."""
+    try:
+        ref = certify_rows(trace, problem, params, kind)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            certify(trace, problem, params, kind)
+        return None
+    cert = certify(trace, problem, params, kind)
+    assert cert.passed == ref.passed
+    assert (cert.constant_q, cert.constant_D, cert.constant_rho) == \
+        (ref.constant_q, ref.constant_D, ref.constant_rho)
+    assert cert.checks == ref.checks
+    assert [k for k, _, _ in cert.violations] == [k for k, _, _ in ref.violations]
+    for (k, lhs, rhs), (_, ref_lhs, ref_rhs) in zip(cert.violations, ref.violations):
+        assert (type(k), type(lhs), type(rhs)) == (int, float, float)
+        assert _within_ulps(lhs, ref_lhs) and _within_ulps(rhs, ref_rhs)
+    assert _within_ulps(cert.max_violation_rel, ref.max_violation_rel)
+    return cert
+
+
+def _sc_quadratic():
+    rng = np.random.default_rng(21)
+    Q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+    A = (Q * np.logspace(-2, 0, 12)) @ Q.T
+    return make_quadratic(0.5 * (A + A.T), rng.normal(size=12))
+
+
+@pytest.fixture(scope="module")
+def array_traces(logistic_problem):
+    """(problem, params, trace) of adaagm runs at thin 1 and 10 for three profiles."""
+    quad = _sc_quadratic()
+    stop = StopCriteria(max_iters=1500, grad_tol=1e-9)
+    runs = {}
+    for name, params in (("cor-4.4", PROFILES["cor-4.4"]), ("sc-2", PROFILES["sc-2"]),
+                         ("default", default_params(quad))):
+        for thin in (1, 10):
+            trace = run_adaagm(quad, params, stop, x0=np.full(12, 2.0), thin=thin)
+            runs[f"quad-{name}-thin{thin}"] = (quad, params, trace)
+    params = default_params(logistic_problem)
+    runs["logit-default-thin1"] = (logistic_problem, params,
+                                   run_adaagm(logistic_problem, params, stop, thin=1))
+    return runs
+
+
+class TestArrayCertifyMatchesRows:
+    """The array form of ``certify`` against the row walk in ``conftest``."""
+
+    @pytest.mark.parametrize("kind", CERTIFICATE_KINDS)
+    def test_adaagm_traces(self, array_traces, kind):
+        for name, (p, params, trace) in array_traces.items():
+            cert = assert_matches_rows(trace, p, params, kind)
+            if cert is not None and kind != "grad_summable":
+                assert cert.checks > 0 or (kind == "energy_monotone" and "thin10" in name)
+
+    def test_one_row_trace(self, array_traces):
+        p, params, trace = array_traces["quad-sc-2-thin1"]
+        one = Trace(records=[copy.copy(trace.records[0])], x0=trace.x0, algorithm="adaagm")
+        checks = {kind: assert_matches_rows(one, p, params, kind).checks
+                  for kind in CERTIFICATE_KINDS}
+        assert checks == {"sublinear": 1, "linear": 1, "step_floor": 1, "step_cap": 0,
+                          "energy_monotone": 0, "grad_summable": 0}
+        text = format_certificates([certify(one, p, params, "step_cap")])
+        assert "VACUOUS checks=0 " in text and "PASS" not in text
+
+    @pytest.mark.parametrize("thin", [1, 10])
+    def test_corrupted_rows(self, array_traces, thin):
+        p, params, trace = array_traces[f"quad-sc-2-thin{thin}"]
+        bad = copy.deepcopy(trace)
+        row = 7
+        bad.records[row].s = 1e-12  # below the floor q/L
+        bad.records[row + 2].gap = 1e6  # above D*L/t^2
+        r = bad.records[row + 4]
+        r.energy = 3.0 * bad.records[row + 3].energy  # energy rises
+        expected = {"step_floor": [bad.records[row].k],
+                    "sublinear": [bad.records[row + 2].k],
+                    "linear": [bad.records[row + 2].k],
+                    "energy_monotone": [r.k] if thin == 1 else []}
+        for kind, ks in expected.items():
+            cert = assert_matches_rows(bad, p, params, kind)
+            assert [k for k, _, _ in cert.violations] == ks
+
+    def test_trace_without_energies(self, array_traces):
+        p, params, trace = array_traces["quad-sc-2-thin1"]
+        stripped = copy.deepcopy(trace)
+        for r in stripped.records:
+            r.energy = None
+        assert assert_matches_rows(stripped, p, params, "energy_monotone") is None
 
 
 class TestTrajectoryInvariants:

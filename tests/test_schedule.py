@@ -66,20 +66,22 @@ class TestLocalSmoothness:
         # f = 0.5*L*x^2 recovers L exactly for any pair of points
         L = 7.0
         x0, x1 = np.array([2.0]), np.array([-1.5])
-        est = local_smoothness(L * x1, L * x0, 0.5 * L * x1 @ x1,
-                               0.5 * L * x0 @ x0, x1, x0)
+        g1 = L * x1
+        est = local_smoothness(g1, L * x0, 0.5 * L * x1 @ x1,
+                               0.5 * L * x0 @ x0, x1, x0, g1 @ g1)
         assert est == pytest.approx(L, rel=1e-14)
 
     def test_isotropic_quadratic_exact(self):
         c = 3.0
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=4), rng.normal(size=4)
-        est = local_smoothness(c * b, c * a, 0.5 * c * b @ b, 0.5 * c * a @ a, b, a)
+        gb = c * b
+        est = local_smoothness(gb, c * a, 0.5 * c * b @ b, 0.5 * c * a @ a, b, a, gb @ gb)
         assert est == pytest.approx(c, rel=1e-14)
 
     def test_equal_gradients_is_zero(self):
         g = np.array([1.0, 2.0])
-        assert local_smoothness(g, g, 1.0, 0.5, np.zeros(2), np.ones(2)) == 0.0
+        assert local_smoothness(g, g, 1.0, 0.5, np.zeros(2), np.ones(2), g @ g) == 0.0
 
     def test_tiny_negative_denominator_is_zero(self):
         # rounding-level negative denominators map to the 0/0 branch
@@ -87,27 +89,27 @@ class TestLocalSmoothness:
         g0 = np.array([1.0])
         g1 = np.array([1.0 + 1e-10])
         x = np.array([1.0])
-        est = local_smoothness(g1, g0, 1.0 + 1e-14, 1.0, x, x)
+        est = local_smoothness(g1, g0, 1.0 + 1e-14, 1.0, x, x, g1 @ g1)
         assert est == 0.0
 
     def test_negative_curvature_raises(self):
         with pytest.raises(NonConvexInputError):
             local_smoothness(np.array([1.0]), np.array([-1.0]), 5.0, 0.0,
-                             np.array([1.0]), np.array([0.0]))
+                             np.array([1.0]), np.array([0.0]), 1.0)
 
     def test_clamp_binds(self):
         # inflate the numerator so the raw ratio exceeds the clamp
         g0, g1 = np.array([0.0]), np.array([100.0])
         x0, x1 = np.array([0.0]), np.array([1.0])
-        raw = local_smoothness(g1, g0, 0.0, 0.0, x1, x0)
+        raw = local_smoothness(g1, g0, 0.0, 0.0, x1, x0, g1 @ g1)
         assert raw > 2.0
-        assert local_smoothness(g1, g0, 0.0, 0.0, x1, x0, clamp=2.0) == 2.0
+        assert local_smoothness(g1, g0, 0.0, 0.0, x1, x0, g1 @ g1, clamp=2.0) == 2.0
 
     def test_underflow_uses_fallback(self):
         # positive but subnormal denominator: the raw ratio would overflow
         g0, g1 = np.array([0.0]), np.array([1.0])
         x0, x1 = np.array([0.0]), np.array([1e-310])
-        est = local_smoothness(g1, g0, 0.0, 0.0, x1, x0, underflow_fallback=4.0)
+        est = local_smoothness(g1, g0, 0.0, 0.0, x1, x0, g1 @ g1, underflow_fallback=4.0)
         assert est == 4.0
 
     @given(st.floats(0.1, 10.0), st.integers(0, 2 ** 32))
@@ -118,7 +120,7 @@ class TestLocalSmoothness:
         a, b = rng.normal(size=3), rng.normal(size=3)
         ga, gb = lam * a, lam * b
         fa, fb = 0.5 * lam @ (a * a), 0.5 * lam @ (b * b)
-        est = local_smoothness(gb, ga, fb, fa, b, a)
+        est = local_smoothness(gb, ga, fb, fa, b, a, gb @ gb)
         assert est <= lam[-1] * (1 + 1e-9)
 
 
