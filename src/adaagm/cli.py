@@ -7,7 +7,8 @@ Verbs::
     adaagm-bench certify <trace.csv> --problem <config> --profile <name>
                  --kind <cert> [--out DIR]
 
-``certify`` takes the initial step s0 from the trace's first row;
+``certify`` takes the initial step s0 from the trace's first row (and
+each restart epoch's from that epoch's first row);
 ``--profile default`` resolves per problem, as ``profile = default`` does in
 a run.
 

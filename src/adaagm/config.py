@@ -25,7 +25,8 @@ Problem kinds: ``quadratic`` (diag or matrix_csv, offset or offset_csv),
 use ';' between rows and spaces between entries.  Solver profiles are the
 named ones from :mod:`adaagm.schedule`, ``custom`` with explicit fields, or
 ``default`` (also when ``profile`` is absent), which
-:func:`~adaagm.schedule.default_params` resolves per problem.
+:func:`~adaagm.schedule.default_params` resolves per problem; only
+``default`` restarts, and no key turns restart on or off.
 Every solver takes ``max_iters``, ``grad_tol`` and ``gap_tol``; ``adaagm``
 also takes ``profile``, ``m``, ``t0``, ``gamma``, ``beta``, ``omega``,
 ``delta`` and ``s0``, while ``gd`` and ``nesterov`` take ``step``.  A key the

@@ -10,6 +10,9 @@ strong convexity, which yields checkable per-iteration inequalities:
 * the step size stays within [q/L, s0*exp(2(1-m)/m)*k^(2(1-m)/m)];
 * the partial sums of k^2*||grad||^2 stay bounded.
 
+A restarted run is a sequence of fresh runs, so the certificates apply
+these per restart epoch, with the epoch's first row as the start point.
+
 All inequalities are certified with relative tolerance 1e-9 on scale
 1 + |rhs| (widened to 1e-6 when the problem's minimizer comes from a
 numerical reference solve).
@@ -61,39 +64,32 @@ def energy(x_next: Array, y_next: Array, grad_sq: float, f_x: float, t: float,
             + params.gamma * t ** 2 * s * (f_x - f_star))
 
 
-def initial_D(x0, problem: SmoothProblem, params: AlgoParams,
-              s0: Optional[float] = None) -> tuple[float, float]:
-    """Closed-form rate constant D from the start point, in two forms.
+def initial_D(gap0: float, grad_sq0: float, dist_sq0: float, L: float,
+              params: AlgoParams, s0: Optional[float] = None) -> tuple[float, float]:
+    """Closed-form rate constant D of a run from z, in two forms.
 
-    Returns the pair (full form, min-form bound) from one oracle call at
-    x0; the min-form upper bound on D avoids the raw gradient term.  The
+    Takes f(z) - f*, ||grad f(z)||^2 and ||z - x*||^2, so it makes no
+    oracle call.  Returns the pair (full form, min-form bound); the
+    min-form upper bound on D avoids the raw gradient term.  The
     certificates use the smaller of the two.
     """
-    if problem.x_star is None or problem.f_star is None:
-        raise ValueError("initial_D needs x_star and f_star on the problem")
-    if problem.L_known is None or problem.L_known <= 0:
-        raise ValueError("initial_D needs a positive L_known on the problem")
+    if not L > 0:
+        raise ValueError("initial_D needs a positive smoothness constant L")
     s0 = params.s0 if s0 is None else s0
     if s0 is None:
         raise ValueError("initial_D needs the resolved initial step s0")
-    x0 = np.asarray(x0, dtype=float)
-    L = problem.L_known
     q = floor_q(params)
-    f0, g0 = problem.value_and_grad(x0)
-    gap0 = f0 - problem.f_star
-    dist_sq = float(np.sum((x0 - problem.x_star) ** 2))
-    grad_sq = float(g0 @ g0)
     t0, gam, bet = params.t0, params.gamma, params.beta
     st = s0 * t0
     full = (1.0 / q) * (
-        dist_sq / (2.0 * gam)
-        + st * ((1.0 + bet) * gam * st * L - 1.0) / (2.0 * L) * grad_sq
+        dist_sq0 / (2.0 * gam)
+        + st * ((1.0 + bet) * gam * st * L - 1.0) / (2.0 * L) * grad_sq0
         + st * (t0 - 1.0) * gap0
     )
-    first = (dist_sq / (2.0 * gam)
+    first = (dist_sq0 / (2.0 * gam)
              + st * (t0 * ((1.0 + bet) * gam * s0 * L + 1.0) - 2.0) * gap0)
     second = ((1.0 + gam * st * L * ((1.0 + bet) * gam * st * L - 1.0))
-              / (2.0 * gam) * dist_sq
+              / (2.0 * gam) * dist_sq0
               + st * (t0 - 1.0) * gap0)
     return full, (1.0 / q) * min(first, second)
 
@@ -119,7 +115,8 @@ class RateCertificate:
     """Outcome of checking one inequality along a trace.
 
     ``checks`` counts the inequalities evaluated; a certificate with no
-    checks and no violations passed vacuously.
+    checks and no violations passed vacuously.  ``epochs`` counts the
+    restart epochs the trace holds; ``constant_D`` is the first epoch's.
     """
 
     kind: str
@@ -129,6 +126,7 @@ class RateCertificate:
     violations: list[tuple[int, float, float]] = field(default_factory=list)
     max_violation_rel: float = 0.0
     checks: int = 0
+    epochs: int = 1
 
     @property
     def passed(self) -> bool:
@@ -145,6 +143,27 @@ def _require(problem: SmoothProblem, kind: str, *fields: str) -> None:
             raise ValueError(f"certificate {kind!r} needs problem.{name}")
 
 
+def _epoch_D(trace: Trace, first: Array, problem: SmoothProblem,
+             params: AlgoParams) -> Array:
+    """D of every epoch, the smaller form, from the epoch's first row.
+
+    The first epoch takes ||x0 - x*||^2 from the trace's start point, later
+    ones from the row's ``dist_sq``.
+    """
+    D = []
+    for i in first.tolist():
+        r = trace.records[i]
+        if i == 0:
+            dist_sq = float(np.sum((trace.x0 - problem.x_star) ** 2))
+        elif r.dist_sq is None:
+            raise ValueError(f"the restart epoch at k={r.k} carries no dist_sq")
+        else:
+            dist_sq = r.dist_sq
+        gap = math.nan if r.gap is None else r.gap
+        D.append(min(initial_D(gap, r.grad_norm ** 2, dist_sq, problem.L_known, params, r.s)))
+    return np.array(D)
+
+
 def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
             kind: str) -> RateCertificate:
     """Check the chosen inequality on every row of the trace and collect violations.
@@ -152,6 +171,12 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
     Each kind reads the trace columns it needs as float arrays (an empty
     entry becomes NaN) and evaluates its inequality over all rows at once.
     A row whose inequality involves NaN is neither a violation nor a check.
+
+    When ``params.restart`` is set, every kind re-anchors at each restart
+    epoch, the rows from one with t == params.t0 to the next: k counts
+    from the epoch's first row, and s0, D and the energy baseline come
+    from it, so each epoch is checked as the fresh run it is.
+    ``energy_monotone`` compares pairs within an epoch only.
     """
     if kind not in CERTIFICATE_KINDS:
         raise ValueError(f"unknown certificate kind {kind!r}")
@@ -159,10 +184,22 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
         raise ValueError("trace is empty")
     tol = _tolerance(problem)
     recs = trace.records
-    s0 = recs[0].s
     q = floor_q(params)
     cert = RateCertificate(kind=kind, constant_q=q)
     k = np.array([r.k for r in recs])
+    t = None
+    if params.restart or kind in ("sublinear", "linear"):
+        t = np.array([r.t for r in recs], dtype=float)
+    if params.restart:
+        starts = t == params.t0
+        starts[0] = True
+        first = np.flatnonzero(starts)  # row of each epoch's start
+        epoch = np.cumsum(starts) - 1  # epoch of each row
+    else:  # one epoch; skips reading t for the kinds that do not need it
+        first = np.zeros(1, dtype=int)
+        epoch = np.zeros(len(recs), dtype=int)
+    k_rel = k - k[first][epoch]
+    cert.epochs = len(first)
 
     def check(at: Array, lhs, rhs) -> None:
         """Check lhs <= rhs, up to the tolerance, at the iterations ``at``."""
@@ -176,36 +213,35 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
 
     if kind == "sublinear":
         _require(problem, kind, "x_star", "f_star", "L_known")
-        D = min(initial_D(trace.x0, problem, params, s0))
-        cert.constant_D = D
+        D = _epoch_D(trace, first, problem, params)
+        cert.constant_D = float(D[0])
         gap = np.array([r.gap for r in recs], dtype=float)
-        t = np.array([r.t for r in recs], dtype=float)
-        check(k, gap, D * problem.L_known / t ** 2)
+        check(k, gap, D[epoch] * problem.L_known / t ** 2)
 
     elif kind == "linear":
         _require(problem, kind, "x_star", "f_star", "L_known")
         if problem.mu_known is None or problem.mu_known <= 0:
             raise ValueError("the linear certificate needs mu_known > 0")
         rho_val = rho(params, problem.mu_known, problem.L_known)
-        D = min(initial_D(trace.x0, problem, params, s0))
-        cert.constant_D = D
+        D = _epoch_D(trace, first, problem, params)
+        cert.constant_D = float(D[0])
         cert.constant_rho = rho_val
         gap = np.array([r.gap for r in recs], dtype=float)
-        t = np.array([r.t for r in recs], dtype=float)
-        check(k, gap, D * problem.L_known / t ** 2 * np.exp(k * math.log1p(-rho_val)))
+        check(k, gap, D[epoch] * problem.L_known / t ** 2
+              * np.exp(k_rel * math.log1p(-rho_val)))
 
     elif kind == "step_floor":
         _require(problem, kind, "L_known")
-        floor = min(s0, q / problem.L_known)
         s = np.array([r.s for r in recs], dtype=float)
-        check(k, floor, s)  # violation when s_k < floor
+        floor = np.minimum(s[first], q / problem.L_known)
+        check(k, floor[epoch], s)  # violation when s_k < floor
 
     elif kind == "step_cap":
         growth = 2.0 * (1.0 - params.m) / params.m
-        lead = s0 * math.exp(growth)
         s = np.array([r.s for r in recs], dtype=float)
-        later = k >= 1
-        check(k[later], s[later], lead * k[later] ** growth)
+        lead = s[first] * math.exp(growth)
+        later = k_rel >= 1
+        check(k[later], s[later], lead[epoch[later]] * k_rel[later] ** growth)
 
     elif kind == "energy_monotone":
         factor = 1.0
@@ -218,12 +254,13 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
         if np.isnan(e).all():
             raise ValueError("the energy certificate needs an energy column "
                              "(problem must carry x_star and f_star)")
-        adjacent = k[1:] == k[:-1] + 1  # a NaN energy on either side drops the pair
-        check(k[1:][adjacent], e[1:][adjacent], factor * e[:-1][adjacent])
+        # adjacent rows of one epoch; a NaN energy on either side drops the pair
+        pair = (k[1:] == k[:-1] + 1) & (epoch[1:] == epoch[:-1])
+        check(k[1:][pair], e[1:][pair], factor * e[:-1][pair])
 
     elif kind == "grad_summable":
         g = np.array([r.grad_norm for r in recs], dtype=float)
-        partials = np.cumsum(k ** 2 * g ** 2)  # adds in row order
+        partials = np.cumsum(k_rel ** 2 * g ** 2)  # adds in row order
         total = float(partials[-1])
         if total > 0.0:
             increment = (total - float(partials[len(partials) // 2])) / total
@@ -248,6 +285,7 @@ def format_certificates(certs: list[RateCertificate]) -> str:
             parts.append(f"D={c.constant_D:.12g}")
         if c.constant_rho is not None:
             parts.append(f"rho={c.constant_rho:.12g}")
+        parts.append(f"epochs={c.epochs}")
         verdict = "PASS" if c.checks else "VACUOUS"
         parts.append(verdict if c.passed else f"FAIL({len(c.violations)})")
         parts.append(f"checks={c.checks}")

@@ -60,8 +60,9 @@ def make_quadratic(matrix, offset, name: str = "quadratic") -> SmoothProblem:
     """Quadratic f(x) = 0.5 x'Ax - b'x for symmetric PSD A.
 
     L is the largest eigenvalue, mu the smallest; the minimizer solves
-    A x = b.  Raises ValueError for non-symmetric or indefinite A, or when
-    b lies outside the column space of A (no minimizer exists).
+    A x = b (the minimum-norm one), all from one eigendecomposition.
+    Raises ValueError for non-symmetric or indefinite A, or when b lies
+    outside the column space of A (no minimizer exists).
     """
     A = np.asarray(matrix, dtype=float)
     b = np.asarray(offset, dtype=float)
@@ -73,11 +74,13 @@ def make_quadratic(matrix, offset, name: str = "quadratic") -> SmoothProblem:
     scale = 1.0 + float(np.abs(A).max(initial=0.0))
     if not np.allclose(A, A.T, atol=1e-12 * scale):
         raise ValueError("matrix must be symmetric")
-    eigs = np.linalg.eigvalsh(A)
+    eigs, vecs = np.linalg.eigh(A)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     if lam_min < -1e-10 * max(1.0, lam_max):
         raise ValueError("matrix must be positive semidefinite")
-    x_star = np.linalg.lstsq(A, b, rcond=None)[0]
+    # minimum-norm solution of A x = b, with lstsq's default cutoff
+    kept = np.abs(eigs) > np.finfo(float).eps * n * np.abs(eigs).max(initial=0.0)
+    x_star = vecs @ np.divide(b @ vecs, eigs, out=np.zeros(n), where=kept)
     residual = np.linalg.norm(A @ x_star - b)
     if residual > 1e-8 * (1.0 + np.linalg.norm(b)):
         raise ValueError("offset is not in the column space of the matrix; "

@@ -37,6 +37,7 @@ class CellResult:
     final_grad_norm: float | None = None
     q: float | None = None
     certificates: str = "-"
+    restarts: int = 0
 
 
 def _applicable_certificates(problem: SmoothProblem, params: AlgoParams) -> list[str]:
@@ -64,6 +65,8 @@ def _run_cell(config: ExperimentConfig, p_idx: int, problem: SmoothProblem,
             params = solver.params or default_params(problem)
             result.q = floor_q(params)
             trace = run_adaagm(problem, params, solver.stop, x0, thin=config.thinning)
+            # every epoch start is recorded, and t == t0 marks exactly those rows
+            result.restarts = sum(r.t == params.t0 for r in trace.records[1:])
             kinds = _applicable_certificates(problem, params)
             if kinds:
                 certs = [certify(trace, problem, params, kind) for kind in kinds]
@@ -126,12 +129,13 @@ def run_experiment(config: ExperimentConfig) -> list[CellResult]:
 
 
 def _write_summary(results: list[CellResult], output_dir: str) -> None:
-    lines = ["problem,solver,seed,status,iterations,final_gap,final_grad_norm,q,certificates"]
+    lines = ["problem,solver,seed,status,iterations,final_gap,final_grad_norm,q,certificates,"
+             "restarts"]
     for r in results:
         lines.append(",".join([
             r.problem, r.solver, str(r.seed), r.status, str(r.iterations),
             format_float(r.final_gap), format_float(r.final_grad_norm),
-            format_float(r.q), r.certificates,
+            format_float(r.q), r.certificates, str(r.restarts),
         ]))
     with open(os.path.join(output_dir, "summary.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -14,6 +14,17 @@ constants differ:
   momentum (:func:`run_nesterov`), or at m = 0, where t stays 1 and the
   momentum vanishes, which is gradient descent (:func:`run_gd`).
 
+With ``params.restart`` (set by :func:`default_params` only), an adaptive
+run restarts whenever g_k'(y_{k+1} - y_k) > 0: x_{k+1} = y_{k+1} without
+extrapolation, t goes back to t_0, and the step s_{k+1} becomes the new
+epoch's s0.  From there on every step is exactly a fresh run from
+z = y_{k+1} (only the underflow fallback of the local estimate remembers
+the earlier epochs), and the oracle call at z is the one the loop makes
+anyway.  An epoch's first row is recorded even when thinned; when x* is
+known it carries ||z - x*||^2 (``dist_sq``), which certificates need to
+re-anchor the rate constant.  Epoch starts are the rows with t == t_0,
+since t grows strictly inside an epoch.
+
 Every iteration, and the s0 probe, makes exactly one oracle call,
 ``problem.value_and_grad``; a non-finite value or gradient raises
 :class:`DivergenceError`.  All runs produce a :class:`Trace` of
@@ -89,6 +100,8 @@ class TraceRecord:
     t: Optional[float]
     L_est: Optional[float]
     energy: Optional[float] = None
+    # ||z - x*||^2 at the start point z of a restart epoch after the first
+    dist_sq: Optional[float] = None
 
 
 @dataclass
@@ -182,14 +195,17 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
     grad_tol = _resolved_grad_tol(stop, g_x)
     s = _probe_s0(problem, x0, g_x, f_x, params) if s0 is None else s0
     t, t_next = params.t0, next_t(params.t0, params.m)
+    t1 = t_next
 
     has_gap = problem.f_star is not None
     has_energy = adaptive and has_gap and problem.x_star is not None
+    restart = adaptive and params.restart
 
     records: list[TraceRecord] = []
     L_curr = 0.0 if adaptive else None
     L_seen = 0.0
     k = 0
+    restarted = False
     while True:
         grad_norm = math.sqrt(gg_x)  # np.linalg.norm's own formula, bit for bit
         gap = f_x - problem.f_star if has_gap else None
@@ -200,21 +216,28 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
                 and has_gap and gap <= stop.gap_tol)
         )
         rec = None
-        if k % thin == 0 or stopping:
+        if k % thin == 0 or stopping or restarted:
             rec = TraceRecord(k=k, gap=gap, grad_norm=grad_norm, s=s,
                               t=None if algorithm == "gd" else t, L_est=L_curr)
+            if restarted and problem.x_star is not None:
+                dz = x - problem.x_star
+                rec.dist_sq = float(dz @ dz)
             records.append(rec)
         if stopping:
             break
 
         y_next = x - s * g_x
-        x_next = y_next + (t - 1.0) / t_next * (y_next - y)
+        dy = y_next - y
+        x_next = y_next + (t - 1.0) / t_next * dy
         if params.gamma != 1.0:  # at gamma = 1 the correction is exactly zero
             x_next = x_next + (params.gamma - 1.0) * t / t_next * (y_next - x)
-        f_next, g_next, gg_next = _evaluate(problem, x_next, k + 1)
+        restarted = restart and float(g_x @ dy) > 0.0
+        # x_next stays the epoch's extrapolation, which the energy row needs
+        x_eval = y_next if restarted else x_next
+        f_next, g_next, gg_next = _evaluate(problem, x_eval, k + 1)
 
         if adaptive:
-            L_curr = local_smoothness(g_next, g_x, f_next, f_x, x_next, x, gg_next,
+            L_curr = local_smoothness(g_next, g_x, f_next, f_x, x_eval, x, gg_next,
                                       clamp=problem.L_known,
                                       underflow_fallback=(L_seen or None))
             L_seen = max(L_seen, L_curr)
@@ -222,9 +245,12 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
                 rec.energy = diagnostics.energy(x_next, y_next, gg_x, f_x, t, t_next, s,
                                                 problem.x_star, problem.f_star, params)
             s = advance_step(t_next, s, L_curr, params)
-        t, t_next = t_next, next_t(t_next, params.m)
+        if restarted:
+            t, t_next = params.t0, t1
+        else:
+            t, t_next = t_next, next_t(t_next, params.m)
 
-        x, y, f_x, g_x, gg_x = x_next, y_next, f_next, g_next, gg_next
+        x, y, f_x, g_x, gg_x = x_eval, y_next, f_next, g_next, gg_next
         k += 1
 
     return Trace(records=records, x0=x0, algorithm=algorithm, x_final=x)
@@ -273,7 +299,11 @@ def run_nesterov(problem: SmoothProblem, step: float,
 
 # --- CSV serialization -------------------------------------------------------
 
-_CSV_HEADER = "k,gap,grad_norm,s,t,L_est,energy"
+#: Format 2 appends ``dist_sq``; format 1 files (no ``# format`` line, seven
+#: columns) still read back, with ``dist_sq`` None.
+_CSV_FORMAT = 2
+_CSV_HEADER = "k,gap,grad_norm,s,t,L_est,energy,dist_sq"
+_CSV_HEADERS = (_CSV_HEADER, "k,gap,grad_norm,s,t,L_est,energy")
 
 
 def format_float(v: Optional[float]) -> str:
@@ -288,47 +318,57 @@ def write_trace_csv(trace: Trace, path) -> None:
     be re-checked from the file alone.
     """
     lines = [
+        f"# format = {_CSV_FORMAT}",
         f"# algorithm = {trace.algorithm}",
         "# x0 = " + " ".join(map(format_float, trace.x0)),
         "# note: energy[k] uses the step-(k+1) iterates and lags the other columns by one row",
+        "# note: dist_sq is ||z - x*||^2 at the start point z of a restart epoch",
         _CSV_HEADER,
     ]
     for r in trace.records:
         lines.append(",".join([
             str(r.k), format_float(r.gap), format_float(r.grad_norm), format_float(r.s),
             format_float(r.t), format_float(r.L_est), format_float(r.energy),
+            format_float(r.dist_sq),
         ]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_trace_csv(path) -> Trace:
-    """Read a trace written by :func:`write_trace_csv`."""
+    """Read a trace written by :func:`write_trace_csv`, in format 2 or 1."""
     algorithm = "unknown"
     x0: Optional[Array] = None
     records: list[TraceRecord] = []
     with open(path) as fh:
-        text = fh.read()
-    for line in text.splitlines():
-        line = line.strip()
-        if line[:1] in "#k":  # a comment, the header, or a blank line ("" is in "#k")
-            if line[:1] == "#":
-                body = line.lstrip("# ").strip()
-                if body.startswith("algorithm ="):
-                    algorithm = body.split("=", 1)[1].strip()
-                elif body.startswith("x0 ="):
-                    x0 = np.array([float(v) for v in body.split("=", 1)[1].split()])
-                continue
-            if line in ("", _CSV_HEADER):
-                continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"malformed trace row: {line!r}")
-        k, gap, grad_norm, s, t, L_est, e = parts
-        records.append(TraceRecord(
-            int(k), float(gap) if gap else None, float(grad_norm) if grad_norm else None,
-            float(s) if s else None, float(t) if t else None,
-            float(L_est) if L_est else None, float(e) if e else None))
+        for line in fh:
+            line = line.strip()
+            if line[:1] in "#k":  # a comment, the header, or a blank line ("" is in "#k")
+                if line[:1] == "#":
+                    body = line.lstrip("# ").strip()
+                    if body.startswith("format ="):
+                        version = body.split("=", 1)[1].strip()
+                        if version not in ("1", "2"):
+                            raise ValueError(f"unsupported trace format {version!r}")
+                    elif body.startswith("algorithm ="):
+                        algorithm = body.split("=", 1)[1].strip()
+                    elif body.startswith("x0 ="):
+                        x0 = np.array([float(v) for v in body.split("=", 1)[1].split()])
+                    continue
+                if line == "" or line in _CSV_HEADERS:
+                    continue
+            parts = line.split(",")
+            if len(parts) == 8:
+                k, gap, grad_norm, s, t, L_est, e, d = parts
+            elif len(parts) == 7:
+                (k, gap, grad_norm, s, t, L_est, e), d = parts, ""
+            else:
+                raise ValueError(f"malformed trace row: {line!r}")
+            records.append(TraceRecord(
+                int(k), float(gap) if gap else None, float(grad_norm) if grad_norm else None,
+                float(s) if s else None, float(t) if t else None,
+                float(L_est) if L_est else None, float(e) if e else None,
+                float(d) if d else None))
     if x0 is None:
         raise ValueError(f"trace file {path} is missing the x0 comment line")
     return Trace(records=records, x0=x0, algorithm=algorithm)

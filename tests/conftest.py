@@ -93,12 +93,20 @@ def fitted_energy_contraction(trace):
     return (e1 / e0) ** (1.0 / (k1 - k0))
 
 
+def start_values(x0, problem):
+    """(f(x0) - f*, ||grad f(x0)||^2, ||x0 - x*||^2), the start values ``initial_D`` takes."""
+    f0, g0 = problem.value_and_grad(x0)
+    return f0 - problem.f_star, float(g0 @ g0), float(np.sum((x0 - problem.x_star) ** 2))
+
+
 def certify_rows(trace, problem, params, kind):
     """``diagnostics.certify`` as a walk over the rows, one check per row.
 
     The reference the array form is compared against: the same constants,
     tolerances and errors, with Python's scalar arithmetic on each row.
-    ``checks`` counts the rows compared.
+    ``checks`` counts the rows compared.  The first row, and under
+    ``params.restart`` every row with t == t0, starts a restart epoch: k
+    counts from it, s0 and D are its, and energy pairs never straddle it.
     """
     if kind not in CERTIFICATE_KINDS:
         raise ValueError(f"unknown certificate kind {kind!r}")
@@ -106,7 +114,6 @@ def certify_rows(trace, problem, params, kind):
         raise ValueError("trace is empty")
     tol = _tolerance(problem)
     recs = trace.records
-    s0 = recs[0].s
     q = floor_q(params)
     cert = RateCertificate(kind=kind, constant_q=q)
 
@@ -117,12 +124,34 @@ def certify_rows(trace, problem, params, kind):
             cert.violations.append((k, lhs, rhs))
         cert.max_violation_rel = max(cert.max_violation_rel, rel)
 
+    def epochs():
+        """(row, k - k_start, start row, same epoch as the previous row) per row."""
+        start = None
+        for r in recs:
+            fresh = start is None or (params.restart and r.t == params.t0)
+            if fresh:
+                start = r
+            yield r, r.k - start.k, start, not fresh
+
+    def epoch_D(start):
+        if start is recs[0]:
+            dist_sq = float(np.sum((trace.x0 - problem.x_star) ** 2))
+        elif start.dist_sq is None:
+            raise ValueError(f"the restart epoch at k={start.k} carries no dist_sq")
+        else:
+            dist_sq = start.dist_sq
+        return min(initial_D(start.gap, start.grad_norm ** 2, dist_sq,
+                             problem.L_known, params, start.s))
+
+    cert.epochs = sum(1 for _, _, _, same in epochs() if not same)
+
     if kind == "sublinear":
         _require(problem, kind, "x_star", "f_star", "L_known")
-        D = min(initial_D(trace.x0, problem, params, s0))
-        cert.constant_D = D
         L = problem.L_known
-        for r in recs:
+        for r, _, start, _ in epochs():
+            D = epoch_D(start)
+            if start is recs[0]:
+                cert.constant_D = D
             check(r.k, r.gap, D * L / r.t ** 2)
 
     elif kind == "linear":
@@ -130,27 +159,26 @@ def certify_rows(trace, problem, params, kind):
         if problem.mu_known is None or problem.mu_known <= 0:
             raise ValueError("the linear certificate needs mu_known > 0")
         rho_val = rho(params, problem.mu_known, problem.L_known)
-        D = min(initial_D(trace.x0, problem, params, s0))
-        cert.constant_D = D
         cert.constant_rho = rho_val
         L = problem.L_known
         log1m = math.log1p(-rho_val)
-        for r in recs:
-            check(r.k, r.gap, D * L / r.t ** 2 * math.exp(r.k * log1m))
+        for r, k_rel, start, _ in epochs():
+            D = epoch_D(start)
+            if start is recs[0]:
+                cert.constant_D = D
+            check(r.k, r.gap, D * L / r.t ** 2 * math.exp(k_rel * log1m))
 
     elif kind == "step_floor":
         _require(problem, kind, "L_known")
-        floor = min(s0, q / problem.L_known)
-        for r in recs:
-            check(r.k, floor, r.s)
+        for r, _, start, _ in epochs():
+            check(r.k, min(start.s, q / problem.L_known), r.s)
 
     elif kind == "step_cap":
         growth = 2.0 * (1.0 - params.m) / params.m
-        lead = s0 * math.exp(growth)
-        for r in recs:
-            if r.k < 1:
+        for r, k_rel, start, _ in epochs():
+            if k_rel < 1:
                 continue
-            check(r.k, r.s, lead * r.k ** growth)
+            check(r.k, r.s, start.s * math.exp(growth) * k_rel ** growth)
 
     elif kind == "energy_monotone":
         factor = 1.0
@@ -160,8 +188,8 @@ def certify_rows(trace, problem, params, kind):
             factor = 1.0 - rho(params, problem.mu_known, problem.L_known)
             cert.constant_rho = 1.0 - factor
         prev = None
-        for r in recs:
-            if prev is not None and prev.energy is not None \
+        for r, _, _, same in epochs():
+            if same and prev.energy is not None \
                     and r.energy is not None and r.k == prev.k + 1:
                 check(r.k, r.energy, factor * prev.energy)
             prev = r
@@ -172,8 +200,8 @@ def certify_rows(trace, problem, params, kind):
     elif kind == "grad_summable":
         total = 0.0
         partials = []
-        for r in recs:
-            total += r.k ** 2 * r.grad_norm ** 2
+        for r, k_rel, _, _ in epochs():
+            total += k_rel ** 2 * r.grad_norm ** 2
             partials.append(total)
         if total > 0.0:
             half = partials[len(partials) // 2]

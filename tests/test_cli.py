@@ -1,9 +1,13 @@
+import itertools
 import os
 
 import pytest
 
 from adaagm.cli import main
+from adaagm.config import build_problem, load_config
 from adaagm.diagnostics import CERTIFICATE_KINDS
+from adaagm.schedule import default_params
+from adaagm.solver import read_trace_csv
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.ini")
 
@@ -183,12 +187,21 @@ def test_certify_default_profile_on_demo_trace(tmp_path, capsys):
         assert main(["certify", trace, "--problem", DEMO, "--profile", "default",
                      "--kind", kind]) == 0
     out = capsys.readouterr().out
-    # at the shipped thinning 10 no two recorded rows are adjacent, so the
-    # energy certificate compares nothing and says so
-    assert out.count("PASS") == len(CERTIFICATE_KINDS) - 1 and "FAIL" not in out
+    # at the shipped thinning 10 the only adjacent recorded rows are an
+    # epoch start off the thinning grid and its successor, and the energy
+    # certificate compares exactly those
+    recs = read_trace_csv(trace).records
+    params = default_params(build_problem(load_config(DEMO).problems[0]))
+    epoch = list(itertools.accumulate(r.t == params.t0 for r in recs))
+    pairs = sum(b.k == a.k + 1 and eb == ea
+                for a, b, ea, eb in zip(recs, recs[1:], epoch, epoch[1:]))
     lines = {line.split()[0]: line for line in out.splitlines()}
-    assert "VACUOUS checks=0 " in lines["kind=energy_monotone"]
-    assert all("checks=" in line for line in lines.values())
+    energy = lines.pop("kind=energy_monotone")
+    assert (f"PASS checks={pairs} " if pairs else "VACUOUS checks=0 ") in energy
+    assert all("PASS" in line for line in lines.values()) and "FAIL" not in out
+    epochs = epoch[-1]
+    assert epochs > 1 and all(f"epochs={epochs} " in line for line in out.splitlines())
+    assert all("checks=" in line for line in out.splitlines())
     assert "q=0.0625 " in out
     # the paper profile's m = 0.99 caps the step far below the steps taken
     assert main(["certify", trace, "--problem", DEMO, "--profile", "sc-2",

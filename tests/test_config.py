@@ -16,7 +16,8 @@ from adaagm.config import (
 )
 from adaagm.problems import SmoothProblem
 from adaagm.runner import run_experiment
-from adaagm.schedule import PROFILES
+from adaagm.schedule import PROFILES, default_params
+from adaagm.solver import read_trace_csv
 
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.ini")
 
@@ -336,7 +337,24 @@ class TestRunner:
         rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert len(rows) == 19
         assert rows[0] == ("problem,solver,seed,status,iterations,final_gap,"
-                           "final_grad_norm,q,certificates")
+                           "final_grad_norm,q,certificates,restarts")
+
+
+def test_summary_counts_restarts_of_default_cells_only(tmp_path):
+    config = load_config(DEMO_CONFIG)
+    config.output_dir = str(tmp_path / "out")
+    results = run_experiment(config)
+    rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert rows[0].split(",")[-1] == "restarts"
+    restarts = {(r.problem, r.solver, r.seed): r.restarts for r in results}
+    assert [int(row.split(",")[-1]) for row in rows[1:]] == list(restarts.values())
+    for (problem, solver, seed), n in restarts.items():
+        assert (n > 0) == (solver == "agm"), (problem, solver, seed)
+        if solver == "agm":  # every epoch start is a recorded row with t == t0
+            params = default_params(build_problem(config.problems[
+                [p.name for p in config.problems].index(problem)]))
+            trace = read_trace_csv(tmp_path / "out" / f"{problem}_agm_{seed}.csv")
+            assert sum(r.t == params.t0 for r in trace.records) == n + 1
 
 
 def test_demo_problems_load_no_scipy_linalg():

@@ -32,6 +32,7 @@ from conftest import (
     fitted_energy_contraction,
     random_quadratic,
     run_with_iterates,
+    start_values,
 )
 
 
@@ -127,19 +128,23 @@ class TestRateConstants:
     def test_initial_D_zero_at_minimizer(self):
         p = make_quadratic(np.diag([1.0, 100.0]), np.array([1.0, 100.0]))
         params = PROFILES["cor-4.4"]
-        assert initial_D(p.x_star, p, params, s0=1e-3) == pytest.approx((0.0, 0.0), abs=1e-12)
+        assert initial_D(*start_values(p.x_star, p), p.L_known, params, s0=1e-3) == \
+            pytest.approx((0.0, 0.0), abs=1e-12)
 
     def test_initial_D_requires_fields(self):
         p = make_quadratic(np.diag([1.0, 100.0]), np.array([1.0, 100.0]))
+        values = start_values(np.zeros(2), p)
         with pytest.raises(ValueError, match="s0"):
-            initial_D(np.zeros(2), p, PROFILES["cor-4.4"])
+            initial_D(*values, p.L_known, PROFILES["cor-4.4"])
+        with pytest.raises(ValueError, match="positive smoothness"):
+            initial_D(*values, 0.0, PROFILES["cor-4.4"], s0=1e-3)
 
     def test_min_form_is_used_when_smaller(self):
         p = make_quadratic(np.diag([1.0, 100.0]), np.array([1.0, 100.0]))
         params = PROFILES["cor-4.4"]
         x0 = np.array([5.0, -3.0])
         s0 = floor_q(params) / p.L_known
-        base, tightened = initial_D(x0, p, params, s0)
+        base, tightened = initial_D(*start_values(x0, p), p.L_known, params, s0)
         assert base > 0 and tightened > 0
 
 
@@ -199,7 +204,8 @@ class TestCertify:
     @pytest.mark.parametrize("kind, run", [("sublinear", "convex_run"),
                                            ("sublinear", "sc_run"),
                                            ("linear", "sc_run")])
-    def test_one_oracle_call_per_D_certificate(self, kind, run, request):
+    def test_no_oracle_call_per_D_certificate(self, kind, run, request):
+        # D comes from the trace's first row and x0 line, not from the oracle
         p, params, trace = request.getfixturevalue(run)
         calls = []
 
@@ -208,9 +214,11 @@ class TestCertify:
             return p.value_and_grad(x)
 
         cert = certify(trace, dataclasses.replace(p, value_and_grad=counted), params, kind)
-        assert len(calls) == 1
+        assert calls == []
         s0 = trace.records[0].s
-        assert cert.constant_D == min(initial_D(trace.x0, p, params, s0))
+        gap0, grad_sq0, dist_sq0 = start_values(trace.x0, p)
+        assert cert.constant_D == pytest.approx(
+            min(initial_D(gap0, grad_sq0, dist_sq0, p.L_known, params, s0)), rel=1e-14)
 
     def test_linear_requires_mu(self, convex_run):
         _, params, trace = convex_run
@@ -274,7 +282,7 @@ def assert_matches_rows(trace, problem, params, kind):
     assert cert.passed == ref.passed
     assert (cert.constant_q, cert.constant_D, cert.constant_rho) == \
         (ref.constant_q, ref.constant_D, ref.constant_rho)
-    assert cert.checks == ref.checks
+    assert (cert.checks, cert.epochs) == (ref.checks, ref.epochs)
     assert [k for k, _, _ in cert.violations] == [k for k, _, _ in ref.violations]
     for (k, lhs, rhs), (_, ref_lhs, ref_rhs) in zip(cert.violations, ref.violations):
         assert (type(k), type(lhs), type(rhs)) == (int, float, float)
@@ -343,6 +351,23 @@ class TestArrayCertifyMatchesRows:
         for kind, ks in expected.items():
             cert = assert_matches_rows(bad, p, params, kind)
             assert [k for k, _, _ in cert.violations] == ks
+
+    def test_corrupted_rows_of_a_restarted_trace(self, array_traces):
+        # bounds re-anchored at an epoch start catch what the first epoch's miss
+        p, params, trace = array_traces["quad-default-thin1"]
+        starts = [i for i, r in enumerate(trace.records) if r.t == params.t0]
+        assert len(starts) > 3
+        bad = copy.deepcopy(trace)
+        a = starts[2]
+        growth = 2.0 * (1.0 - params.m) / params.m
+        bad.records[a + 1].s = 2.0 * bad.records[a].s * math.exp(growth)  # above the epoch's cap
+        # a huge gradient at an epoch start adds nothing to the sum of k_rel^2*||g||^2
+        bad.records[starts[-1]].grad_norm = 1e3 * bad.records[0].grad_norm
+        cap = assert_matches_rows(bad, p, params, "step_cap")
+        assert [k for k, _, _ in cap.violations] == [bad.records[a + 1].k]
+        assert assert_matches_rows(bad, p, params, "grad_summable").passed
+        energy = assert_matches_rows(bad, p, params, "energy_monotone")
+        assert energy.passed and energy.epochs == len(starts)
 
     def test_trace_without_energies(self, array_traces):
         p, params, trace = array_traces["quad-sc-2-thin1"]

@@ -97,6 +97,33 @@ class TestLocalSmoothness:
             local_smoothness(np.array([1.0]), np.array([-1.0]), 5.0, 0.0,
                              np.array([1.0]), np.array([0.0]), 1.0)
 
+    def test_cancelled_denominator_falls_back_to_gradients(self):
+        # f = 0.5*x'Hx + c with f's change swamped by a large c: the computed
+        # denominator is negative, but inside sqrt(eps)*(|f|+|f|)
+        H = np.array([2.0, 8.0])
+        x0, x1 = np.array([1e-3, 0.0]), np.array([0.0, 1e-3])
+        g0, g1 = H * x0, H * x1
+        c = 1e6
+        f0 = 0.5 * H @ (x0 * x0) + c
+        f1 = 0.5 * H @ (x1 * x1) + c + 1e-5  # an error of 1e-11*|f| in f
+        assert float(g1 @ (x1 - x0)) - (f1 - f0) < -1e-12 * (abs(f1) + abs(f0) + 1.0)
+        dg, dx = g1 - g0, x1 - x0
+        est = local_smoothness(g1, g0, f1, f0, x1, x0, g1 @ g1)
+        assert est == pytest.approx((dg @ dg) / (dg @ dx), rel=1e-14)
+        assert est <= H.max()
+
+    def test_cancelled_denominator_without_monotone_gradients_is_zero(self):
+        g0, g1 = np.array([1e-9, 0.0]), np.array([0.0, 1e-9])
+        x0, x1 = np.zeros(2), np.array([1e-3, 0.0])  # <dg, dx> < 0
+        assert local_smoothness(g1, g0, 1.0 + 1e-11, 1.0, x1, x0, g1 @ g1) == 0.0
+
+    def test_negative_curvature_beyond_rounding_raises(self):
+        # the same pair as the cancellation test, but f rose by 1 > sqrt(eps)*2e6
+        H = np.array([2.0, 8.0])
+        x0, x1 = np.array([1e-3, 0.0]), np.array([0.0, 1e-3])
+        with pytest.raises(NonConvexInputError):
+            local_smoothness(H * x1, H * x0, 1e6 + 1.0, 1e6, x1, x0, (H * x1) @ (H * x1))
+
     def test_clamp_binds(self):
         # inflate the numerator so the raw ratio exceeds the clamp
         g0, g1 = np.array([0.0]), np.array([100.0])

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -118,9 +120,13 @@ class TestStopping:
 
 class TestThinning:
     def test_thin_keeps_every_nth_and_last(self, diag_problem):
+        # plus the first row of every restart epoch
         stop = StopCriteria(max_iters=25, grad_tol=0.0)
         trace = run_adaagm(diag_problem, stop=stop, x0=X0, thin=10)
-        assert [r.k for r in trace.records] == [0, 10, 20, 25]
+        dense = run_adaagm(diag_problem, stop=stop, x0=X0)
+        starts = {r.k for r in dense.records if r.t == dense.records[0].t}
+        assert starts - {0}
+        assert [r.k for r in trace.records] == sorted({0, 10, 20, 25} | starts)
 
     def test_thin_one_is_dense(self, diag_problem):
         stop = StopCriteria(max_iters=5, grad_tol=0.0)
@@ -168,9 +174,10 @@ class TestConvergence:
     def test_t_column_follows_recursion(self, diag_problem):
         stop = StopCriteria(max_iters=40, grad_tol=0.0)
         trace = run_adaagm(diag_problem, stop=stop, x0=X0)
-        m = default_params(diag_problem).m  # the params the run resolved
+        params = default_params(diag_problem)  # the params the run resolved
         for prev, curr in zip(trace.records, trace.records[1:]):
-            assert curr.t == pytest.approx(next_t(prev.t, m), rel=1e-14)
+            if curr.t != params.t0:  # t0 starts a restart epoch
+                assert curr.t == pytest.approx(next_t(prev.t, params.m), rel=1e-14)
 
     def test_L_estimates_never_exceed_L(self, diag_problem):
         stop = StopCriteria(max_iters=3000, grad_tol=1e-10)
@@ -355,12 +362,19 @@ class TestCsv:
         write_trace_csv(trace, path)
         lines = path.read_text().splitlines()
         data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-        assert lines[data_start] == "k,gap,grad_norm,s,t,L_est,energy"
+        assert lines[0] == "# format = 2"
+        assert lines[data_start] == "k,gap,grad_norm,s,t,L_est,energy,dist_sq"
 
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# x0 = 0\nk,gap,grad_norm,s,t,L_est,energy\n1,2,3\n")
         with pytest.raises(ValueError, match="malformed"):
+            read_trace_csv(path)
+
+    def test_unknown_format_rejected(self, tmp_path):
+        path = tmp_path / "future.csv"
+        path.write_text("# format = 3\n# x0 = 0\nk,gap,grad_norm,s,t,L_est,energy,dist_sq\n")
+        with pytest.raises(ValueError, match="format '3'"):
             read_trace_csv(path)
 
     def test_missing_x0_rejected(self, tmp_path):
@@ -396,8 +410,9 @@ class TestDefaultProfile:
         cases = [(diag_problem, "sc-2"), (convex, "cor-4.4")]
         for problem, name in cases:
             params = default_params(problem)
-            assert params == dataclasses.replace(PROFILES[name], m=0.5)
+            assert params == dataclasses.replace(PROFILES[name], m=0.5, restart=True)
             assert floor_q(params) == floor_q(PROFILES[name])
+        assert not any(p.restart for p in PROFILES.values())
 
     def test_fewer_iterations_than_sc2_on_ill_conditioned_quadratic(self):
         # condition number 1e3: at m = 0.99 the step creeps up from q/L
@@ -419,5 +434,91 @@ class TestDefaultProfile:
         for kind in CERTIFICATE_KINDS:  # all apply: mu > 0, x*, f* and L known
             cert = certify(trace, p, params, kind)
             assert cert.passed, (kind, cert.violations[:3])
+            assert cert.checks > 0 and cert.epochs > 1
         # the step grows past 1/L
         assert max(r.s for r in trace.records) * p.L_known > 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cond_1e6_quadratic_converges_without_raising(self, seed):
+        # g.dx and df cancel below f's rounding here; the curvature estimate
+        # falls back to the gradients instead of calling the input non-convex
+        p = _dense_quadratic(seed, n=60, cond=1e6)
+        x0 = 2.0 * np.random.default_rng(seed).standard_normal(p.dimension)
+        stop = StopCriteria(max_iters=100_000, grad_tol=1e-9)
+        trace = run_adaagm(p, default_params(p), stop, x0, thin=1000)
+        assert trace.records[-1].grad_norm <= 1e-9
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+class TestRestart:
+    """Adaptive restart: only ``profile = default`` restarts."""
+
+    @pytest.mark.parametrize("name", ["cor-4.4", "sc-2", "nesterov"])
+    def test_named_profiles_and_nesterov_keep_their_traces(self, diag_problem, name):
+        # the committed format-1 files were written before restart existed
+        old = read_trace_csv(os.path.join(DATA, f"format1_{name}.csv"))
+        stop = StopCriteria(max_iters=40, grad_tol=0.0)
+        if name == "nesterov":
+            new = run_nesterov(diag_problem, 0.01, stop, X0)
+        else:
+            new = run_adaagm(diag_problem, PROFILES[name], stop, X0)
+        assert old.algorithm == new.algorithm and np.array_equal(old.x0, new.x0)
+        assert [dataclasses.astuple(r) for r in old.records] == \
+            [dataclasses.astuple(r) for r in new.records]
+        assert all(r.dist_sq is None for r in old.records)
+        assert all(a.t < b.t for a, b in zip(new.records, new.records[1:]))
+
+    def test_epoch_starts_recorded_when_thinned(self, diag_problem):
+        stop = StopCriteria(max_iters=400, grad_tol=1e-12)
+        params = default_params(diag_problem)
+        dense = run_adaagm(diag_problem, params, stop, X0)
+        thinned = run_adaagm(diag_problem, params, stop, X0, thin=10)
+        starts = [r for r in dense.records if r.t == params.t0]
+        assert len(starts) > 2 and any(r.k % 10 for r in starts)
+        by_k = {r.k: r for r in thinned.records}
+        for r in starts:
+            assert by_k[r.k] == r
+        assert {r.k for r in thinned.records} == \
+            {r.k for r in dense.records if r.k % 10 == 0} | {r.k for r in starts} \
+            | {dense.records[-1].k}
+        # ||z - x*||^2 on every epoch start after the first, and nowhere else
+        assert [r.k for r in dense.records if r.dist_sq is not None] == \
+            [r.k for r in starts[1:]]
+
+    def test_epoch_is_a_fresh_run_from_its_start(self, diag_problem):
+        params = default_params(diag_problem)
+        stop = StopCriteria(max_iters=300, grad_tol=0.0)
+        trace, xs, ys = run_with_iterates(run_adaagm, diag_problem, params, stop, X0)
+        starts = [i for i, r in enumerate(trace.records) if r.t == params.t0]
+        assert len(starts) > 2
+        for a, b in zip(starts[1:], starts[2:]):
+            start = trace.records[a]
+            z = xs[a]
+            assert np.array_equal(z, ys[a])  # no extrapolation into the epoch
+            dz = z - diag_problem.x_star
+            assert start.dist_sq == float(dz @ dz)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a carried step may sit below q/L
+                fresh = run_adaagm(diag_problem, dataclasses.replace(params, s0=start.s),
+                                   StopCriteria(max_iters=b - a, grad_tol=0.0), z)
+            for own, new in zip(trace.records[a:b + 1], fresh.records):
+                assert (own.k - start.k, own.gap, own.grad_norm, own.s, own.t) == \
+                    (new.k, new.gap, new.grad_norm, new.s, new.t)
+                if own.k < trace.records[b].k:
+                    assert own.energy == new.energy
+            # the fresh run restarts where the epoch ends
+            assert fresh.records[-1].t == params.t0
+
+    def test_only_default_restarts_and_on_the_gradient_test(self, diag_problem):
+        stop = StopCriteria(max_iters=300, grad_tol=0.0)
+        for params in PROFILES.values():
+            trace = run_adaagm(diag_problem, params, stop, X0)
+            assert [r.k for r in trace.records if r.t == params.t0] == [0]
+        params = default_params(diag_problem)
+        trace, xs, ys = run_with_iterates(run_adaagm, diag_problem, params, stop, X0)
+        fired = [r.k - 1 for r in trace.records[1:] if r.t == params.t0]
+        tested = [k for k in range(len(xs) - 1)
+                  if diag_problem.value_and_grad(xs[k])[1] @ (ys[k + 1] - ys[k]) > 0.0]
+        assert len(fired) > 2 and fired == tested
