@@ -13,7 +13,7 @@ each restart epoch's from that epoch's first row);
 a run.
 
 Exit codes: 0 success, 1 configuration error, 2 at least one cell diverged
-or failed on its inputs.
+or failed on its inputs, 3 ``certify`` found a violation (printed ``FAIL``).
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def _cmd_certify(args) -> int:
         out = os.path.join(args.out, f"violations_{args.kind}.csv")
         write_violations_csv([cert], out)
         print(f"violations written to {out}")
-    return 0
+    return 0 if cert.passed else 3
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -59,7 +59,7 @@ def energy(x_next: Array, y_next: Array, grad_sq: float, f_x: float, t: float,
     ``grad_sq`` is ||grad f(x_k)||^2.
     """
     ph = phi(x_next, y_next, t_next, x_star)
-    return (0.5 * float(ph @ ph)
+    return (0.5 * float(ph.dot(ph))
             + 0.5 * params.beta * params.gamma ** 2 * t ** 2 * s ** 2 * grad_sq
             + params.gamma * t ** 2 * s * (f_x - f_star))
 
@@ -115,8 +115,9 @@ class RateCertificate:
     """Outcome of checking one inequality along a trace.
 
     ``checks`` counts the inequalities evaluated; a certificate with no
-    checks and no violations passed vacuously.  ``epochs`` counts the
-    restart epochs the trace holds; ``constant_D`` is the first epoch's.
+    checks and no violations passed vacuously.  ``max_violation_rel`` is the
+    worst (lhs - rhs)/(1 + |rhs|), negative on a pass, -inf without checks.
+    ``epochs`` counts the restart epochs; ``constant_D`` is the first epoch's.
     """
 
     kind: str
@@ -124,7 +125,7 @@ class RateCertificate:
     constant_D: Optional[float] = None
     constant_rho: Optional[float] = None
     violations: list[tuple[int, float, float]] = field(default_factory=list)
-    max_violation_rel: float = 0.0
+    max_violation_rel: float = -math.inf
     checks: int = 0
     epochs: int = 1
 
@@ -234,7 +235,8 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
         _require(problem, kind, "L_known")
         s = np.array([r.s for r in recs], dtype=float)
         floor = np.minimum(s[first], q / problem.L_known)
-        check(k, floor[epoch], s)  # violation when s_k < floor
+        later = k_rel >= 1  # an epoch's first row meets its own floor by construction
+        check(k[later], floor[epoch[later]], s[later])  # violation when s_k < floor
 
     elif kind == "step_cap":
         growth = 2.0 * (1.0 - params.m) / params.m
@@ -267,7 +269,7 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
             cert.checks = 1
             if increment > 0.01:
                 cert.violations.append((recs[-1].k, increment, 0.01))
-            cert.max_violation_rel = max(0.0, increment - 0.01)
+            cert.max_violation_rel = increment - 0.01
 
     return cert
 
@@ -276,7 +278,7 @@ def format_certificates(certs: list[RateCertificate]) -> str:
     """One summary line per certificate: kind, constants, verdict, checks, worst slack.
 
     The verdict is ``VACUOUS`` for a certificate that checked nothing and
-    so cannot have failed.
+    so cannot have failed; its worst slack prints as ``n/a``.
     """
     lines = []
     for c in certs:
@@ -289,7 +291,7 @@ def format_certificates(certs: list[RateCertificate]) -> str:
         verdict = "PASS" if c.checks else "VACUOUS"
         parts.append(verdict if c.passed else f"FAIL({len(c.violations)})")
         parts.append(f"checks={c.checks}")
-        parts.append(f"worst_rel={c.max_violation_rel:.3e}")
+        parts.append(f"worst_rel={c.max_violation_rel:.3e}" if c.checks else "worst_rel=n/a")
         lines.append(" ".join(parts))
     return "\n".join(lines)
 

@@ -87,8 +87,8 @@ def make_quadratic(matrix, offset, name: str = "quadratic") -> SmoothProblem:
                          "the quadratic has no minimizer")
 
     def value_and_grad(x: Array) -> tuple[float, Array]:
-        Ax = A @ x
-        return float(0.5 * x @ Ax - b @ x), Ax - b
+        Ax = A.dot(x)
+        return 0.5 * float(x.dot(Ax)) - float(b.dot(x)), Ax - b
 
     prob = SmoothProblem(
         dimension=n, value_and_grad=value_and_grad,
@@ -125,14 +125,14 @@ def make_log_sum_exp(rows, shifts, temperature: float,
         # m entries tied at the maximum leave the sum and come back as
         # log(m).  SciPy skips s/m when s == 0; 0/m is 0 for m >= 1, and
         # m == 0 only when z holds a NaN, which makes s NaN either way.
-        z = (A @ x + b) / t
-        zmax = z.max(keepdims=True)
+        z = (A.dot(x) + b) / t
+        zmax = np.maximum.reduce(z)
         e = np.exp(z - zmax)
         tied = z == zmax
-        m = tied.sum(keepdims=True, dtype=float)
-        s = np.where(tied, 0.0, e).sum(keepdims=True) / m
+        m = np.count_nonzero(tied)
+        s = np.add.reduce(np.where(tied, 0.0, e)) / m
         lse = np.log1p(s) + np.log(m) + zmax
-        return t * float(lse[0]), A.T @ (e / e.sum())
+        return t * float(lse), A.T.dot(e / np.add.reduce(e))
 
     return SmoothProblem(
         dimension=A.shape[1], value_and_grad=value_and_grad,
@@ -179,11 +179,11 @@ def make_logistic(features, labels, ridge: float,
     sigma_max = float(np.linalg.norm(A, 2))
 
     def value_and_grad(x: Array) -> tuple[float, Array]:
-        neg_margins = -(y * (A @ x))
+        neg_margins = -(y * A.dot(x))
         losses = np.logaddexp(0.0, neg_margins)  # log(1 + exp(-m))
-        f = float(np.sum(losses)) + 0.5 * ridge * float(x @ x)
+        f = float(np.add.reduce(losses)) + 0.5 * ridge * float(x.dot(x))
         # sigma(-m) = exp(-m - log(1 + exp(-m))); the exponent is <= 0
-        return f, -(A.T @ (y * np.exp(neg_margins - losses))) + ridge * x
+        return f, -(A.T.dot(y * np.exp(neg_margins - losses))) + ridge * x
 
     prob = SmoothProblem(
         dimension=A.shape[1], value_and_grad=value_and_grad,

@@ -150,7 +150,7 @@ def local_smoothness(g_next, g_prev, f_next: float, f_prev: float,
     if diff_norm <= 1e-14 * (1.0 + math.sqrt(gg_next)):
         return 0.0
     dx = x_next - x_prev
-    denom = float(g_next @ dx) - (f_next - f_prev)
+    denom = float(g_next.dot(dx)) - (f_next - f_prev)
     num = 0.5 * diff_norm * diff_norm
     if denom <= 0.0:
         f_size = abs(f_next) + abs(f_prev)
@@ -161,7 +161,7 @@ def local_smoothness(g_next, g_prev, f_next: float, f_prev: float,
                 f"negative curvature denominator {denom:.3e}: inputs are not "
                 "from a convex smooth objective"
             )
-        monotone = float(diff @ dx)
+        monotone = float(diff.dot(dx))
         if not monotone > 0.0:
             return 0.0
         num, denom = diff_norm * diff_norm, monotone

@@ -188,18 +188,20 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
     x0 = np.zeros(problem.dimension) if x0 is None else np.asarray(x0, dtype=float)
     stop = stop or StopCriteria()
     adaptive = algorithm == "adaagm"
+    # loop invariants, read once
+    f_star, x_star, L_known = problem.f_star, problem.x_star, problem.L_known
+    t0, m, gamma, max_iters = params.t0, params.m, params.gamma, stop.max_iters
+    has_gap = f_star is not None
+    gap_tol = stop.gap_tol if has_gap and stop.gap_tol is not None else 0.0
+    has_energy = adaptive and has_gap and x_star is not None
+    restart = adaptive and params.restart
 
-    x = x0.copy()
-    y = x0.copy()
+    x, y = x0.copy(), x0.copy()
     f_x, g_x, gg_x = _evaluate(problem, x, 0)
     grad_tol = _resolved_grad_tol(stop, g_x)
     s = _probe_s0(problem, x0, g_x, f_x, params) if s0 is None else s0
-    t, t_next = params.t0, next_t(params.t0, params.m)
+    t, t_next = t0, next_t(t0, m)
     t1 = t_next
-
-    has_gap = problem.f_star is not None
-    has_energy = adaptive and has_gap and problem.x_star is not None
-    restart = adaptive and params.restart
 
     records: list[TraceRecord] = []
     L_curr = 0.0 if adaptive else None
@@ -208,20 +210,16 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
     restarted = False
     while True:
         grad_norm = math.sqrt(gg_x)  # np.linalg.norm's own formula, bit for bit
-        gap = f_x - problem.f_star if has_gap else None
-        stopping = (
-            k >= stop.max_iters
-            or (grad_tol > 0.0 and grad_norm <= grad_tol)
-            or (stop.gap_tol is not None and stop.gap_tol > 0.0
-                and has_gap and gap <= stop.gap_tol)
-        )
+        gap = f_x - f_star if has_gap else None
+        stopping = (k >= max_iters or (grad_tol > 0.0 and grad_norm <= grad_tol)
+                    or (gap_tol > 0.0 and gap <= gap_tol))
         rec = None
         if k % thin == 0 or stopping or restarted:
             rec = TraceRecord(k=k, gap=gap, grad_norm=grad_norm, s=s,
                               t=None if algorithm == "gd" else t, L_est=L_curr)
-            if restarted and problem.x_star is not None:
-                dz = x - problem.x_star
-                rec.dist_sq = float(dz @ dz)
+            if restarted and x_star is not None:
+                dz = x - x_star
+                rec.dist_sq = float(dz.dot(dz))
             records.append(rec)
         if stopping:
             break
@@ -229,26 +227,26 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
         y_next = x - s * g_x
         dy = y_next - y
         x_next = y_next + (t - 1.0) / t_next * dy
-        if params.gamma != 1.0:  # at gamma = 1 the correction is exactly zero
-            x_next = x_next + (params.gamma - 1.0) * t / t_next * (y_next - x)
-        restarted = restart and float(g_x @ dy) > 0.0
+        if gamma != 1.0:  # at gamma = 1 the correction is exactly zero
+            x_next = x_next + (gamma - 1.0) * t / t_next * (y_next - x)
+        restarted = restart and float(g_x.dot(dy)) > 0.0
         # x_next stays the epoch's extrapolation, which the energy row needs
         x_eval = y_next if restarted else x_next
         f_next, g_next, gg_next = _evaluate(problem, x_eval, k + 1)
 
         if adaptive:
             L_curr = local_smoothness(g_next, g_x, f_next, f_x, x_eval, x, gg_next,
-                                      clamp=problem.L_known,
+                                      clamp=L_known,
                                       underflow_fallback=(L_seen or None))
             L_seen = max(L_seen, L_curr)
             if rec is not None and has_energy:
                 rec.energy = diagnostics.energy(x_next, y_next, gg_x, f_x, t, t_next, s,
-                                                problem.x_star, problem.f_star, params)
+                                                x_star, f_star, params)
             s = advance_step(t_next, s, L_curr, params)
         if restarted:
-            t, t_next = params.t0, t1
+            t, t_next = t0, t1
         else:
-            t, t_next = t_next, next_t(t_next, params.m)
+            t, t_next = t_next, next_t(t_next, m)
 
         x, y, f_x, g_x, gg_x = x_eval, y_next, f_next, g_next, gg_next
         k += 1

@@ -171,7 +171,8 @@ def certify_rows(trace, problem, params, kind):
     elif kind == "step_floor":
         _require(problem, kind, "L_known")
         for r, _, start, _ in epochs():
-            check(r.k, min(start.s, q / problem.L_known), r.s)
+            if r is not start:  # an epoch's first row meets its own floor by construction
+                check(r.k, min(start.s, q / problem.L_known), r.s)
 
     elif kind == "step_cap":
         growth = 2.0 * (1.0 - params.m) / params.m
@@ -209,7 +210,7 @@ def certify_rows(trace, problem, params, kind):
             cert.checks = 1
             if increment > 0.01:
                 cert.violations.append((recs[-1].k, increment, 0.01))
-            cert.max_violation_rel = max(0.0, increment - 0.01)
+            cert.max_violation_rel = increment - 0.01
 
     return cert
 

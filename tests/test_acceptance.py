@@ -94,7 +94,7 @@ def test_criterion_2_step_cap():
 
 def test_criterion_3_sublinear_certificates(convex_suite):
     params, runs, elapsed = convex_suite
-    worst = 0.0
+    worst = -math.inf  # the certificates report their negative slack
     violations = 0
     for p, trace in runs:
         cert = certify(trace, p, params, "sublinear")
@@ -141,7 +141,7 @@ def strongly_convex_suite():
 def test_criterion_5_linear_certificates(strongly_convex_suite):
     params, runs = strongly_convex_suite
     violations = 0
-    worst = 0.0
+    worst = -math.inf
     contraction_ok = True
     details = []
     for p, trace in runs:
@@ -160,7 +160,7 @@ def test_criterion_5_linear_certificates(strongly_convex_suite):
 def test_criterion_6_energy_monotone(convex_suite):
     params, runs, _ = convex_suite
     violations = 0
-    worst = 0.0
+    worst = -math.inf
     for p, trace in runs:
         cert = certify(trace, p, params, "energy_monotone")
         violations += len(cert.violations)

@@ -145,11 +145,15 @@ class TestCertify:
         out = capsys.readouterr().out
         assert "kind=sublinear" in out and "PASS" in out
 
-    def test_all_kinds_on_real_trace(self, trace_path, config_path):
-        for kind in ("sublinear", "step_floor", "step_cap", "energy_monotone",
-                     "grad_summable"):
+    def test_all_kinds_on_real_trace(self, trace_path, config_path, capsys):
+        for kind in ("sublinear", "step_floor", "step_cap", "energy_monotone"):
             assert main(["certify", trace_path, "--problem", config_path,
                          "--profile", "cor-4.4", "--kind", kind]) == 0
+        # the convex profile's runs do not promise summable gradients (the
+        # runner never applies this kind to them); this one fails, with exit 3
+        assert main(["certify", trace_path, "--problem", config_path,
+                     "--profile", "cor-4.4", "--kind", "grad_summable"]) == 3
+        assert "FAIL(1)" in capsys.readouterr().out
 
     def test_violations_csv_written(self, trace_path, config_path, tmp_path):
         out_dir = tmp_path / "certs"
@@ -203,7 +207,20 @@ def test_certify_default_profile_on_demo_trace(tmp_path, capsys):
     assert epochs > 1 and all(f"epochs={epochs} " in line for line in out.splitlines())
     assert all("checks=" in line for line in out.splitlines())
     assert "q=0.0625 " in out
-    # the paper profile's m = 0.99 caps the step far below the steps taken
+    # the paper profile's m = 0.99 caps the step far below the steps taken;
+    # a failed certificate has its own exit code
     assert main(["certify", trace, "--problem", DEMO, "--profile", "sc-2",
-                 "--kind", "step_cap"]) == 0
+                 "--kind", "step_cap"]) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_passing_certificates_show_their_slack(capsys):
+    # the demo's quad_agm_0 trace (seed 0, thinning 10): every kind passes
+    # and prints the negative worst relative slack it held by
+    trace = os.path.join(os.path.dirname(__file__), "data", "format2_default_quad.csv")
+    for kind in CERTIFICATE_KINDS:
+        assert main(["certify", trace, "--problem", DEMO, "--profile", "default",
+                     "--kind", kind]) == 0
+        line = capsys.readouterr().out.strip()
+        assert " PASS checks=" in line
+        assert float(line.rsplit(" worst_rel=", 1)[1]) < 0.0

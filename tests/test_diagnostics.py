@@ -330,10 +330,11 @@ class TestArrayCertifyMatchesRows:
         one = Trace(records=[copy.copy(trace.records[0])], x0=trace.x0, algorithm="adaagm")
         checks = {kind: assert_matches_rows(one, p, params, kind).checks
                   for kind in CERTIFICATE_KINDS}
-        assert checks == {"sublinear": 1, "linear": 1, "step_floor": 1, "step_cap": 0,
+        assert checks == {"sublinear": 1, "linear": 1, "step_floor": 0, "step_cap": 0,
                           "energy_monotone": 0, "grad_summable": 0}
         text = format_certificates([certify(one, p, params, "step_cap")])
         assert "VACUOUS checks=0 " in text and "PASS" not in text
+        assert text.endswith(" worst_rel=n/a")
 
     @pytest.mark.parametrize("thin", [1, 10])
     def test_corrupted_rows(self, array_traces, thin):
