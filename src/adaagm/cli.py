@@ -22,7 +22,7 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, build_problem, load_config, validate_config
+from .config import build_problem, load_config, validate_config
 from .diagnostics import CERTIFICATE_KINDS, certify, format_certificates, write_violations_csv
 from .runner import run_experiment
 from .schedule import PROFILES, default_params
@@ -32,16 +32,12 @@ from .solver import read_trace_csv
 def _cmd_run(args) -> int:
     try:
         config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    if args.out:
-        config.output_dir = args.out
-    if args.thin is not None:
-        config.thinning = args.thin
-    try:
+        if args.out:
+            config.output_dir = args.out
+        if args.thin is not None:
+            config.thinning = args.thin
         results = run_experiment(config)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     for r in results:
@@ -78,7 +74,7 @@ def _cmd_certify(args) -> int:
         params = (default_params(problem) if args.profile == "default"
                   else PROFILES[args.profile])
         cert = certify(trace, problem, params, args.kind)
-    except ValueError as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     print(format_certificates([cert]))

@@ -22,8 +22,9 @@ Layout::
 Problem kinds: ``quadratic`` (diag or matrix_csv, offset or offset_csv),
 ``log_sum_exp`` (rows or rows_csv, shifts, temperature, symmetric),
 ``logistic`` (features or features_csv, labels, ridge).  Inline matrices
-use ';' between rows and spaces between entries.  Solver profiles are the
-named ones from :mod:`adaagm.schedule`, ``custom`` with explicit fields, or
+use ';' between rows and spaces between entries.  Values are taken
+literally (no ``%`` interpolation).  Solver profiles are the named ones
+from :mod:`adaagm.schedule`, whose fields the parameter keys override, or
 ``default`` (also when ``profile`` is absent), which
 :func:`~adaagm.schedule.default_params` resolves per problem; only
 ``default`` restarts, and no key turns restart on or off.
@@ -113,7 +114,7 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 def load_config(path) -> ExperimentConfig:
     """Parse and structurally validate a config file; raises ConfigError."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -161,8 +162,6 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(f"unknown section [{section}]")
         except ConfigError:
             raise
-        except KeyError as exc:
-            raise ConfigError(f"[{section}]: missing key {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"[{section}]: {exc}") from exc
 
@@ -196,28 +195,17 @@ def _parse_solver(name: str, items: dict[str, str], section: str) -> SolverSpec:
     profile = items.get("profile", "default")
     if algorithm == "adaagm":
         fields = sorted(set(items) & _PARAM_KEYS)
-        if profile == "custom":
-            params = AlgoParams(
-                m=float(items["m"]), t0=float(items["t0"]),
-                gamma=float(items["gamma"]), beta=float(items["beta"]),
-                omega=float(items.get("omega", 0.0)),
-                delta=float(items.get("delta", 0.0)),
-                s0=float(items["s0"]) if "s0" in items else None,
-            )
-        elif profile == "default":
+        if profile == "default":
             # resolved per problem (convex vs strongly convex), so a field set
             # here would be silently dropped
             if fields:
                 raise ValueError(f"profile = default takes no {', '.join(fields)}; "
-                                 "name a profile or use profile = custom")
+                                 "name a profile to set them")
         elif profile in PROFILES:
             params = get_profile(profile, **{key: float(items[key]) for key in fields})
+            validate_params(params)
         else:
             raise ConfigError(f"[{section}]: unknown profile {profile!r}")
-        if params is not None:
-            report = validate_params(params)
-            if not report.valid:
-                raise ConfigError(f"[{section}]: " + "; ".join(report.failures))
     return SolverSpec(name=name, algorithm=algorithm, params=params, step=step, stop=stop)
 
 
@@ -229,13 +217,16 @@ def build_problem(spec: ProblemSpec, base_dir: str = ".") -> SmoothProblem:
         p = opts[key]
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
+    def matrix(key: str, csv_key: str, parse) -> np.ndarray:
+        """The matrix from ``csv_key``'s file, else parsed from ``key``'s text."""
+        if csv_key in opts:
+            return load_matrix_csv(path_of(csv_key))
+        if key in opts:
+            return parse(opts[key])
+        raise ConfigError(f"problem {spec.name}: needs {key} or {csv_key}")
+
     if spec.kind == "quadratic":
-        if "matrix_csv" in opts:
-            A = load_matrix_csv(path_of("matrix_csv"))
-        elif "diag" in opts:
-            A = np.diag(_parse_vector(opts["diag"]))
-        else:
-            raise ConfigError(f"problem {spec.name}: needs diag or matrix_csv")
+        A = matrix("diag", "matrix_csv", lambda text: np.diag(_parse_vector(text)))
         if "offset_csv" in opts:
             b = load_matrix_csv(path_of("offset_csv")).ravel()
         else:
@@ -243,12 +234,7 @@ def build_problem(spec: ProblemSpec, base_dir: str = ".") -> SmoothProblem:
         return make_quadratic(A, b, name=spec.name)
 
     if spec.kind == "log_sum_exp":
-        if "rows_csv" in opts:
-            rows = load_matrix_csv(path_of("rows_csv"))
-        elif "rows" in opts:
-            rows = _parse_matrix(opts["rows"])
-        else:
-            raise ConfigError(f"problem {spec.name}: needs rows or rows_csv")
+        rows = matrix("rows", "rows_csv", _parse_matrix)
         temperature = float(opts.get("temperature", 1.0))
         if opts.get("symmetric", "").lower() in ("1", "true", "yes"):
             return make_symmetric_log_sum_exp(rows, temperature, name=spec.name)
@@ -256,12 +242,9 @@ def build_problem(spec: ProblemSpec, base_dir: str = ".") -> SmoothProblem:
         return make_log_sum_exp(rows, shifts, temperature, name=spec.name)
 
     if spec.kind == "logistic":
-        if "features_csv" in opts:
-            A = load_matrix_csv(path_of("features_csv"))
-        elif "features" in opts:
-            A = _parse_matrix(opts["features"])
-        else:
-            raise ConfigError(f"problem {spec.name}: needs features or features_csv")
+        A = matrix("features", "features_csv", _parse_matrix)
+        if "labels" not in opts:
+            raise ConfigError(f"problem {spec.name}: needs labels")
         labels = _parse_vector(opts["labels"])
         return make_logistic(A, labels, float(opts.get("ridge", 0.0)), name=spec.name)
 
@@ -304,7 +287,9 @@ def validate_config(path) -> ConfigReport:
             continue
         try:
             problems.append(build_problem(spec, config.base_dir))
-        except (ConfigError, ValueError, OSError) as exc:
+        except ConfigError as exc:  # already names the problem
+            report.errors.append(str(exc))
+        except (ValueError, OSError) as exc:
             report.errors.append(f"problem {spec.name}: {exc}")
 
     for spec in config.solvers:
@@ -315,7 +300,7 @@ def validate_config(path) -> ConfigReport:
             # load_config has already rejected invalid parameter sets
             report.warnings.extend(
                 f"solver {spec.name} on problem {problem.name}: {w}"
-                for w in validate_params(params, problem.L_known).warnings)
+                for w in validate_params(params, problem.L_known))
             report.solver_floors[(spec.name, problem.name)] = floor_q(params)
 
     report.ok = not report.errors

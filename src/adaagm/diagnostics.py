@@ -100,7 +100,7 @@ def rho(params: AlgoParams, mu: float, L: float) -> float:
         raise ValueError("rho requires mu > 0")
     if mu > L:
         raise ValueError("rho requires mu <= L")
-    if not (params.omega == 0.5 and params.delta == 0.5):
+    if not params.linear_rate:
         raise ValueError("rho is defined for the omega = delta = 1/2 profile")
     q = floor_q(params)
     b, g = params.beta, params.gamma
@@ -171,7 +171,9 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
 
     Each kind reads the trace columns it needs as float arrays (an empty
     entry becomes NaN) and evaluates its inequality over all rows at once.
-    A row whose inequality involves NaN is neither a violation nor a check.
+    A row whose inequality involves NaN is neither a violation nor a check,
+    and neither is a ``step_cap`` row whose cap overflows to +inf (m below
+    about 0.0028).
 
     When ``params.restart`` is set, every kind re-anchors at each restart
     epoch, the rows from one with t == params.t0 to the next: k counts
@@ -212,24 +214,18 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
             cert.violations += [(int(at[i]), float(lhs[i]), float(rhs[i])) for i in bad]
         cert.max_violation_rel = float(np.fmax.reduce(rel, initial=cert.max_violation_rel))
 
-    if kind == "sublinear":
+    if kind in ("sublinear", "linear"):
         _require(problem, kind, "x_star", "f_star", "L_known")
+        decay = 1.0  # linear: (1 - rho)^k, k counted from the epoch's start
+        if kind == "linear":
+            if problem.mu_known is None or problem.mu_known <= 0:
+                raise ValueError("the linear certificate needs mu_known > 0")
+            cert.constant_rho = rho(params, problem.mu_known, problem.L_known)
+            decay = np.exp(k_rel * math.log1p(-cert.constant_rho))
         D = _epoch_D(trace, first, problem, params)
         cert.constant_D = float(D[0])
         gap = np.array([r.gap for r in recs], dtype=float)
-        check(k, gap, D[epoch] * problem.L_known / t ** 2)
-
-    elif kind == "linear":
-        _require(problem, kind, "x_star", "f_star", "L_known")
-        if problem.mu_known is None or problem.mu_known <= 0:
-            raise ValueError("the linear certificate needs mu_known > 0")
-        rho_val = rho(params, problem.mu_known, problem.L_known)
-        D = _epoch_D(trace, first, problem, params)
-        cert.constant_D = float(D[0])
-        cert.constant_rho = rho_val
-        gap = np.array([r.gap for r in recs], dtype=float)
-        check(k, gap, D[epoch] * problem.L_known / t ** 2
-              * np.exp(k_rel * math.log1p(-rho_val)))
+        check(k, gap, D[epoch] * problem.L_known / t ** 2 * decay)
 
     elif kind == "step_floor":
         _require(problem, kind, "L_known")
@@ -241,15 +237,20 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
     elif kind == "step_cap":
         growth = 2.0 * (1.0 - params.m) / params.m
         s = np.array([r.s for r in recs], dtype=float)
-        lead = s[first] * math.exp(growth)
+        try:
+            lead = s[first] * math.exp(growth)
+        except OverflowError:  # m below about 0.0028
+            lead = np.full(len(first), math.inf)
         later = k_rel >= 1
-        check(k[later], s[later], lead[epoch[later]] * k_rel[later] ** growth)
+        with np.errstate(over="ignore"):
+            cap = lead[epoch[later]] * k_rel[later] ** growth
+        cap[cap == math.inf] = math.nan  # an infinite cap bounds nothing
+        check(k[later], s[later], cap)
 
     elif kind == "energy_monotone":
         factor = 1.0
-        if (params.omega == 0.5 and params.delta == 0.5
-                and problem.mu_known is not None and problem.mu_known > 0
-                and problem.L_known is not None):
+        if (params.linear_rate and problem.mu_known is not None
+                and problem.mu_known > 0 and problem.L_known is not None):
             factor = 1.0 - rho(params, problem.mu_known, problem.L_known)
             cert.constant_rho = 1.0 - factor
         e = np.array([r.energy for r in recs], dtype=float)

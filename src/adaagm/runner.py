@@ -41,17 +41,12 @@ class CellResult:
 
 
 def _applicable_certificates(problem: SmoothProblem, params: AlgoParams) -> list[str]:
-    kinds: list[str] = []
-    has_L = problem.L_known is not None and problem.L_known > 0
-    has_sol = problem.x_star is not None and problem.f_star is not None
-    strongly = problem.mu_known is not None and problem.mu_known > 0
-    sc_profile = params.omega == 0.5 and params.delta == 0.5
-    if has_L:
-        kinds += ["step_floor", "step_cap"]
-    if has_L and has_sol:
-        kinds.append("sublinear")
-        kinds.append("energy_monotone")
-        if strongly and sc_profile:
+    if problem.L_known is None or problem.L_known <= 0:
+        return []
+    kinds = ["step_floor", "step_cap"]
+    if problem.x_star is not None and problem.f_star is not None:
+        kinds += ["sublinear", "energy_monotone"]
+        if problem.mu_known is not None and problem.mu_known > 0 and params.linear_rate:
             kinds += ["linear", "grad_summable"]
     return kinds
 

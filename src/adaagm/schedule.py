@@ -18,7 +18,7 @@ the estimate L_{k+1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 
@@ -47,6 +47,12 @@ class AlgoParams:
     delta: float = 0.0
     s0: Optional[float] = None
     restart: bool = False
+
+    @property
+    def linear_rate(self) -> bool:
+        """omega = delta = 1/2: the setting whose runs contract linearly
+        under strong convexity, and for which rho is defined."""
+        return self.omega == 0.5 and self.delta == 0.5
 
 
 #: Named parameter profiles exposed to configs.  The two convex profiles have
@@ -199,22 +205,14 @@ def advance_step(t_next: float, s: float, L_hat: float, params: AlgoParams) -> f
     return s_next
 
 
-@dataclass
-class ValidationReport:
-    """Per-clause outcome of parameter validation."""
+def validate_params(params: AlgoParams, L_known: Optional[float] = None) -> list[str]:
+    """Check every standing assumption on the parameters; return the warnings.
 
-    valid: bool
-    failures: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-
-def validate_params(params: AlgoParams, L_known: Optional[float] = None) -> ValidationReport:
-    """Check every standing assumption on the parameters.
-
-    The binding clause is the step-growth condition
-    (2/((1+beta)*gamma))*(1 - 1/t0) >= 1, which forces t0 > 1 and
-    gamma in (0, 2).  m = 1 is accepted with a warning: the A-candidate
-    degenerates to 1 and the step can no longer grow through it.
+    Raises ``ValueError`` naming every failed clause.  The binding clause is
+    the step-growth condition (2/((1+beta)*gamma))*(1 - 1/t0) >= 1, which
+    forces t0 > 1 and gamma in (0, 2).  m = 1 is accepted with a warning:
+    the A-candidate degenerates to 1 and the step can no longer grow
+    through it.
     """
     failures: list[str] = []
     warnings: list[str] = []
@@ -242,13 +240,15 @@ def validate_params(params: AlgoParams, L_known: Optional[float] = None) -> Vali
                 "step-growth condition fails: "
                 f"(2/((1+beta)*gamma))*(1-1/t0) = {growth:.6g} < 1"
             )
+    if failures:
+        raise ValueError("invalid parameters: " + "; ".join(failures))
 
-    if (not failures and params.t0 > 1.0 and params.s0 is not None
-            and L_known is not None and L_known > 0):
+    # the step-growth condition holds, so t0 > 1 and q is defined
+    if params.s0 is not None and L_known is not None and L_known > 0:
         s0_floor = floor_q(params) / L_known
         if params.s0 < s0_floor * (1.0 - 1e-12):
             warnings.append(
                 f"s0={params.s0:.6g} is below the floor q/L={s0_floor:.6g}; "
                 "the step floor degrades to min(s0, q/L)"
             )
-    return ValidationReport(valid=not failures, failures=failures, warnings=warnings)
+    return warnings

@@ -146,12 +146,6 @@ def _evaluate(problem: SmoothProblem, x: Array, k: int) -> tuple[float, Array, f
     return f, g, gg
 
 
-def _resolved_grad_tol(stop: StopCriteria, g0: Array) -> float:
-    if stop.grad_tol is not None:
-        return stop.grad_tol
-    return 1e-10 * (1.0 + float(np.linalg.norm(g0)))
-
-
 def _probe_s0(problem: SmoothProblem, x0: Array, g0: Array, f0: float,
               params: AlgoParams) -> float:
     """Initial step from a unit-scaled trial step when L is unknown.
@@ -198,7 +192,9 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
 
     x, y = x0.copy(), x0.copy()
     f_x, g_x, gg_x = _evaluate(problem, x, 0)
-    grad_tol = _resolved_grad_tol(stop, g_x)
+    grad_tol = stop.grad_tol
+    if grad_tol is None:  # StopCriteria's scale-free default
+        grad_tol = 1e-10 * (1.0 + float(np.linalg.norm(g_x)))
     s = _probe_s0(problem, x0, g_x, f_x, params) if s0 is None else s0
     t, t_next = t0, next_t(t0, m)
     t1 = t_next
@@ -264,10 +260,7 @@ def run_adaagm(problem: SmoothProblem, params: Optional[AlgoParams] = None,
     """
     if params is None:
         params = default_params(problem)
-    report = validate_params(params, L_known=problem.L_known)
-    if not report.valid:
-        raise ValueError("invalid parameters: " + "; ".join(report.failures))
-    for message in report.warnings:
+    for message in validate_params(params, L_known=problem.L_known):
         warnings.warn(message, stacklevel=2)
     s0 = params.s0
     if s0 is None and problem.L_known is not None and problem.L_known > 0:

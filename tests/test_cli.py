@@ -66,8 +66,6 @@ class TestValidate:
     pytest.param("thinning = 1", "thinning = x", "[experiment]", "'x'", id="thinning"),
     pytest.param("profile = cor-4.4", "profile = cor-4.4\nm = abc", "[solver agm]",
                  "'abc'", id="m"),
-    pytest.param("profile = cor-4.4", "profile = custom\nm = 0.99\nt0 = 3\nbeta = 0.3",
-                 "[solver agm]", "missing key 'gamma'", id="custom-without-gamma"),
     pytest.param("grad_tol = 1e-9", "grad_tol = -1", "[solver agm]",
                  "grad_tol must be a non-negative number", id="negative-grad-tol"),
     pytest.param("grad_tol = 1e-9", "grad_tol = nan", "[solver agm]",
@@ -80,6 +78,10 @@ class TestValidate:
                  "profile = default takes no m, s0", id="default-with-fields"),
     pytest.param("profile = cor-4.4", "t0 = 3", "[solver agm]",
                  "profile = default takes no t0", id="no-profile-with-field"),
+    pytest.param("seeds = 0", "seeds = 0 %", "[experiment]", "'%'", id="bare-percent"),
+    pytest.param("kind = quadratic\ndiag = 1 100\noffset = 1 100",
+                 "kind = logistic\nfeatures = 1 0; 0 1", "problem quad", "needs labels",
+                 id="logistic-without-labels"),
     *[pytest.param("algorithm = adaagm\nprofile = cor-4.4", f"algorithm = nesterov\nstep = {step}",
                    "[solver agm]", "step must be a positive finite number", id=f"step-{step}")
       for step in ("-0.5", "0", "inf", "nan")],
@@ -93,6 +95,16 @@ def test_malformed_value_exit_one(tmp_path, capsys, verb, old, new, section, fra
     assert f"error: {section}: " in err and fragment in err
     if verb == "run":
         assert "config error" in err
+
+
+def test_percent_is_literal(tmp_path):
+    # no interpolation: '%' is an ordinary character in every value
+    out_dir = tmp_path / "runs%out"
+    path = tmp_path / "exp.ini"
+    path.write_text(CONFIG.replace("thinning = 1", f"thinning = 1\noutput_dir = {out_dir}"))
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path)]) == 0
+    assert (out_dir / "summary.csv").exists()
 
 
 class TestRun:
@@ -122,6 +134,17 @@ class TestRun:
         assert main(["run", config_path, "--out", str(tmp_path / "out"),
                      "--thin", thin]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_tiny_m_runs_with_an_infinite_step_cap(self, tmp_path):
+        # at m = 0.001 the cap s0*exp(g)*k^g, g = 2(1-m)/m, overflows: it is
+        # +inf on every row, which checks nothing and cannot fail
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG.replace("profile = cor-4.4", "profile = cor-4.4\nm = 0.001"))
+        out_dir = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out_dir)]) == 0
+        summary = (out_dir / "summary.csv").read_text().splitlines()
+        assert summary[1].startswith("quad,agm,0,ok,")
+        assert "step_cap:pass" in summary[1]
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:step")
@@ -173,6 +196,14 @@ class TestCertify:
                      config_path, "--profile", "cor-4.4",
                      "--kind", "sublinear"]) == 1
         assert "cannot read trace" in capsys.readouterr().err
+
+    def test_missing_problem_file(self, trace_path, tmp_path, capsys):
+        path = tmp_path / "gone_matrix.ini"
+        path.write_text(CONFIG.replace("diag = 1 100", "matrix_csv = gone.csv"))
+        assert main(["certify", trace_path, "--problem", str(path),
+                     "--profile", "cor-4.4", "--kind", "sublinear"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "gone.csv" in err
 
     def test_unknown_kind_rejected_by_parser(self, trace_path, config_path):
         with pytest.raises(SystemExit):

@@ -16,7 +16,7 @@ from adaagm.config import (
 )
 from adaagm.problems import SmoothProblem
 from adaagm.runner import run_experiment
-from adaagm.schedule import PROFILES, default_params
+from adaagm.schedule import PROFILES, AlgoParams, default_params
 from adaagm.solver import read_trace_csv
 
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.ini")
@@ -87,22 +87,31 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown profile"):
             load_config(write(tmp_path, text))
 
-    def test_invalid_custom_params(self, tmp_path):
+    def test_invalid_override_params(self, tmp_path):
         text = BASIC.replace(
             "profile = cor-4.4",
-            "profile = custom\nm = 0.5\nt0 = 3\ngamma = 1.9\nbeta = 0.3",
+            "profile = cor-4.4\nm = 0.5\nt0 = 3\ngamma = 1.9\nbeta = 0.3",
         )
-        with pytest.raises(ConfigError, match="step-growth"):
+        with pytest.raises(ConfigError, match=r"^\[solver agm\]: .*step-growth"):
             load_config(write(tmp_path, text))
 
-    def test_custom_profile(self, tmp_path):
+    def test_overrides_set_every_field(self, tmp_path):
+        # cor-4.4 is AlgoParams(): omega = delta = 0, s0 resolved at run time
         text = BASIC.replace(
             "profile = cor-4.4",
-            "profile = custom\nm = 0.5\nt0 = 3\ngamma = 1.0\nbeta = 0.25\ns0 = 0.001",
+            "profile = cor-4.4\nm = 0.5\nt0 = 3\ngamma = 1.0\nbeta = 0.25\ns0 = 0.001",
         )
         config = load_config(write(tmp_path, text))
-        params = config.solvers[0].params
-        assert params.m == 0.5 and params.beta == 0.25 and params.s0 == 0.001
+        assert config.solvers[0].params == AlgoParams(
+            m=0.5, t0=3.0, gamma=1.0, beta=0.25, omega=0.0, delta=0.0, s0=0.001)
+
+    def test_custom_is_an_unknown_profile(self, tmp_path):
+        text = BASIC.replace(
+            "profile = cor-4.4",
+            "profile = custom\nm = 0.5\nt0 = 3\ngamma = 1.0\nbeta = 0.25",
+        )
+        with pytest.raises(ConfigError, match="unknown profile 'custom'"):
+            load_config(write(tmp_path, text))
 
     def test_profile_override(self, tmp_path):
         text = BASIC.replace("profile = cor-4.4", "profile = cor-4.4\ns0 = 0.01")
@@ -225,6 +234,11 @@ class TestValidateConfig:
     def test_parse_error_reported(self, tmp_path):
         report = validate_config(write(tmp_path, "[experiment]\nbogus = 1\n"))
         assert not report.ok
+
+    def test_problem_named_once(self, tmp_path):
+        text = BASIC.replace("diag = 1 100\noffset = 1 100", "offset = 1 100")
+        report = validate_config(write(tmp_path, text))
+        assert report.errors == ["problem quad: needs diag or matrix_csv"]
 
     def test_bad_problem_reported(self, tmp_path):
         text = BASIC.replace("diag = 1 100", "diag = 1 -100")

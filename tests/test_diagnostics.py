@@ -266,6 +266,30 @@ class TestCertify:
         assert fitted <= 1.0 - r
 
 
+class TestStepCapOverflow:
+    """Below m of about 0.0028 the cap s0*exp(g)*k^g, g = 2(1-m)/m, overflows."""
+
+    @staticmethod
+    def _run(m):
+        p = make_quadratic(np.diag([1.0, 100.0]), np.array([1.0, 100.0]))
+        params = get_profile("cor-4.4", m=m)
+        trace = run_adaagm(p, params, StopCriteria(max_iters=200, grad_tol=0.0),
+                           x0=np.array([5.0, -3.0]))
+        return certify(trace, p, params, "step_cap"), len(trace)
+
+    def test_infinite_cap_checks_nothing(self):
+        # exp(g) itself overflows: every row's cap is +inf
+        cert, rows = self._run(0.001)
+        assert rows == 201 and cert.passed and cert.checks == 0
+        assert cert.max_violation_rel == -math.inf
+
+    def test_rows_with_a_finite_cap_are_checked(self):
+        # g = 198: exp(g) is finite and k^g overflows once k passes about 13
+        cert, rows = self._run(0.01)
+        assert cert.passed and 0 < cert.checks < rows - 1
+        assert cert.max_violation_rel < 0.0
+
+
 def _within_ulps(a, b, n=4):
     return a == b or abs(a - b) <= n * np.spacing(max(abs(a), abs(b)))
 

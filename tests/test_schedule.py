@@ -217,15 +217,12 @@ class TestAdvanceStep:
 class TestValidateParams:
     def test_profiles_valid(self):
         for name, params in PROFILES.items():
-            report = validate_params(params, L_known=10.0)
-            assert report.valid
-            assert not report.failures
+            assert validate_params(params, L_known=10.0) == []
             # the s0 warning uses the floor q/L, with q = floor_q(params)
             s0_floor = floor_q(params) / 10.0
-            at_floor = validate_params(get_profile(name, s0=s0_floor), L_known=10.0)
-            assert not at_floor.warnings
+            assert validate_params(get_profile(name, s0=s0_floor), L_known=10.0) == []
             below = validate_params(get_profile(name, s0=0.99 * s0_floor), L_known=10.0)
-            assert any(f"q/L={s0_floor:.6g}" in w for w in below.warnings)
+            assert any(f"q/L={s0_floor:.6g}" in w for w in below)
 
     @pytest.mark.parametrize("field,value,fragment", [
         ("m", 0.0, "m="),
@@ -238,25 +235,28 @@ class TestValidateParams:
         ("s0", -1.0, "s0="),
     ])
     def test_each_clause_fails(self, field, value, fragment):
-        report = validate_params(get_profile("cor-4.4", **{field: value}))
-        assert not report.valid
-        assert any(fragment in f for f in report.failures)
+        with pytest.raises(ValueError, match="invalid parameters") as exc:
+            validate_params(get_profile("cor-4.4", **{field: value}))
+        assert f"{fragment}{value}" in str(exc.value)
+
+    def test_every_failed_clause_is_named(self):
+        with pytest.raises(ValueError) as exc:
+            validate_params(get_profile("cor-4.4", m=0.0, omega=1.0, s0=-1.0))
+        assert str(exc.value) == ("invalid parameters: m=0.0 must lie in (0, 1]; "
+                                  "omega=1.0 must lie in [0, 1); s0=-1.0 must be positive")
 
     def test_step_growth_condition(self):
         # gamma = 1.9 with t0 = 3 gives (2/(1.9*(4/3)))*(2/3) < 1
-        report = validate_params(get_profile("cor-4.4", gamma=1.9))
-        assert not report.valid
-        assert any("step-growth" in f for f in report.failures)
+        with pytest.raises(ValueError, match="step-growth"):
+            validate_params(get_profile("cor-4.4", gamma=1.9))
 
     def test_m_equal_one_warns(self):
-        report = validate_params(get_profile("cor-4.4", m=1.0))
-        assert report.valid
-        assert any("m=1" in w for w in report.warnings)
+        warnings = validate_params(get_profile("cor-4.4", m=1.0))
+        assert any("m=1" in w for w in warnings)
 
     def test_small_s0_warns(self):
-        report = validate_params(get_profile("cor-4.4", s0=1e-6), L_known=1.0)
-        assert report.valid
-        assert any("floor" in w for w in report.warnings)
+        warnings = validate_params(get_profile("cor-4.4", s0=1e-6), L_known=1.0)
+        assert any("floor" in w for w in warnings)
 
     def test_unknown_profile(self):
         with pytest.raises(KeyError):
