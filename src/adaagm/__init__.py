@@ -26,7 +26,6 @@ from .schedule import (
     advance_step,
     default_params,
     floor_q,
-    get_profile,
     local_smoothness,
     next_t,
     validate_params,

@@ -4,13 +4,11 @@ Verbs::
 
     adaagm-bench run <config> [--out DIR] [--thin K]
     adaagm-bench validate <config>
-    adaagm-bench certify <trace.csv> --problem <config> --profile <name>
-                 --kind <cert> [--out DIR]
+    adaagm-bench certify <trace.csv> --problem <config> --kind <cert> [--out DIR]
 
-``certify`` takes the initial step s0 from the trace's first row (and
-each restart epoch's from that epoch's first row);
-``--profile default`` resolves per problem, as ``profile = default`` does in
-a run.
+``certify`` checks an adaagm trace with the problem and parameters of the
+one config cell whose ``<problem>_<solver>_<seed>.csv`` is its file name,
+resolved as in the run; s0 comes from each restart epoch's first row.
 
 Exit codes: 0 success, 1 configuration error, 2 at least one cell diverged
 or failed on its inputs, 3 ``certify`` found a violation (printed ``FAIL``).
@@ -24,8 +22,8 @@ import sys
 
 from .config import build_problem, load_config, validate_config
 from .diagnostics import CERTIFICATE_KINDS, certify, format_certificates, write_violations_csv
-from .runner import run_experiment
-from .schedule import PROFILES, default_params
+from .runner import run_experiment, trace_name
+from .schedule import default_params
 from .solver import read_trace_csv
 
 
@@ -52,8 +50,6 @@ def _cmd_validate(args) -> int:
     report = validate_config(args.config)
     for err in report.errors:
         print(f"error: {err}", file=sys.stderr)
-    for warn in report.warnings:
-        print(f"warning: {warn}")
     if report.ok:
         print("ok")
         for (solver, problem), q in report.solver_floors.items():
@@ -68,12 +64,19 @@ def _cmd_certify(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"config error: cannot read trace: {exc}", file=sys.stderr)
         return 1
-    try:  # the parser has already restricted --profile to PROFILES and default
+    try:
         config = load_config(args.problem)
-        problem = build_problem(config.problems[0], config.base_dir)
-        params = (default_params(problem) if args.profile == "default"
-                  else PROFILES[args.profile])
-        cert = certify(trace, problem, params, args.kind)
+        name = os.path.basename(args.trace)
+        cells = [(spec, solver) for spec in config.problems for solver in config.solvers
+                 for seed in config.seeds if solver.algorithm == "adaagm"
+                 and trace_name(spec.name, solver.name, seed) == name]
+        if len(cells) != 1 or trace.algorithm != "adaagm":
+            raise ValueError(f"trace {name} ({trace.algorithm}) names {len(cells)} adaagm "
+                             f"cells of {args.problem}; certify needs an adaagm trace of "
+                             "exactly one, named " + trace_name("<problem>", "<solver>", "<seed>"))
+        spec, solver = cells[0]
+        problem = build_problem(spec, config.base_dir)
+        cert = certify(trace, problem, solver.params or default_params(problem), args.kind)
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -106,9 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="re-check a certificate on a trace CSV")
     p_cert.add_argument("trace")
     p_cert.add_argument("--problem", required=True,
-                        help="config file whose first problem section describes the objective")
-    p_cert.add_argument("--profile", required=True, choices=["default", *sorted(PROFILES)],
-                        help="default resolves per problem, as profile = default does in a run")
+                        help="config file whose run wrote the trace")
     p_cert.add_argument("--kind", required=True, choices=CERTIFICATE_KINDS)
     p_cert.add_argument("--out", help="directory for the violations CSV")
     p_cert.set_defaults(func=_cmd_certify)

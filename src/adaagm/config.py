@@ -23,24 +23,22 @@ Problem kinds: ``quadratic`` (diag or matrix_csv, offset or offset_csv),
 ``log_sum_exp`` (rows or rows_csv, shifts, temperature, symmetric),
 ``logistic`` (features or features_csv, labels, ridge).  Inline matrices
 use ';' between rows and spaces between entries.  Values are taken
-literally (no ``%`` interpolation).  Solver profiles are the named ones
-from :mod:`adaagm.schedule`, whose fields the parameter keys override, or
-``default`` (also when ``profile`` is absent), which
+literally (no ``%`` interpolation).  A solver's parameters come from its
+``profile`` alone: a named one from :mod:`adaagm.schedule`, or ``default``
+(also when ``profile`` is absent), which
 :func:`~adaagm.schedule.default_params` resolves per problem; only
-``default`` restarts, and no key turns restart on or off.
+``default`` restarts.  Other parameter sets come from the Python API.
 Every solver takes ``max_iters``, ``grad_tol`` and ``gap_tol``; ``adaagm``
-also takes ``profile``, ``m``, ``t0``, ``gamma``, ``beta``, ``omega``,
-``delta`` and ``s0``, while ``gd`` and ``nesterov`` take ``step``.  A key the
-solver would ignore is an error (so is a parameter field under
-``profile = default``), as is a ``step`` that is not positive and finite or
-a negative or NaN tolerance.
+also takes ``profile``, while ``gd`` and ``nesterov`` take ``step``.  A key
+the solver would ignore is an error, as is a ``step`` that is not positive
+and finite or a negative or NaN tolerance.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -54,7 +52,7 @@ from .problems import (
     make_quadratic,
     make_symmetric_log_sum_exp,
 )
-from .schedule import PROFILES, AlgoParams, default_params, floor_q, get_profile, validate_params
+from .schedule import PROFILES, AlgoParams, default_params, floor_q
 from .solver import StopCriteria, check_step
 
 _EXPERIMENT_KEYS = {"output_dir", "seeds", "thinning", "x0_scale"}
@@ -64,9 +62,8 @@ _PROBLEM_KEYS = {
     "logistic": {"kind", "features", "features_csv", "labels", "ridge"},
 }
 _STOP_KEYS = {"algorithm", "max_iters", "grad_tol", "gap_tol"}
-_PARAM_KEYS = {"m", "t0", "gamma", "beta", "omega", "delta", "s0"}
 _SOLVER_KEYS = {
-    "adaagm": _STOP_KEYS | _PARAM_KEYS | {"profile"},
+    "adaagm": _STOP_KEYS | {"profile"},
     "gd": _STOP_KEYS | {"step"},
     "nesterov": _STOP_KEYS | {"step"},
 }
@@ -191,22 +188,11 @@ def _parse_solver(name: str, items: dict[str, str], section: str) -> SolverSpec:
     if step is not None:
         check_step(step)
 
-    params = None
-    profile = items.get("profile", "default")
-    if algorithm == "adaagm":
-        fields = sorted(set(items) & _PARAM_KEYS)
-        if profile == "default":
-            # resolved per problem (convex vs strongly convex), so a field set
-            # here would be silently dropped
-            if fields:
-                raise ValueError(f"profile = default takes no {', '.join(fields)}; "
-                                 "name a profile to set them")
-        elif profile in PROFILES:
-            params = get_profile(profile, **{key: float(items[key]) for key in fields})
-            validate_params(params)
-        else:
-            raise ConfigError(f"[{section}]: unknown profile {profile!r}")
-    return SolverSpec(name=name, algorithm=algorithm, params=params, step=step, stop=stop)
+    profile = items.get("profile", "default")  # default: resolved per problem at run time
+    if profile != "default" and profile not in PROFILES:
+        raise ConfigError(f"[{section}]: unknown profile {profile!r}")
+    return SolverSpec(name=name, algorithm=algorithm, params=PROFILES.get(profile),
+                      step=step, stop=stop)
 
 
 def build_problem(spec: ProblemSpec, base_dir: str = ".") -> SmoothProblem:
@@ -262,14 +248,13 @@ def start_point(config: ExperimentConfig, problem_index: int,
 class ConfigReport:
     ok: bool
     errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
     #: step floor constant q per (solver, problem), as the run resolves it
     solver_floors: dict[tuple[str, str], float] = field(default_factory=dict)
 
 
 def validate_config(path) -> ConfigReport:
-    """Full validation: parse, check files, build problems, then resolve q and
-    check the parameters against L per (solver, problem)."""
+    """Full validation: parse, check files, build problems, then resolve q
+    per (adaagm solver, problem)."""
     report = ConfigReport(ok=True)
     try:
         config = load_config(path)
@@ -292,16 +277,9 @@ def validate_config(path) -> ConfigReport:
         except (ValueError, OSError) as exc:
             report.errors.append(f"problem {spec.name}: {exc}")
 
-    for spec in config.solvers:
-        if spec.algorithm != "adaagm":
-            continue
-        for problem in problems:
-            params = spec.params or default_params(problem)
-            # load_config has already rejected invalid parameter sets
-            report.warnings.extend(
-                f"solver {spec.name} on problem {problem.name}: {w}"
-                for w in validate_params(params, problem.L_known))
-            report.solver_floors[(spec.name, problem.name)] = floor_q(params)
+    report.solver_floors = {
+        (spec.name, problem.name): floor_q(spec.params or default_params(problem))
+        for spec in config.solvers if spec.algorithm == "adaagm" for problem in problems}
 
     report.ok = not report.errors
     return report

@@ -65,8 +65,8 @@ def energy(x_next: Array, y_next: Array, grad_sq: float, f_x: float, t: float,
 
 
 def initial_D(gap0: float, grad_sq0: float, dist_sq0: float, L: float,
-              params: AlgoParams, s0: Optional[float] = None) -> tuple[float, float]:
-    """Closed-form rate constant D of a run from z, in two forms.
+              params: AlgoParams, s0: float) -> tuple[float, float]:
+    """Closed-form rate constant D of a run from z with initial step s0, in two forms.
 
     Takes f(z) - f*, ||grad f(z)||^2 and ||z - x*||^2, so it makes no
     oracle call.  Returns the pair (full form, min-form bound); the
@@ -75,9 +75,6 @@ def initial_D(gap0: float, grad_sq0: float, dist_sq0: float, L: float,
     """
     if not L > 0:
         raise ValueError("initial_D needs a positive smoothness constant L")
-    s0 = params.s0 if s0 is None else s0
-    if s0 is None:
-        raise ValueError("initial_D needs the resolved initial step s0")
     q = floor_q(params)
     t0, gam, bet = params.t0, params.gamma, params.beta
     st = s0 * t0
@@ -185,6 +182,9 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
         raise ValueError(f"unknown certificate kind {kind!r}")
     if not trace.records:
         raise ValueError("trace is empty")
+    if len(trace.x0) != problem.dimension:
+        raise ValueError(f"trace start point has {len(trace.x0)} entries, "
+                         f"problem {problem.name} has dimension {problem.dimension}")
     tol = _tolerance(problem)
     recs = trace.records
     q = floor_q(params)

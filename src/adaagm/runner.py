@@ -40,6 +40,11 @@ class CellResult:
     restarts: int = 0
 
 
+def trace_name(problem: str, solver: str, seed: int) -> str:
+    """File name of a cell's trace in the output directory."""
+    return f"{problem}_{solver}_{seed}.csv"
+
+
 def _applicable_certificates(problem: SmoothProblem, params: AlgoParams) -> list[str]:
     if problem.L_known is None or problem.L_known <= 0:
         return []
@@ -115,7 +120,7 @@ def run_experiment(config: ExperimentConfig) -> list[CellResult]:
             for seed in config.seeds:
                 result, trace = _run_cell(config, p_idx, problem, s_idx, solver, seed)
                 if trace is not None:
-                    name = f"{problem.name}_{solver.name}_{seed}.csv"
+                    name = trace_name(problem.name, solver.name, seed)
                     write_trace_csv(trace, os.path.join(config.output_dir, name))
                 results.append(result)
 

@@ -65,14 +65,6 @@ PROFILES = {
 }
 
 
-def get_profile(name: str, **overrides) -> AlgoParams:
-    """Look up a named profile, optionally overriding individual fields."""
-    if name not in PROFILES:
-        raise KeyError(f"unknown profile {name!r}; choose from {sorted(PROFILES)}")
-    params = PROFILES[name]
-    return replace(params, **overrides) if overrides else params
-
-
 def default_params(problem) -> AlgoParams:
     """``sc-2`` when mu > 0 is known, ``cor-4.4`` otherwise, both at m = 1/2
     and with adaptive restart.

@@ -7,6 +7,7 @@ stated tolerances; nothing is spot-checked.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from adaagm import (
     StopCriteria,
     certify,
     floor_q,
-    get_profile,
     make_logistic,
     make_quadratic,
     make_symmetric_log_sum_exp,
@@ -66,7 +66,7 @@ def convex_suite():
 
 def test_criterion_1_step_floor():
     p = make_quadratic(np.diag([1.0, 100.0]), np.array([1.0, 100.0]))
-    params = get_profile("cor-4.4", s0=1.0 / 500.0)
+    params = replace(PROFILES["cor-4.4"], s0=1.0 / 500.0)
     stop = StopCriteria(max_iters=10_000, grad_tol=0.0)
     start = time.perf_counter()
     trace = run_adaagm(p, params, stop, x0=np.array([5.0, -3.0]))
@@ -80,7 +80,7 @@ def test_criterion_1_step_floor():
 
 def test_criterion_2_step_cap():
     p = make_quadratic(np.diag([1.0, 100.0]), np.array([1.0, 100.0]))
-    params = get_profile("cor-4.4", m=0.5, s0=1.0 / 500.0)
+    params = replace(PROFILES["cor-4.4"], m=0.5, s0=1.0 / 500.0)
     stop = StopCriteria(max_iters=10_000, grad_tol=0.0)
     trace = run_adaagm(p, params, stop, x0=np.array([5.0, -3.0]))
     cert = certify(trace, p, params, "step_cap")

@@ -1,12 +1,15 @@
 import itertools
 import os
+import shutil
+from dataclasses import replace
 
 import pytest
 
 from adaagm.cli import main
 from adaagm.config import build_problem, load_config
-from adaagm.diagnostics import CERTIFICATE_KINDS
-from adaagm.schedule import default_params
+from adaagm.diagnostics import CERTIFICATE_KINDS, certify
+from adaagm.runner import run_experiment
+from adaagm.schedule import PROFILES, default_params
 from adaagm.solver import read_trace_csv
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.ini")
@@ -64,8 +67,9 @@ class TestValidate:
     pytest.param("seeds = 0", "seeds =", "[experiment]",
                  "seeds must list at least one seed", id="empty-seeds"),
     pytest.param("thinning = 1", "thinning = x", "[experiment]", "'x'", id="thinning"),
-    pytest.param("profile = cor-4.4", "profile = cor-4.4\nm = abc", "[solver agm]",
-                 "'abc'", id="m"),
+    # parameters come from the profile alone: a field is an unknown key
+    pytest.param("profile = cor-4.4", "profile = cor-4.4\nm = 0.5",
+                 "unknown keys in [solver agm] for algorithm 'adaagm'", "['m']", id="m"),
     pytest.param("grad_tol = 1e-9", "grad_tol = -1", "[solver agm]",
                  "grad_tol must be a non-negative number", id="negative-grad-tol"),
     pytest.param("grad_tol = 1e-9", "grad_tol = nan", "[solver agm]",
@@ -74,10 +78,12 @@ class TestValidate:
                  "gap_tol must be a non-negative number", id="negative-gap-tol"),
     pytest.param("grad_tol = 1e-9", "gap_tol = nan", "[solver agm]",
                  "gap_tol must be a non-negative number", id="nan-gap-tol"),
-    pytest.param("profile = cor-4.4", "profile = default\nm = 0.5\ns0 = 123", "[solver agm]",
-                 "profile = default takes no m, s0", id="default-with-fields"),
-    pytest.param("profile = cor-4.4", "t0 = 3", "[solver agm]",
-                 "profile = default takes no t0", id="no-profile-with-field"),
+    pytest.param("profile = cor-4.4", "profile = default\nm = 0.5\ns0 = 123",
+                 "unknown keys in [solver agm] for algorithm 'adaagm'", "['m', 's0']",
+                 id="default-with-fields"),
+    pytest.param("profile = cor-4.4", "t0 = 3",
+                 "unknown keys in [solver agm] for algorithm 'adaagm'", "['t0']",
+                 id="no-profile-with-field"),
     pytest.param("seeds = 0", "seeds = 0 %", "[experiment]", "'%'", id="bare-percent"),
     pytest.param("kind = quadratic\ndiag = 1 100\noffset = 1 100",
                  "kind = logistic\nfeatures = 1 0; 0 1", "problem quad", "needs labels",
@@ -135,14 +141,14 @@ class TestRun:
                      "--thin", thin]) == 1
         assert "config error" in capsys.readouterr().err
 
-    def test_tiny_m_runs_with_an_infinite_step_cap(self, tmp_path):
+    def test_tiny_m_runs_with_an_infinite_step_cap(self, config_path, tmp_path):
         # at m = 0.001 the cap s0*exp(g)*k^g, g = 2(1-m)/m, overflows: it is
         # +inf on every row, which checks nothing and cannot fail
-        path = tmp_path / "exp.ini"
-        path.write_text(CONFIG.replace("profile = cor-4.4", "profile = cor-4.4\nm = 0.001"))
-        out_dir = tmp_path / "out"
-        assert main(["run", str(path), "--out", str(out_dir)]) == 0
-        summary = (out_dir / "summary.csv").read_text().splitlines()
+        config = load_config(config_path)
+        config.solvers[0].params = replace(PROFILES["cor-4.4"], m=0.001)
+        config.output_dir = str(tmp_path / "out")
+        run_experiment(config)
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert summary[1].startswith("quad,agm,0,ok,")
         assert "step_cap:pass" in summary[1]
 
@@ -164,69 +170,73 @@ class TestCertify:
 
     def test_pass(self, trace_path, config_path, capsys):
         assert main(["certify", trace_path, "--problem", config_path,
-                     "--profile", "cor-4.4", "--kind", "sublinear"]) == 0
+                     "--kind", "sublinear"]) == 0
         out = capsys.readouterr().out
         assert "kind=sublinear" in out and "PASS" in out
 
     def test_all_kinds_on_real_trace(self, trace_path, config_path, capsys):
         for kind in ("sublinear", "step_floor", "step_cap", "energy_monotone"):
             assert main(["certify", trace_path, "--problem", config_path,
-                         "--profile", "cor-4.4", "--kind", kind]) == 0
+                         "--kind", kind]) == 0
         # the convex profile's runs do not promise summable gradients (the
         # runner never applies this kind to them); this one fails, with exit 3
         assert main(["certify", trace_path, "--problem", config_path,
-                     "--profile", "cor-4.4", "--kind", "grad_summable"]) == 3
+                     "--kind", "grad_summable"]) == 3
         assert "FAIL(1)" in capsys.readouterr().out
 
     def test_violations_csv_written(self, trace_path, config_path, tmp_path):
         out_dir = tmp_path / "certs"
         assert main(["certify", trace_path, "--problem", config_path,
-                     "--profile", "cor-4.4", "--kind", "step_floor",
+                     "--kind", "step_floor",
                      "--out", str(out_dir)]) == 0
         assert (out_dir / "violations_step_floor.csv").exists()
 
     def test_wrong_profile_fails_cleanly(self, trace_path, config_path, capsys):
         # linear certificate needs the strongly convex profile's omega/delta
         assert main(["certify", trace_path, "--problem", config_path,
-                     "--profile", "cor-4.4", "--kind", "linear"]) == 1
+                     "--kind", "linear"]) == 1
         assert "config error" in capsys.readouterr().err
 
     def test_missing_trace(self, config_path, tmp_path, capsys):
         assert main(["certify", str(tmp_path / "gone.csv"), "--problem",
-                     config_path, "--profile", "cor-4.4",
-                     "--kind", "sublinear"]) == 1
+                     config_path, "--kind", "sublinear"]) == 1
         assert "cannot read trace" in capsys.readouterr().err
 
     def test_missing_problem_file(self, trace_path, tmp_path, capsys):
         path = tmp_path / "gone_matrix.ini"
         path.write_text(CONFIG.replace("diag = 1 100", "matrix_csv = gone.csv"))
         assert main(["certify", trace_path, "--problem", str(path),
-                     "--profile", "cor-4.4", "--kind", "sublinear"]) == 1
+                     "--kind", "sublinear"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "gone.csv" in err
 
     def test_unknown_kind_rejected_by_parser(self, trace_path, config_path):
         with pytest.raises(SystemExit):
             main(["certify", trace_path, "--problem", config_path,
-                  "--profile", "cor-4.4", "--kind", "bogus"])
+                  "--kind", "bogus"])
 
 
-def test_certify_default_profile_on_demo_trace(tmp_path, capsys):
-    # --profile default resolves per problem as the run's profile = default:
-    # sc-2 at m = 1/2 on the strongly convex quad, so every kind applies
-    out_dir = tmp_path / "out"
+@pytest.fixture(scope="module")
+def demo_runs(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("demo") / "runs"
     assert main(["run", DEMO, "--out", str(out_dir)]) == 0
-    trace = str(out_dir / "quad_agm_0.csv")
+    return out_dir
+
+
+def test_certify_default_profile_on_demo_trace(demo_runs, capsys):
+    # certify resolves profile = default per problem as the run did: sc-2
+    # at m = 1/2 on the strongly convex quad, so every kind applies
+    trace = str(demo_runs / "quad_agm_0.csv")
     capsys.readouterr()
     for kind in CERTIFICATE_KINDS:
-        assert main(["certify", trace, "--problem", DEMO, "--profile", "default",
-                     "--kind", kind]) == 0
+        assert main(["certify", trace, "--problem", DEMO, "--kind", kind]) == 0
     out = capsys.readouterr().out
     # at the shipped thinning 10 the only adjacent recorded rows are an
     # epoch start off the thinning grid and its successor, and the energy
     # certificate compares exactly those
     recs = read_trace_csv(trace).records
-    params = default_params(build_problem(load_config(DEMO).problems[0]))
+    problem = build_problem(load_config(DEMO).problems[0])
+    params = default_params(problem)
     epoch = list(itertools.accumulate(r.t == params.t0 for r in recs))
     pairs = sum(b.k == a.k + 1 and eb == ea
                 for a, b, ea, eb in zip(recs, recs[1:], epoch, epoch[1:]))
@@ -238,20 +248,57 @@ def test_certify_default_profile_on_demo_trace(tmp_path, capsys):
     assert epochs > 1 and all(f"epochs={epochs} " in line for line in out.splitlines())
     assert all("checks=" in line for line in out.splitlines())
     assert "q=0.0625 " in out
-    # the paper profile's m = 0.99 caps the step far below the steps taken;
-    # a failed certificate has its own exit code
-    assert main(["certify", trace, "--problem", DEMO, "--profile", "sc-2",
-                 "--kind", "step_cap"]) == 3
-    assert "FAIL" in capsys.readouterr().out
+    # the paper profile's m = 0.99 caps the step far below the steps taken
+    assert not certify(read_trace_csv(trace), problem, PROFILES["sc-2"], "step_cap").passed
 
 
-def test_passing_certificates_show_their_slack(capsys):
+@pytest.mark.parametrize("problem", ["lse", "logit"])
+def test_certify_uses_the_constants_of_the_traces_own_problem(demo_runs, capsys, problem):
+    # as for quad above, each later demo agm trace is certified with its own
+    # problem and resolved profile, and every kind its summary row lists
+    # passes (energy_monotone may check no pair at thinning 10, as on lse)
+    rows = (demo_runs / "summary.csv").read_text().splitlines()
+    row = next(r.split(",") for r in rows if r.startswith(f"{problem},agm,0,"))
+    kinds = [v.split(":")[0] for v in row[8].split(";")]
+    assert kinds
+    for kind in kinds:
+        assert main(["certify", str(demo_runs / f"{problem}_agm_0.csv"),
+                     "--problem", DEMO, "--kind", kind]) == 0
+        line = capsys.readouterr().out
+        assert (" PASS checks=" in line or " VACUOUS checks=0 " in line) and "FAIL" not in line
+        assert f"q={float(row[7]):.12g} " in line
+        if kind == "sublinear" and problem == "lse":
+            assert "q=0.2 D=19.7700807045 " in line
+
+
+def test_certify_rejects_a_nesterov_trace(demo_runs, tmp_path, capsys):
+    trace = demo_runs / "quad_nesterov_0.csv"
+    assert main(["certify", str(trace), "--problem", DEMO, "--kind", "sublinear"]) == 1
+    assert "trace quad_nesterov_0.csv (nesterov) names 0 adaagm cells" in capsys.readouterr().err
+    # under an adaagm cell's name, its algorithm line still gives it away
+    renamed = tmp_path / "quad_agm_0.csv"
+    renamed.write_text(trace.read_text())
+    assert main(["certify", str(renamed), "--problem", DEMO, "--kind", "step_floor"]) == 1
+    assert "trace quad_agm_0.csv (nesterov) names 1 adaagm cells" in capsys.readouterr().err
+
+
+def test_certify_rejects_a_trace_name_no_cell_writes(demo_runs, tmp_path, capsys):
+    trace = tmp_path / "quad_agm_7.csv"  # seed 7 is not listed
+    trace.write_text((demo_runs / "quad_agm_0.csv").read_text())
+    assert main(["certify", str(trace), "--problem", DEMO, "--kind", "sublinear"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: trace quad_agm_7.csv (adaagm) names 0 adaagm cells")
+    assert "<problem>_<solver>_<seed>.csv" in err
+
+
+def test_passing_certificates_show_their_slack(tmp_path, capsys):
     # the demo's quad_agm_0 trace (seed 0, thinning 10): every kind passes
     # and prints the negative worst relative slack it held by
-    trace = os.path.join(os.path.dirname(__file__), "data", "format2_default_quad.csv")
+    trace = tmp_path / "quad_agm_0.csv"
+    shutil.copy(os.path.join(os.path.dirname(__file__), "data", "format2_default_quad.csv"),
+                trace)
     for kind in CERTIFICATE_KINDS:
-        assert main(["certify", trace, "--problem", DEMO, "--profile", "default",
-                     "--kind", kind]) == 0
+        assert main(["certify", str(trace), "--problem", DEMO, "--kind", kind]) == 0
         line = capsys.readouterr().out.strip()
         assert " PASS checks=" in line
         assert float(line.rsplit(" worst_rel=", 1)[1]) < 0.0

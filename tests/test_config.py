@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from adaagm.config import (
 )
 from adaagm.problems import SmoothProblem
 from adaagm.runner import run_experiment
-from adaagm.schedule import PROFILES, AlgoParams, default_params
+from adaagm.schedule import PROFILES, default_params
 from adaagm.solver import read_trace_csv
 
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.ini")
@@ -88,35 +89,39 @@ class TestLoadConfig:
             load_config(write(tmp_path, text))
 
     def test_invalid_override_params(self, tmp_path):
+        # the profile names every parameter: a field is an unknown key
         text = BASIC.replace(
             "profile = cor-4.4",
             "profile = cor-4.4\nm = 0.5\nt0 = 3\ngamma = 1.9\nbeta = 0.3",
         )
-        with pytest.raises(ConfigError, match=r"^\[solver agm\]: .*step-growth"):
+        with pytest.raises(ConfigError, match=r"^unknown keys in \[solver agm\] for algorithm "
+                                              r"'adaagm': \['beta', 'gamma', 'm', 't0'\]$"):
             load_config(write(tmp_path, text))
 
     def test_overrides_set_every_field(self, tmp_path):
-        # cor-4.4 is AlgoParams(): omega = delta = 0, s0 resolved at run time
+        # a config naming every parameter field is refused with all of them
         text = BASIC.replace(
             "profile = cor-4.4",
-            "profile = cor-4.4\nm = 0.5\nt0 = 3\ngamma = 1.0\nbeta = 0.25\ns0 = 0.001",
+            "profile = cor-4.4\nm = 0.5\nt0 = 3\ngamma = 1.0\nbeta = 0.25\ns0 = 0.001"
+            "\nomega = 0.1\ndelta = 0.5",
         )
-        config = load_config(write(tmp_path, text))
-        assert config.solvers[0].params == AlgoParams(
-            m=0.5, t0=3.0, gamma=1.0, beta=0.25, omega=0.0, delta=0.0, s0=0.001)
+        with pytest.raises(ConfigError, match=r"^unknown keys in \[solver agm\] for algorithm "
+                                              r"'adaagm': \['beta', 'delta', 'gamma', 'm', "
+                                              r"'omega', 's0', 't0'\]$"):
+            load_config(write(tmp_path, text))
 
     def test_custom_is_an_unknown_profile(self, tmp_path):
-        text = BASIC.replace(
-            "profile = cor-4.4",
-            "profile = custom\nm = 0.5\nt0 = 3\ngamma = 1.0\nbeta = 0.25",
-        )
+        text = BASIC.replace("profile = cor-4.4", "profile = custom")
         with pytest.raises(ConfigError, match="unknown profile 'custom'"):
             load_config(write(tmp_path, text))
 
     def test_profile_override(self, tmp_path):
-        text = BASIC.replace("profile = cor-4.4", "profile = cor-4.4\ns0 = 0.01")
-        config = load_config(write(tmp_path, text))
-        assert config.solvers[0].params.s0 == 0.01
+        # no field overrides a named profile, nor the one resolved per problem
+        for profile, key in itertools.product(
+                ["cor-4.4", "default"], ["m", "t0", "gamma", "beta", "omega", "delta", "s0"]):
+            text = BASIC.replace("profile = cor-4.4", f"profile = {profile}\n{key} = 0.01")
+            with pytest.raises(ConfigError, match=rf"unknown keys .*: \['{key}'\]$"):
+                load_config(write(tmp_path, text))
 
     def test_bad_thinning(self, tmp_path):
         text = BASIC.replace("thinning = 2", "thinning = 0")
@@ -220,16 +225,6 @@ class TestValidateConfig:
         report = validate_config(write(tmp_path, text))
         assert not report.ok
         assert report.errors == ["problem quad: missing file gone.csv"]
-
-    def test_small_s0_warns_with_problem_L(self, tmp_path):
-        # L = 10 and q = 1/5 put the floor at q/L = 0.02
-        text = BASIC.replace("diag = 1 100", "diag = 1 10").replace(
-            "profile = cor-4.4", "profile = cor-4.4\ns0 = 1e-6")
-        report = validate_config(write(tmp_path, text))
-        assert report.ok
-        assert report.warnings == [
-            "solver agm on problem quad: s0=1e-06 is below the floor q/L=0.02; "
-            "the step floor degrades to min(s0, q/L)"]
 
     def test_parse_error_reported(self, tmp_path):
         report = validate_config(write(tmp_path, "[experiment]\nbogus = 1\n"))

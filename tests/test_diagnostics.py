@@ -18,7 +18,6 @@ from adaagm import (
     energy,
     floor_q,
     format_certificates,
-    get_profile,
     initial_D,
     make_quadratic,
     phi,
@@ -58,7 +57,7 @@ class TestPhi:
            st.floats(0.1, 1.5))
     @settings(max_examples=100)
     def test_two_forms_agree(self, x, y, grad, x_star, t, s, gamma):
-        params = get_profile("cor-4.4", gamma=gamma)
+        params = dataclasses.replace(PROFILES["cor-4.4"], gamma=gamma)
         from adaagm import next_t
         t_next = next_t(t, params.m)
         x_next, y_next = _update(x, y, t, t_next, s, grad, params.gamma)
@@ -86,7 +85,7 @@ class TestPhi:
 class TestEnergy:
     def test_one_dimensional_oracle(self):
         # hand-computed: phi = 2*(0.5) + (1.5 - 0) = 2.5 with the pieces below
-        params = get_profile("cor-4.4", gamma=1.0, beta=0.5)
+        params = dataclasses.replace(PROFILES["cor-4.4"], gamma=1.0, beta=0.5)
         e = energy(x_next=np.array([2.0]), y_next=np.array([1.5]),
                    grad_sq=9.0, f_x=4.0, t=2.0, t_next=2.0, s=0.25,
                    x_star=np.array([0.0]), f_star=1.0, params=params)
@@ -134,8 +133,6 @@ class TestRateConstants:
     def test_initial_D_requires_fields(self):
         p = make_quadratic(np.diag([1.0, 100.0]), np.array([1.0, 100.0]))
         values = start_values(np.zeros(2), p)
-        with pytest.raises(ValueError, match="s0"):
-            initial_D(*values, p.L_known, PROFILES["cor-4.4"])
         with pytest.raises(ValueError, match="positive smoothness"):
             initial_D(*values, 0.0, PROFILES["cor-4.4"], s0=1e-3)
 
@@ -220,9 +217,17 @@ class TestCertify:
         assert cert.constant_D == pytest.approx(
             min(initial_D(gap0, grad_sq0, dist_sq0, p.L_known, params, s0)), rel=1e-14)
 
+    @pytest.mark.parametrize("kind", CERTIFICATE_KINDS)
+    def test_start_point_must_match_the_problem(self, convex_run, kind):
+        # a 20-dimensional run read against a 2-dimensional problem
+        _, params, trace = convex_run
+        p2 = make_quadratic(np.diag([1.0, 100.0]), np.array([1.0, 100.0]))
+        with pytest.raises(ValueError, match="start point has 20 entries, .* dimension 2$"):
+            certify(trace, p2, params, kind)
+
     def test_linear_requires_mu(self, convex_run):
         _, params, trace = convex_run
-        p0 = make_quadratic(np.diag([1.0, 0.0]), np.zeros(2))
+        p0 = make_quadratic(np.diag([1.0] * 19 + [0.0]), np.zeros(20))
         assert p0.mu_known == 0.0
         with pytest.raises(ValueError, match="mu_known"):
             certify(trace, p0, params, "linear")
@@ -272,7 +277,7 @@ class TestStepCapOverflow:
     @staticmethod
     def _run(m):
         p = make_quadratic(np.diag([1.0, 100.0]), np.array([1.0, 100.0]))
-        params = get_profile("cor-4.4", m=m)
+        params = dataclasses.replace(PROFILES["cor-4.4"], m=m)
         trace = run_adaagm(p, params, StopCriteria(max_iters=200, grad_tol=0.0),
                            x0=np.array([5.0, -3.0]))
         return certify(trace, p, params, "step_cap"), len(trace)
@@ -471,8 +476,8 @@ class TestScaleCoherence:
         target = rng.normal(size=6)
         p = make_quadratic(A, A @ target)
         p_scaled = make_quadratic(A / c ** 2, (A @ target) / c)
-        params = get_profile("cor-4.4", s0=0.25)
-        params_scaled = get_profile("cor-4.4", s0=0.25 * c ** 2)
+        params = dataclasses.replace(PROFILES["cor-4.4"], s0=0.25)
+        params_scaled = dataclasses.replace(PROFILES["cor-4.4"], s0=0.25 * c ** 2)
         stop = StopCriteria(max_iters=400, grad_tol=0.0)
         x0 = np.ones(6)
         a, xs_a, _ = run_with_iterates(run_adaagm, p, params, stop, x0=x0)

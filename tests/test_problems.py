@@ -5,8 +5,8 @@ import pytest
 
 import adaagm.solver
 from adaagm import (
+    PROFILES,
     StopCriteria,
-    get_profile,
     load_matrix_csv,
     make_log_sum_exp,
     make_logistic,
@@ -127,7 +127,7 @@ class TestLogistic:
 
     def test_reference_solve_agrees_with_adaagm(self, logistic_problem):
         stop = StopCriteria(max_iters=200_000, grad_tol=1e-12)
-        x = run_adaagm(logistic_problem, get_profile("sc-2"), stop,
+        x = run_adaagm(logistic_problem, PROFILES["sc-2"], stop,
                        np.zeros(logistic_problem.dimension)).x_final
         assert np.linalg.norm(x - logistic_problem.x_star) <= 1e-8
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from adaagm import (
     PROFILES,
     advance_step,
     floor_q,
-    get_profile,
     local_smoothness,
     next_t,
     validate_params,
@@ -204,7 +204,7 @@ class TestAdvanceStep:
 
     def test_cap_holds_under_free_growth(self):
         # never binding the estimate lets s grow at the fastest legal rate
-        params = get_profile("cor-4.4", m=0.5)
+        params = replace(PROFILES["cor-4.4"], m=0.5)
         growth = 2.0 * (1.0 - params.m) / params.m
         s0 = 0.001
         t, s = params.t0, s0
@@ -220,8 +220,8 @@ class TestValidateParams:
             assert validate_params(params, L_known=10.0) == []
             # the s0 warning uses the floor q/L, with q = floor_q(params)
             s0_floor = floor_q(params) / 10.0
-            assert validate_params(get_profile(name, s0=s0_floor), L_known=10.0) == []
-            below = validate_params(get_profile(name, s0=0.99 * s0_floor), L_known=10.0)
+            assert validate_params(replace(params, s0=s0_floor), L_known=10.0) == []
+            below = validate_params(replace(params, s0=0.99 * s0_floor), L_known=10.0)
             assert any(f"q/L={s0_floor:.6g}" in w for w in below)
 
     @pytest.mark.parametrize("field,value,fragment", [
@@ -236,28 +236,24 @@ class TestValidateParams:
     ])
     def test_each_clause_fails(self, field, value, fragment):
         with pytest.raises(ValueError, match="invalid parameters") as exc:
-            validate_params(get_profile("cor-4.4", **{field: value}))
+            validate_params(replace(PROFILES["cor-4.4"], **{field: value}))
         assert f"{fragment}{value}" in str(exc.value)
 
     def test_every_failed_clause_is_named(self):
         with pytest.raises(ValueError) as exc:
-            validate_params(get_profile("cor-4.4", m=0.0, omega=1.0, s0=-1.0))
+            validate_params(replace(PROFILES["cor-4.4"], m=0.0, omega=1.0, s0=-1.0))
         assert str(exc.value) == ("invalid parameters: m=0.0 must lie in (0, 1]; "
                                   "omega=1.0 must lie in [0, 1); s0=-1.0 must be positive")
 
     def test_step_growth_condition(self):
         # gamma = 1.9 with t0 = 3 gives (2/(1.9*(4/3)))*(2/3) < 1
         with pytest.raises(ValueError, match="step-growth"):
-            validate_params(get_profile("cor-4.4", gamma=1.9))
+            validate_params(replace(PROFILES["cor-4.4"], gamma=1.9))
 
     def test_m_equal_one_warns(self):
-        warnings = validate_params(get_profile("cor-4.4", m=1.0))
+        warnings = validate_params(replace(PROFILES["cor-4.4"], m=1.0))
         assert any("m=1" in w for w in warnings)
 
     def test_small_s0_warns(self):
-        warnings = validate_params(get_profile("cor-4.4", s0=1e-6), L_known=1.0)
+        warnings = validate_params(replace(PROFILES["cor-4.4"], s0=1e-6), L_known=1.0)
         assert any("floor" in w for w in warnings)
-
-    def test_unknown_profile(self):
-        with pytest.raises(KeyError):
-            get_profile("nope")

@@ -18,7 +18,6 @@ from adaagm import (
     TraceRecord,
     certify,
     floor_q,
-    get_profile,
     make_quadratic,
     next_t,
     read_trace_csv,
@@ -55,7 +54,7 @@ class TestStepResolution:
         assert trace.records[0].s == pytest.approx(floor_q(params) / 100.0)
 
     def test_s0_explicit(self, diag_problem):
-        params = get_profile("cor-4.4", s0=1e-3)
+        params = dataclasses.replace(PROFILES["cor-4.4"], s0=1e-3)
         with pytest.warns(UserWarning, match="below the floor"):
             trace = run_adaagm(diag_problem, params, StopCriteria(max_iters=1), x0=X0)
         assert trace.records[0].s == 1e-3
@@ -69,18 +68,19 @@ class TestStepResolution:
 
     def test_invalid_params_rejected(self, diag_problem):
         with pytest.raises(ValueError, match="invalid parameters"):
-            run_adaagm(diag_problem, get_profile("cor-4.4", gamma=1.9), x0=X0)
+            run_adaagm(diag_problem, dataclasses.replace(PROFILES["cor-4.4"], gamma=1.9), x0=X0)
 
     def test_s0_below_floor_warns(self):
         p = make_quadratic(np.diag([1.0, 10.0]), np.array([1.0, 10.0]))
         with pytest.warns(UserWarning, match="below the floor q/L") as record:
-            run_adaagm(p, get_profile("cor-4.4", s0=1e-6), StopCriteria(max_iters=1), x0=X0)
+            run_adaagm(p, dataclasses.replace(PROFILES["cor-4.4"], s0=1e-6),
+                       StopCriteria(max_iters=1), x0=X0)
         assert len(record) == 1
         assert record[0].filename == __file__
 
     def test_m_one_warns(self, diag_problem):
         with pytest.warns(UserWarning, match="m=1 disables step growth") as record:
-            run_adaagm(diag_problem, get_profile("cor-4.4", m=1.0),
+            run_adaagm(diag_problem, dataclasses.replace(PROFILES["cor-4.4"], m=1.0),
                        StopCriteria(max_iters=1), x0=X0)
         assert len(record) == 1
 
@@ -233,7 +233,7 @@ class TestDivergence:
 
     def test_adaptive_run_does_not_diverge_from_huge_s0(self, diag_problem):
         # the schedule pulls an oversized s0 back under control
-        params = get_profile("cor-4.4", s0=1.0)
+        params = dataclasses.replace(PROFILES["cor-4.4"], s0=1.0)
         stop = StopCriteria(max_iters=5000, grad_tol=1e-9)
         trace = run_adaagm(diag_problem, params, stop=stop, x0=X0)
         assert trace.records[-1].gap <= 1e-6
@@ -304,7 +304,7 @@ class TestRecordedIterates:
     """The test helper's iterates, rebuilt from the oracle calls of a run."""
 
     @pytest.mark.parametrize("run, args, gamma", [
-        (run_adaagm, (get_profile("sc-1"),), 0.5),
+        (run_adaagm, (PROFILES["sc-1"],), 0.5),
         (run_nesterov, (0.01,), 1.0),
         (run_gd, (0.01,), 1.0),
     ], ids=["adaagm-sc-1", "nesterov", "gd"])
@@ -337,8 +337,8 @@ class TestScaleCoherence:
         p4 = make_quadratic(4.0 * A, 4.0 * (A @ x_target))
         s = 0.125
         stop = StopCriteria(max_iters=100, grad_tol=0.0)
-        params = get_profile("cor-4.4", s0=s)
-        params4 = get_profile("cor-4.4", s0=s / 4.0)
+        params = dataclasses.replace(PROFILES["cor-4.4"], s0=s)
+        params4 = dataclasses.replace(PROFILES["cor-4.4"], s0=s / 4.0)
         with pytest.warns(UserWarning, match="below the floor"):
             _, xa, _ = run_with_iterates(run_adaagm, p, params, stop, x0=np.ones(5))
             _, xb, _ = run_with_iterates(run_adaagm, p4, params4, stop, x0=np.ones(5))
