@@ -20,24 +20,20 @@ import argparse
 import os
 import sys
 
-from .config import build_problem, load_config, validate_config
+from .config import ConfigError, build_problem, load_config, trace_name, validate_config
 from .diagnostics import CERTIFICATE_KINDS, certify, format_certificates, write_violations_csv
-from .runner import run_experiment, trace_name
+from .runner import run_experiment
 from .schedule import default_params
 from .solver import read_trace_csv
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = load_config(args.config)
-        if args.out:
-            config.output_dir = args.out
-        if args.thin is not None:
-            config.thinning = args.thin
-        results = run_experiment(config)
-    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    config = load_config(args.config)
+    if args.out:
+        config.output_dir = args.out
+    if args.thin is not None:
+        config.thinning = args.thin
+    results = run_experiment(config)
     for r in results:
         gap = "" if r.final_gap is None else f" gap={r.final_gap:.6g}"
         print(f"{r.problem} x {r.solver} seed={r.seed}: {r.status} "
@@ -47,39 +43,31 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    report = validate_config(args.config)
-    for err in report.errors:
-        print(f"error: {err}", file=sys.stderr)
-    if report.ok:
-        print("ok")
-        for (solver, problem), q in report.solver_floors.items():
-            print(f"solver {solver} on problem {problem}: step floor constant q = {q:.12g}")
-        return 0
-    return 1
+    floors = validate_config(args.config)
+    print("ok")
+    for (solver, problem), q in floors.items():
+        print(f"solver {solver} on problem {problem}: step floor constant q = {q:.12g}")
+    return 0
 
 
 def _cmd_certify(args) -> int:
     try:
         trace = read_trace_csv(args.trace)
     except (OSError, ValueError) as exc:
-        print(f"config error: cannot read trace: {exc}", file=sys.stderr)
-        return 1
-    try:
-        config = load_config(args.problem)
-        name = os.path.basename(args.trace)
-        cells = [(spec, solver) for spec in config.problems for solver in config.solvers
+        raise ConfigError(f"cannot read trace: {exc}") from exc
+    config = load_config(args.problem)
+    name = os.path.basename(args.trace)
+    # load_config refuses a config in which two cells share a trace name
+    cell = next(((spec, solver) for spec in config.problems for solver in config.solvers
                  for seed in config.seeds if solver.algorithm == "adaagm"
-                 and trace_name(spec.name, solver.name, seed) == name]
-        if len(cells) != 1 or trace.algorithm != "adaagm":
-            raise ValueError(f"trace {name} ({trace.algorithm}) names {len(cells)} adaagm "
-                             f"cells of {args.problem}; certify needs an adaagm trace of "
-                             "exactly one, named " + trace_name("<problem>", "<solver>", "<seed>"))
-        spec, solver = cells[0]
-        problem = build_problem(spec, config.base_dir)
-        cert = certify(trace, problem, solver.params or default_params(problem), args.kind)
-    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+                 and trace_name(spec.name, solver.name, seed) == name), None)
+    if cell is None or trace.algorithm != "adaagm":
+        raise ConfigError(f"trace {name} ({trace.algorithm}) is not written by an adaagm cell "
+                          f"of {args.problem}; certify needs an adaagm cell's trace, named "
+                          + trace_name("<problem>", "<solver>", "<seed>"))
+    spec, solver = cell
+    problem = build_problem(spec, config.base_dir)
+    cert = certify(trace, problem, solver.params or default_params(problem), args.kind)
     print(format_certificates([cert]))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -118,7 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -31,12 +31,15 @@ literally (no ``%`` interpolation).  A solver's parameters come from its
 Every solver takes ``max_iters``, ``grad_tol`` and ``gap_tol``; ``adaagm``
 also takes ``profile``, while ``gd`` and ``nesterov`` take ``step``.  A key
 the solver would ignore is an error, as is a ``step`` that is not positive
-and finite or a negative or NaN tolerance.
+and finite or a negative or NaN tolerance; so are non-finite inputs and two
+cells (say, a repeated seed) that would write the same trace file.
 """
 
 from __future__ import annotations
 
 import configparser
+import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -100,6 +103,11 @@ class ExperimentConfig:
     base_dir: str = "."
 
 
+def trace_name(problem: str, solver: str, seed: int) -> str:
+    """File name of a cell's trace in the output directory."""
+    return f"{problem}_{solver}_{seed}.csv"
+
+
 def _parse_vector(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.replace(",", " ").split()])
 
@@ -143,6 +151,8 @@ def load_config(path) -> ExperimentConfig:
                 if thinning < 1:
                     raise ConfigError("thinning must be a positive integer")
                 x0_scale = float(items.get("x0_scale", x0_scale))
+                if not math.isfinite(x0_scale):
+                    raise ValueError("x0_scale must be finite")
             elif section.startswith("problem"):
                 name = section[len("problem"):].strip() or f"problem{len(problems)}"
                 kind = items.get("kind")
@@ -166,6 +176,13 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("no problems defined")
     if not solvers:
         raise ConfigError("no solvers defined")
+    written: dict[str, str] = {}  # trace file name -> the cell that writes it
+    for spec, solver, seed in itertools.product(problems, solvers, seeds):
+        cell = f"{spec.name} x {solver.name} seed={seed}"
+        name = trace_name(spec.name, solver.name, seed)
+        if name in written:
+            raise ConfigError(f"cells {written[name]} and {cell} would both write trace {name}")
+        written[name] = cell
     return ExperimentConfig(problems=problems, solvers=solvers, seeds=seeds,
                             output_dir=output_dir, thinning=thinning,
                             x0_scale=x0_scale, base_dir=base_dir)
@@ -196,7 +213,8 @@ def _parse_solver(name: str, items: dict[str, str], section: str) -> SolverSpec:
 
 
 def build_problem(spec: ProblemSpec, base_dir: str = ".") -> SmoothProblem:
-    """Instantiate the problem described by a config section."""
+    """Instantiate the problem described by a config section; any error, a
+    missing file included, is a ConfigError that names the problem."""
     opts = spec.options
 
     def path_of(key: str) -> str:
@@ -209,32 +227,35 @@ def build_problem(spec: ProblemSpec, base_dir: str = ".") -> SmoothProblem:
             return load_matrix_csv(path_of(csv_key))
         if key in opts:
             return parse(opts[key])
-        raise ConfigError(f"problem {spec.name}: needs {key} or {csv_key}")
+        raise ValueError(f"needs {key} or {csv_key}")
 
-    if spec.kind == "quadratic":
-        A = matrix("diag", "matrix_csv", lambda text: np.diag(_parse_vector(text)))
-        if "offset_csv" in opts:
-            b = load_matrix_csv(path_of("offset_csv")).ravel()
-        else:
-            b = _parse_vector(opts.get("offset", " ".join(["0"] * A.shape[0])))
-        return make_quadratic(A, b, name=spec.name)
+    try:
+        if spec.kind == "quadratic":
+            A = matrix("diag", "matrix_csv", lambda text: np.diag(_parse_vector(text)))
+            if "offset_csv" in opts:
+                b = load_matrix_csv(path_of("offset_csv")).ravel()
+            else:
+                b = _parse_vector(opts.get("offset", " ".join(["0"] * A.shape[0])))
+            return make_quadratic(A, b, name=spec.name)
 
-    if spec.kind == "log_sum_exp":
-        rows = matrix("rows", "rows_csv", _parse_matrix)
-        temperature = float(opts.get("temperature", 1.0))
-        if opts.get("symmetric", "").lower() in ("1", "true", "yes"):
-            return make_symmetric_log_sum_exp(rows, temperature, name=spec.name)
-        shifts = _parse_vector(opts.get("shifts", " ".join(["0"] * rows.shape[0])))
-        return make_log_sum_exp(rows, shifts, temperature, name=spec.name)
+        if spec.kind == "log_sum_exp":
+            rows = matrix("rows", "rows_csv", _parse_matrix)
+            temperature = float(opts.get("temperature", 1.0))
+            if opts.get("symmetric", "").lower() in ("1", "true", "yes"):
+                return make_symmetric_log_sum_exp(rows, temperature, name=spec.name)
+            shifts = _parse_vector(opts.get("shifts", " ".join(["0"] * rows.shape[0])))
+            return make_log_sum_exp(rows, shifts, temperature, name=spec.name)
 
-    if spec.kind == "logistic":
-        A = matrix("features", "features_csv", _parse_matrix)
-        if "labels" not in opts:
-            raise ConfigError(f"problem {spec.name}: needs labels")
-        labels = _parse_vector(opts["labels"])
-        return make_logistic(A, labels, float(opts.get("ridge", 0.0)), name=spec.name)
+        if spec.kind == "logistic":
+            A = matrix("features", "features_csv", _parse_matrix)
+            if "labels" not in opts:
+                raise ValueError("needs labels")
+            labels = _parse_vector(opts["labels"])
+            return make_logistic(A, labels, float(opts.get("ridge", 0.0)), name=spec.name)
 
-    raise ConfigError(f"problem {spec.name}: unknown kind {spec.kind!r}")
+        raise ValueError(f"unknown kind {spec.kind!r}")
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"problem {spec.name}: {exc}") from exc
 
 
 def start_point(config: ExperimentConfig, problem_index: int,
@@ -244,42 +265,17 @@ def start_point(config: ExperimentConfig, problem_index: int,
     return gen.normal_vector(dimension, scale=config.x0_scale)
 
 
-@dataclass
-class ConfigReport:
-    ok: bool
-    errors: list[str] = field(default_factory=list)
-    #: step floor constant q per (solver, problem), as the run resolves it
-    solver_floors: dict[tuple[str, str], float] = field(default_factory=dict)
-
-
-def validate_config(path) -> ConfigReport:
-    """Full validation: parse, check files, build problems, then resolve q
-    per (adaagm solver, problem)."""
-    report = ConfigReport(ok=True)
-    try:
-        config = load_config(path)
-    except ConfigError as exc:
-        return ConfigReport(ok=False, errors=[str(exc)])
-
-    problems: list[SmoothProblem] = []
+def validate_config(path) -> dict[tuple[str, str], float]:
+    """Parse the config and build every problem as the run does; return q per
+    (adaagm solver, problem), or raise one ConfigError naming every failed problem."""
+    config = load_config(path)
+    problems, errors = [], []
     for spec in config.problems:
-        missing = [spec.options[key]
-                   for key in ("matrix_csv", "offset_csv", "rows_csv", "features_csv")
-                   if key in spec.options
-                   and not os.path.exists(os.path.join(config.base_dir, spec.options[key]))]
-        report.errors.extend(f"problem {spec.name}: missing file {p}" for p in missing)
-        if missing:
-            continue
         try:
             problems.append(build_problem(spec, config.base_dir))
-        except ConfigError as exc:  # already names the problem
-            report.errors.append(str(exc))
-        except (ValueError, OSError) as exc:
-            report.errors.append(f"problem {spec.name}: {exc}")
-
-    report.solver_floors = {
-        (spec.name, problem.name): floor_q(spec.params or default_params(problem))
-        for spec in config.solvers if spec.algorithm == "adaagm" for problem in problems}
-
-    report.ok = not report.errors
-    return report
+        except ConfigError as exc:
+            errors.append(str(exc))
+    if errors:
+        raise ConfigError("; ".join(errors))
+    return {(spec.name, problem.name): floor_q(spec.params or default_params(problem))
+            for spec in config.solvers if spec.algorithm == "adaagm" for problem in problems}

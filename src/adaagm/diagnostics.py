@@ -248,15 +248,13 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
         check(k[later], s[later], cap)
 
     elif kind == "energy_monotone":
+        _require(problem, kind, "x_star", "f_star")
         factor = 1.0
         if (params.linear_rate and problem.mu_known is not None
                 and problem.mu_known > 0 and problem.L_known is not None):
             factor = 1.0 - rho(params, problem.mu_known, problem.L_known)
             cert.constant_rho = 1.0 - factor
         e = np.array([r.energy for r in recs], dtype=float)
-        if np.isnan(e).all():
-            raise ValueError("the energy certificate needs an energy column "
-                             "(problem must carry x_star and f_star)")
         # adjacent rows of one epoch; a NaN energy on either side drops the pair
         pair = (k[1:] == k[:-1] + 1) & (epoch[1:] == epoch[:-1])
         check(k[1:][pair], e[1:][pair], factor * e[:-1][pair])

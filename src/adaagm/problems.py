@@ -11,6 +11,7 @@ constants are what the diagnostics layer checks solver runs against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -56,13 +57,19 @@ def load_matrix_csv(path) -> Array:
     return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
 
 
+def _require_finite(**arrays: Array) -> None:
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
+
+
 def make_quadratic(matrix, offset, name: str = "quadratic") -> SmoothProblem:
     """Quadratic f(x) = 0.5 x'Ax - b'x for symmetric PSD A.
 
     L is the largest eigenvalue, mu the smallest; the minimizer solves
     A x = b (the minimum-norm one), all from one eigendecomposition.
-    Raises ValueError for non-symmetric or indefinite A, or when b lies
-    outside the column space of A (no minimizer exists).
+    Raises ValueError for non-finite, non-symmetric or indefinite A, a
+    non-finite b, or b outside the column space of A (no minimizer exists).
     """
     A = np.asarray(matrix, dtype=float)
     b = np.asarray(offset, dtype=float)
@@ -71,6 +78,7 @@ def make_quadratic(matrix, offset, name: str = "quadratic") -> SmoothProblem:
     n = A.shape[0]
     if b.shape != (n,):
         raise ValueError("offset length must match matrix size")
+    _require_finite(matrix=A, offset=b)
     scale = 1.0 + float(np.abs(A).max(initial=0.0))
     if not np.allclose(A, A.T, atol=1e-12 * scale):
         raise ValueError("matrix must be symmetric")
@@ -110,11 +118,12 @@ def make_log_sum_exp(rows, shifts, temperature: float,
         A = A.reshape(1, -1)
     if A.size == 0:
         raise ValueError("rows must be nonempty")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not 0 < temperature < math.inf:  # also false for NaN
+        raise ValueError("temperature must be positive and finite")
     b = np.asarray(shifts, dtype=float)
     if b.shape != (A.shape[0],):
         raise ValueError("shifts length must match the number of rows")
+    _require_finite(rows=A, shifts=b)
     t = float(temperature)
     sigma_max = float(np.linalg.norm(A, 2))
 
@@ -173,8 +182,9 @@ def make_logistic(features, labels, ridge: float,
         raise ValueError("labels length must match the number of feature rows")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be +1 or -1")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    if not 0 <= ridge < math.inf:  # also false for NaN
+        raise ValueError("ridge must be nonnegative and finite")
+    _require_finite(features=A)
     ridge = float(ridge)
     sigma_max = float(np.linalg.norm(A, 2))
 

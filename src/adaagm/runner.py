@@ -11,7 +11,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .config import ConfigError, ExperimentConfig, SolverSpec, build_problem, start_point
+from .config import (ConfigError, ExperimentConfig, SolverSpec, build_problem, start_point,
+                     trace_name)
 from .diagnostics import certify
 from .problems import SmoothProblem
 from .schedule import AlgoParams, default_params, floor_q
@@ -38,11 +39,6 @@ class CellResult:
     q: float | None = None
     certificates: str = "-"
     restarts: int = 0
-
-
-def trace_name(problem: str, solver: str, seed: int) -> str:
-    """File name of a cell's trace in the output directory."""
-    return f"{problem}_{solver}_{seed}.csv"
 
 
 def _applicable_certificates(problem: SmoothProblem, params: AlgoParams) -> list[str]:

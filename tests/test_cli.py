@@ -61,6 +61,11 @@ class TestValidate:
         assert "error" in capsys.readouterr().err
 
 
+QUAD = "kind = quadratic\ndiag = 1 100\noffset = 1 100"
+LSE = "kind = log_sum_exp\nrows = 1 0; 0 1"
+LOGIT = "kind = logistic\nfeatures = 1 0; 0 1\nlabels = 1 -1"
+
+
 @pytest.mark.parametrize("verb", ["run", "validate"])
 @pytest.mark.parametrize("old,new,section,fragment", [
     pytest.param("seeds = 0", "seeds = a", "[experiment]", "'a'", id="seeds"),
@@ -91,6 +96,31 @@ class TestValidate:
     *[pytest.param("algorithm = adaagm\nprofile = cor-4.4", f"algorithm = nesterov\nstep = {step}",
                    "[solver agm]", "step must be a positive finite number", id=f"step-{step}")
       for step in ("-0.5", "0", "inf", "nan")],
+    # run names the problem that fails to build, as validate does
+    pytest.param("diag = 1 100", "diag = 1 -100", "problem quad",
+                 "matrix must be positive semidefinite", id="indefinite"),
+    # non-finite inputs once passed validate and ran as "diverged iters=0"
+    pytest.param("offset = 1 100", "offset = 1 nan", "problem quad", "offset must be finite",
+                 id="offset-nan"),
+    pytest.param("diag = 1 100", "diag = 1 inf", "problem quad", "matrix must be finite",
+                 id="diag-inf"),
+    # NaN once read as an asymmetric matrix
+    pytest.param("diag = 1 100", "diag = 1 nan", "problem quad", "matrix must be finite",
+                 id="diag-nan"),
+    pytest.param(QUAD, LSE + "\nshifts = 0 nan", "problem quad", "shifts must be finite",
+                 id="shifts-nan"),
+    pytest.param(QUAD, "kind = log_sum_exp\nrows = 1 0; 0 inf", "problem quad",
+                 "rows must be finite", id="rows-inf"),
+    *[pytest.param(QUAD, f"{LSE}\ntemperature = {t}", "problem quad",
+                   "temperature must be positive and finite", id=f"temperature-{t}")
+      for t in ("nan", "inf")],
+    *[pytest.param(QUAD, f"{LOGIT}\nridge = {r}", "problem quad",
+                   "ridge must be nonnegative and finite", id=f"ridge-{r}")
+      for r in ("nan", "inf")],
+    pytest.param(QUAD, "kind = logistic\nfeatures = 1 0; 0 nan\nlabels = 1 -1", "problem quad",
+                 "features must be finite", id="features-nan"),
+    pytest.param("seeds = 0", "seeds = 0\nx0_scale = nan", "[experiment]",
+                 "x0_scale must be finite", id="x0-scale-nan"),
 ])
 def test_malformed_value_exit_one(tmp_path, capsys, verb, old, new, section, fragment):
     path = tmp_path / "bad.ini"
@@ -101,6 +131,68 @@ def test_malformed_value_exit_one(tmp_path, capsys, verb, old, new, section, fra
     assert f"error: {section}: " in err and fragment in err
     if verb == "run":
         assert "config error" in err
+
+
+def _exit_and_error(tmp_path, capsys, verb, text):
+    """Exit code and stderr of ``verb`` on a config file holding ``text``."""
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    out = ["--out", str(tmp_path / "out")] if verb == "run" else []
+    return main([verb, str(path), *out]), capsys.readouterr().err
+
+
+COLLIDING = """
+[problem a_b]
+kind = quadratic
+diag = 1
+
+[problem a]
+kind = quadratic
+diag = 1
+
+[solver c]
+algorithm = nesterov
+
+[solver b_c]
+algorithm = nesterov
+"""
+
+
+@pytest.mark.parametrize("verb", ["run", "validate"])
+@pytest.mark.parametrize("text,message", [
+    pytest.param(COLLIDING, "cells a_b x c seed=0 and a x b_c seed=0 would both write "
+                 "trace a_b_c_0.csv", id="names"),
+    pytest.param(CONFIG.replace("seeds = 0", "seeds = 0 0"), "cells quad x agm seed=0 and "
+                 "quad x agm seed=0 would both write trace quad_agm_0.csv", id="repeated-seed"),
+])
+def test_cells_sharing_a_trace_file_exit_one(tmp_path, capsys, verb, text, message):
+    code, err = _exit_and_error(tmp_path, capsys, verb, text)
+    assert (code, err) == (1, f"config error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_names_every_problem_that_fails(tmp_path, capsys):
+    text = (CONFIG.replace("diag = 1 100", "diag = 1 -100")
+            + "\n[problem logit]\nkind = logistic\nfeatures = 1 0; 0 1\nlabels = 1 0\n")
+    code, err = _exit_and_error(tmp_path, capsys, "validate", text)
+    assert (code, err) == (1, "config error: problem quad: matrix must be positive "
+                              "semidefinite; problem logit: labels must be +1 or -1\n")
+
+
+def test_run_converging_at_k0_is_ok(tmp_path, capsys):
+    # x0 = 0 is the symmetric log-sum-exp's minimizer: each adaagm run stops
+    # at k = 0 with a one-row trace, whose energy certificate checks nothing
+    text = CONFIG.replace("seeds = 0", "seeds = 0\nx0_scale = 0").replace(
+        QUAD, "kind = log_sum_exp\nrows = 1 0; 0 1\nsymmetric = yes") + (
+        "\n[solver agm-default]\nalgorithm = adaagm\n")
+    code, err = _exit_and_error(tmp_path, capsys, "run", text)
+    assert (code, err) == (0, "")
+    rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[:5] for r in rows] == [
+        ["quad", solver, "0", "ok", "0"] for solver in ("agm", "agm-default")]
+    for solver in ("agm", "agm-default"):
+        trace = read_trace_csv(tmp_path / "out" / f"quad_{solver}_0.csv")
+        assert [r.k for r in trace.records] == [0]
 
 
 def test_percent_is_literal(tmp_path):
@@ -274,12 +366,14 @@ def test_certify_uses_the_constants_of_the_traces_own_problem(demo_runs, capsys,
 def test_certify_rejects_a_nesterov_trace(demo_runs, tmp_path, capsys):
     trace = demo_runs / "quad_nesterov_0.csv"
     assert main(["certify", str(trace), "--problem", DEMO, "--kind", "sublinear"]) == 1
-    assert "trace quad_nesterov_0.csv (nesterov) names 0 adaagm cells" in capsys.readouterr().err
+    assert ("trace quad_nesterov_0.csv (nesterov) is not written by an adaagm cell"
+            in capsys.readouterr().err)
     # under an adaagm cell's name, its algorithm line still gives it away
     renamed = tmp_path / "quad_agm_0.csv"
     renamed.write_text(trace.read_text())
     assert main(["certify", str(renamed), "--problem", DEMO, "--kind", "step_floor"]) == 1
-    assert "trace quad_agm_0.csv (nesterov) names 1 adaagm cells" in capsys.readouterr().err
+    assert ("trace quad_agm_0.csv (nesterov) is not written by an adaagm cell"
+            in capsys.readouterr().err)
 
 
 def test_certify_rejects_a_trace_name_no_cell_writes(demo_runs, tmp_path, capsys):
@@ -287,7 +381,8 @@ def test_certify_rejects_a_trace_name_no_cell_writes(demo_runs, tmp_path, capsys
     trace.write_text((demo_runs / "quad_agm_0.csv").read_text())
     assert main(["certify", str(trace), "--problem", DEMO, "--kind", "sublinear"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: trace quad_agm_7.csv (adaagm) names 0 adaagm cells")
+    assert err.startswith("config error: trace quad_agm_7.csv (adaagm) is not written by an "
+                          "adaagm cell")
     assert "<problem>_<solver>_<seed>.csv" in err
 
 

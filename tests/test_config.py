@@ -205,16 +205,12 @@ algorithm = adaagm
 
 class TestValidateConfig:
     def test_ok(self, tmp_path):
-        report = validate_config(write(tmp_path, BASIC))
-        assert report.ok
-        assert report.solver_floors == {("agm", "quad"): pytest.approx(0.2)}
+        assert validate_config(write(tmp_path, BASIC)) == {("agm", "quad"): pytest.approx(0.2)}
 
     def test_default_profile_q_per_problem(self):
         # profile = default resolves to sc-2 (q = 1/16) on the strongly convex
         # problems and to cor-4.4 (q = 1/5) on the merely convex one
-        report = validate_config(DEMO_CONFIG)
-        assert report.ok
-        assert report.solver_floors == {
+        assert validate_config(DEMO_CONFIG) == {
             ("agm", "quad"): 0.0625, ("agm", "lse"): 0.2, ("agm", "logit"): 0.0625,
             ("agm-convex", "quad"): 0.2, ("agm-convex", "lse"): 0.2,
             ("agm-convex", "logit"): 0.2,
@@ -222,24 +218,25 @@ class TestValidateConfig:
 
     def test_missing_csv(self, tmp_path):
         text = BASIC.replace("diag = 1 100\noffset = 1 100", "matrix_csv = gone.csv")
-        report = validate_config(write(tmp_path, text))
-        assert not report.ok
-        assert report.errors == ["problem quad: missing file gone.csv"]
+        with pytest.raises(ConfigError) as err:
+            validate_config(write(tmp_path, text))
+        assert str(err.value) == f"problem quad: {tmp_path / 'gone.csv'} not found."
 
     def test_parse_error_reported(self, tmp_path):
-        report = validate_config(write(tmp_path, "[experiment]\nbogus = 1\n"))
-        assert not report.ok
+        with pytest.raises(ConfigError, match=r"unknown keys in \[experiment\]"):
+            validate_config(write(tmp_path, "[experiment]\nbogus = 1\n"))
 
     def test_problem_named_once(self, tmp_path):
         text = BASIC.replace("diag = 1 100\noffset = 1 100", "offset = 1 100")
-        report = validate_config(write(tmp_path, text))
-        assert report.errors == ["problem quad: needs diag or matrix_csv"]
+        with pytest.raises(ConfigError) as err:
+            validate_config(write(tmp_path, text))
+        assert str(err.value) == "problem quad: needs diag or matrix_csv"
 
     def test_bad_problem_reported(self, tmp_path):
         text = BASIC.replace("diag = 1 100", "diag = 1 -100")
-        report = validate_config(write(tmp_path, text))
-        assert not report.ok
-        assert any("quad" in e for e in report.errors)
+        with pytest.raises(ConfigError,
+                           match="^problem quad: matrix must be positive semidefinite$"):
+            validate_config(write(tmp_path, text))
 
 
 class TestStartPoint:

@@ -254,14 +254,13 @@ class TestCertify:
         assert path.read_text().splitlines()[0] == "kind,k,lhs,rhs"
 
     def test_energy_certificate_needs_energy(self, convex_run):
-        import copy
-
+        # the energy needs x* and f*: without them the certificate refuses,
+        # while a trace that merely lacks energies checks nothing
+        # (TestArrayCertifyMatchesRows::test_trace_without_energies)
         p, params, trace = convex_run
-        stripped = copy.deepcopy(trace)
-        for r in stripped.records:
-            r.energy = None
-        with pytest.raises(ValueError, match="energy"):
-            certify(stripped, p, params, "energy_monotone")
+        bare = dataclasses.replace(p, x_star=None, f_star=None)
+        with pytest.raises(ValueError, match="'energy_monotone' needs problem.x_star"):
+            certify(trace, bare, params, "energy_monotone")
 
     def test_fitted_contraction_below_guarantee(self, sc_run):
         p, params, trace = sc_run
@@ -404,7 +403,9 @@ class TestArrayCertifyMatchesRows:
         stripped = copy.deepcopy(trace)
         for r in stripped.records:
             r.energy = None
-        assert assert_matches_rows(stripped, p, params, "energy_monotone") is None
+        # no energy pair to compare: nothing is checked, nothing fails
+        cert = assert_matches_rows(stripped, p, params, "energy_monotone")
+        assert cert.passed and cert.checks == 0
 
 
 class TestTrajectoryInvariants:
