@@ -100,6 +100,8 @@ def run_experiment(config: ExperimentConfig) -> list[CellResult]:
     """
     if config.thinning < 1:
         raise ConfigError("thinning must be a positive integer")
+    # a problem that fails to build leaves no output directory behind
+    problems = [build_problem(spec, config.base_dir) for spec in config.problems]
     os.makedirs(config.output_dir, exist_ok=True)
     probe = os.path.join(config.output_dir, ".writable")
     try:
@@ -109,7 +111,6 @@ def run_experiment(config: ExperimentConfig) -> list[CellResult]:
     except OSError as exc:
         raise OSError(f"output directory {config.output_dir} is not writable: {exc}")
 
-    problems = [build_problem(spec, config.base_dir) for spec in config.problems]
     results = []
     for p_idx, problem in enumerate(problems):
         for s_idx, solver in enumerate(config.solvers):

@@ -33,8 +33,9 @@ class NonConvexInputError(ValueError):
 class AlgoParams:
     """Solver parameters (m, t0, gamma, beta, omega, delta, s0, restart).
 
-    ``s0=None`` means "resolve at run time": q/L when L is known, otherwise
-    by a one-step probe of the local smoothness at the start point.
+    ``s0=None`` means "resolve at run time" by a one-step probe of the
+    local smoothness at the start point: q/L_hat(x0), with L_hat capped at
+    the known L, so never below q/L.
     ``restart`` turns on gradient-based adaptive restart; only
     :func:`default_params` sets it, and no config key exposes it.
     """
@@ -71,7 +72,8 @@ def default_params(problem) -> AlgoParams:
 
     At the profiles' m = 0.99 the candidate A = (t_{k+1} - m)/(t_{k+1} - 1)
     is about 1 + 0.01/t_{k+1}: it binds on nearly every iteration, so the
-    step creeps up from q/L and the local estimate L_hat almost never acts.
+    step creeps up from the probed s0 and the local estimate L_hat almost
+    never acts.
     At m = 1/2 the step follows L_hat and grows past 1/L where the
     curvature allows.  q, D and rho do not depend on m and stay the
     profile's.  The price: t_k grows like m*k/2, so the certified sublinear

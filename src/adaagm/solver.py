@@ -8,8 +8,10 @@ loop keeps t_k, t_{k+1} and s_k as plain numbers, and every method advances
 t by :func:`next_t` at its own m.  Only the step rule and the t-recursion's
 constants differ:
 
-* adaptive (:func:`run_adaagm`): s from :func:`local_smoothness` and
-  :func:`advance_step`, t from the profile's t_0 and m;
+* adaptive (:func:`run_adaagm`): s_0 from a one-step probe of the local
+  smoothness at x_0 (:func:`_probe_s0`) unless the parameters fix it, then
+  s from :func:`local_smoothness` and :func:`advance_step`, t from the
+  profile's t_0 and m;
 * fixed: constant s, t from t_0 = 1 at m = 1, which is classical Nesterov
   momentum (:func:`run_nesterov`), or at m = 0, where t stays 1 and the
   momentum vanishes, which is gradient descent (:func:`run_gd`).
@@ -148,10 +150,13 @@ def _evaluate(problem: SmoothProblem, x: Array, k: int) -> tuple[float, Array, f
 
 def _probe_s0(problem: SmoothProblem, x0: Array, g0: Array, f0: float,
               params: AlgoParams) -> float:
-    """Initial step from a unit-scaled trial step when L is unknown.
+    """Initial step q/L_hat(x0) from one short trial step along -g0.
 
-    The probe's local estimate never exceeds the true L, so q divided by it
-    is at least q/L.
+    L_hat(x0) is :func:`local_smoothness` of the pair (x0, x1), capped at
+    the known L as in the loop, so s0 = q/min(L_hat(x0), L) >= q/L: the
+    local curvature at the start point, not the global bound, sets the
+    first step.  A probe that sees no curvature (L_hat = 0) starts from
+    q/L when L is known and from 1 otherwise.
     """
     q = floor_q(params)
     g_norm = float(np.linalg.norm(g0))
@@ -160,10 +165,11 @@ def _probe_s0(problem: SmoothProblem, x0: Array, g0: Array, f0: float,
     eps = 1e-4 * (1.0 + float(np.linalg.norm(x0)))
     x1 = x0 - eps * g0 / g_norm
     f1, g1, gg1 = _evaluate(problem, x1, 0)
-    L_hat = local_smoothness(g1, g0, f1, f0, x1, x0, gg1)
-    if L_hat <= 0.0:
-        return 1.0
-    return q / L_hat
+    L_known = problem.L_known
+    L_hat = local_smoothness(g1, g0, f1, f0, x1, x0, gg1, clamp=L_known)
+    if L_hat > 0.0:
+        return q / L_hat
+    return q / L_known if L_known else 1.0
 
 
 def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
@@ -254,18 +260,16 @@ def run_adaagm(problem: SmoothProblem, params: Optional[AlgoParams] = None,
                stop: Optional[StopCriteria] = None, x0=None, *, thin: int = 1) -> Trace:
     """Run the adaptive accelerated method from x0 = y0.
 
-    ``params.s0=None`` resolves to q/L when L is known, otherwise by a
-    one-step probe at the start point.  Invalid parameters raise
-    ``ValueError``; :func:`validate_params`' warnings are emitted.
+    ``params.s0=None`` resolves by a one-step probe of the local smoothness
+    at the start point (:func:`_probe_s0`), whether or not L is known; it
+    costs one oracle call.  Invalid parameters raise ``ValueError``;
+    :func:`validate_params`' warnings are emitted.
     """
     if params is None:
         params = default_params(problem)
     for message in validate_params(params, L_known=problem.L_known):
         warnings.warn(message, stacklevel=2)
-    s0 = params.s0
-    if s0 is None and problem.L_known is not None and problem.L_known > 0:
-        s0 = floor_q(params) / problem.L_known
-    return _iterate(problem, "adaagm", params, s0, x0, stop, thin)
+    return _iterate(problem, "adaagm", params, params.s0, x0, stop, thin)
 
 
 def run_gd(problem: SmoothProblem, step: float,

@@ -30,9 +30,10 @@ def random_quadratic(dim, seed, lam_min=1e-3, lam_max=1.0, name="quad"):
 def run_with_iterates(run, problem, *args, **kwargs):
     """``run(problem, ...)`` plus its iterates x_0..x_K and y_0..y_K.
 
-    Every iteration makes one oracle call, at x_k, so a run with a known L
-    (no s0 probe) and thin = 1 evaluates exactly x_0..x_K.  The oracle is
-    wrapped to record each point and gradient; y_0 = x_0 and
+    Every iteration makes one oracle call, at x_k, so a run with thin = 1
+    evaluates exactly x_0..x_K, plus the s0 probe's trial point right after
+    x_0 when the run resolves s0 itself; that call is dropped.  The oracle
+    is wrapped to record each point and gradient; y_0 = x_0 and
     y_{k+1} = x_k - s_k*g_k with the step s_k of record k, the solver's own
     arithmetic, so both sequences are the solver's bit for bit.
     """
@@ -44,7 +45,9 @@ def run_with_iterates(run, problem, *args, **kwargs):
         return f, g
 
     trace = run(dataclasses.replace(problem, value_and_grad=value_and_grad), *args, **kwargs)
-    assert len(calls) == len(trace.records), "needs a known L and thin = 1"
+    if len(calls) == len(trace.records) + 1:
+        del calls[1]  # the s0 probe
+    assert len(calls) == len(trace.records), "needs thin = 1"
     xs = [x for x, _ in calls]
     ys = [xs[0]] + [x - r.s * g for (x, g), r in zip(calls[:-1], trace.records)]
     return trace, xs, ys

@@ -171,6 +171,13 @@ def test_cells_sharing_a_trace_file_exit_one(tmp_path, capsys, verb, text, messa
     assert not (tmp_path / "out").exists()
 
 
+def test_run_whose_problem_fails_to_build_leaves_no_output_directory(tmp_path, capsys):
+    text = "[problem p]\nkind = quadratic\ndiag = 1 -1\n[solver s]\nalgorithm = adaagm\n"
+    code, err = _exit_and_error(tmp_path, capsys, "run", text)
+    assert code == 1 and "config error: problem p: " in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_names_every_problem_that_fails(tmp_path, capsys):
     text = (CONFIG.replace("diag = 1 100", "diag = 1 -100")
             + "\n[problem logit]\nkind = logistic\nfeatures = 1 0; 0 1\nlabels = 1 0\n")
@@ -360,7 +367,15 @@ def test_certify_uses_the_constants_of_the_traces_own_problem(demo_runs, capsys,
         assert (" PASS checks=" in line or " VACUOUS checks=0 " in line) and "FAIL" not in line
         assert f"q={float(row[7]):.12g} " in line
         if kind == "sublinear" and problem == "lse":
-            assert "q=0.2 D=19.7700807045 " in line
+            assert "q=0.2 D=48.9137871114 " in line
+
+
+def test_named_profile_cell_starts_from_the_local_probe(demo_runs):
+    # at m = 0.99 the step only creeps up from s0; from q/L instead of the
+    # probe's q/L_hat(x0), this cell took 3,062 iterations
+    rows = (demo_runs / "summary.csv").read_text().splitlines()
+    row = next(r.split(",") for r in rows if r.startswith("lse,agm-convex,0,"))
+    assert row[3] == "ok" and int(row[4]) < 1000
 
 
 def test_certify_rejects_a_nesterov_trace(demo_runs, tmp_path, capsys):

@@ -259,8 +259,8 @@ def test_one_oracle_call_per_iteration(demo_problems, L_known):
             problem = dataclasses.replace(problem, L_known=None)
         counted, calls = _counted(problem)
         trace = run_adaagm(counted, stop=stop, x0=x0)
-        probe = 0 if L_known else 1
-        assert len(calls) == trace.records[-1].k + 1 + probe
+        # plus the s0 probe, known L or not
+        assert len(calls) == trace.records[-1].k + 2
         if L_known:
             counted, calls = _counted(problem)
             trace = run_nesterov(counted, 1.0 / problem.L_known, stop, x0=x0)

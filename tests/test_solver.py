@@ -31,7 +31,7 @@ import adaagm.diagnostics
 import adaagm.problems
 import adaagm.schedule
 import adaagm.solver
-from adaagm.config import build_problem, load_config
+from adaagm.config import build_problem, load_config, start_point
 from adaagm.diagnostics import CERTIFICATE_KINDS
 from adaagm.problems import SmoothProblem
 from adaagm.schedule import default_params
@@ -49,9 +49,53 @@ X0 = np.array([5.0, -3.0])
 
 class TestStepResolution:
     def test_s0_from_known_L(self, diag_problem):
+        # g0 = (4, 0.04) points mostly along the flat axis: the probe sees
+        # L_hat(x0) = ||H g0||^2 / g0'H g0 = 32/16.16, about L/50, and a
+        # known L no longer overrides it with q/L
         params = PROFILES["cor-4.4"]
-        trace = run_adaagm(diag_problem, params, StopCriteria(max_iters=1), x0=X0)
-        assert trace.records[0].s == pytest.approx(floor_q(params) / 100.0)
+        x0 = np.array([5.0, 1.0004])
+        s0 = run_adaagm(diag_problem, params, StopCriteria(max_iters=1), x0=x0).records[0].s
+        assert s0 == pytest.approx(floor_q(params) * 16.16 / 32.0, rel=1e-6)
+        assert s0 > 40.0 * floor_q(params) / diag_problem.L_known
+        # the same probe as with L unknown, since L_hat(x0) < L leaves the cap idle
+        blind = dataclasses.replace(diag_problem, L_known=None, mu_known=None)
+        assert run_adaagm(blind, params, StopCriteria(max_iters=1), x0=x0).records[0].s == s0
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(2, 12), seed=st.integers(0, 2 ** 16),
+           log_cond=st.floats(0.0, 6.0), log_L=st.floats(-3.0, 3.0),
+           x0_scale=st.floats(1e-3, 1e3), name=st.sampled_from([*PROFILES, "default"]))
+    def test_probed_s0_never_below_q_over_L(self, dim, seed, log_cond, log_L, x0_scale, name):
+        L = 10.0 ** log_L
+        p = random_quadratic(dim, seed, lam_min=L / 10.0 ** log_cond, lam_max=L)
+        params = default_params(p) if name == "default" else PROFILES[name]
+        x0 = x0_scale * np.random.default_rng(seed).standard_normal(dim)
+        s0 = run_adaagm(p, params, StopCriteria(max_iters=1), x0=x0).records[0].s
+        assert s0 >= floor_q(params) / p.L_known * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("name", ["quad", "lse", "logit"])
+    def test_probed_s0_never_below_q_over_L_on_demo_problems(self, name):
+        config = load_config(DEMO)
+        p_idx = next(i for i, p in enumerate(config.problems) if p.name == name)
+        problem = build_problem(config.problems[p_idx])
+        # the demo's own cell start points, seeds 0..7
+        starts = [start_point(config, p_idx, s_idx, seed, problem.dimension)
+                  for s_idx in range(len(config.solvers)) for seed in range(8)]
+        for params in [*PROFILES.values(), default_params(problem)]:
+            for x0 in starts:
+                s0 = run_adaagm(problem, params, StopCriteria(max_iters=1), x0=x0).records[0].s
+                assert s0 >= floor_q(params) / problem.L_known * (1.0 - 1e-12)
+
+    def test_probe_without_curvature_starts_from_q_over_L(self):
+        # a linear objective: the probe's gradients agree, so L_hat(x0) = 0
+        c = np.array([1.0, -2.0])
+        linear = SmoothProblem(2, lambda x: (float(c.dot(x)), c.copy()), L_known=0.5)
+        params = PROFILES["cor-4.4"]
+        stop = StopCriteria(max_iters=1)
+        assert run_adaagm(linear, params, stop, x0=np.ones(2)).records[0].s == \
+            floor_q(params) / 0.5
+        blind = dataclasses.replace(linear, L_known=None)
+        assert run_adaagm(blind, params, stop, x0=np.ones(2)).records[0].s == 1.0
 
     def test_s0_explicit(self, diag_problem):
         params = dataclasses.replace(PROFILES["cor-4.4"], s0=1e-3)
@@ -465,13 +509,16 @@ class TestRestart:
 
     @pytest.mark.parametrize("name", ["cor-4.4", "sc-2", "nesterov"])
     def test_named_profiles_and_nesterov_keep_their_traces(self, diag_problem, name):
-        # the committed format-1 files were written before restart existed
+        # the committed format-1 files were written before restart existed,
+        # and the adaptive ones from s0 = q/L, which the run is now given
         old = read_trace_csv(os.path.join(DATA, f"format1_{name}.csv"))
         stop = StopCriteria(max_iters=40, grad_tol=0.0)
         if name == "nesterov":
             new = run_nesterov(diag_problem, 0.01, stop, X0)
         else:
-            new = run_adaagm(diag_problem, PROFILES[name], stop, X0)
+            params = PROFILES[name]
+            params = dataclasses.replace(params, s0=floor_q(params) / diag_problem.L_known)
+            new = run_adaagm(diag_problem, params, stop, X0)
         assert old.algorithm == new.algorithm and np.array_equal(old.x0, new.x0)
         assert [dataclasses.astuple(r) for r in old.records] == \
             [dataclasses.astuple(r) for r in new.records]
@@ -480,13 +527,16 @@ class TestRestart:
 
     @pytest.mark.parametrize("name", ["quad", "lse", "logit"])
     def test_default_profile_keeps_its_demo_traces(self, name):
-        # the demo's seed-0 `agm` cells, written at thinning 10: pins every
-        # column of the restarting loop and all three oracles bit for bit
+        # the demo's seed-0 `agm` cells, written at thinning 10 from
+        # s0 = q/L: pins every column of the restarting loop and all three
+        # oracles bit for bit
         old = read_trace_csv(os.path.join(DATA, f"format2_default_{name}.csv"))
         config = load_config(DEMO)
         problem = build_problem(next(p for p in config.problems if p.name == name))
         stop = StopCriteria(max_iters=20_000, grad_tol=1e-9)
-        new = run_adaagm(problem, default_params(problem), stop, old.x0, thin=10)
+        params = default_params(problem)
+        params = dataclasses.replace(params, s0=floor_q(params) / problem.L_known)
+        new = run_adaagm(problem, params, stop, old.x0, thin=10)
         assert [dataclasses.astuple(r) for r in old.records] == \
             [dataclasses.astuple(r) for r in new.records]
         # epoch starts off the thinning grid, each with its dist_sq
