@@ -4,11 +4,11 @@ Verbs::
 
     adaagm-bench run <config> [--out DIR] [--thin K]
     adaagm-bench validate <config>
-    adaagm-bench certify <trace.csv> --problem <config> --kind <cert> [--out DIR]
+    adaagm-bench certify <trace.csv> --problem <config> [--out DIR]
 
-``certify`` checks an adaagm trace with the problem and parameters of the
-one config cell whose ``<problem>_<solver>_<seed>.csv`` is its file name,
-resolved as in the run; s0 comes from each restart epoch's first row.
+``certify`` re-checks an adaagm trace with the problem, parameters and kinds
+that the run gave the cell whose ``<problem>_<solver>_<seed>.csv`` is its file
+name: one line per kind; ``--out DIR`` writes ``DIR/violations.csv``.
 
 Exit codes: 0 success, 1 configuration error, 2 at least one cell diverged
 or failed on its inputs, 3 ``certify`` found a violation (printed ``FAIL``).
@@ -21,8 +21,8 @@ import os
 import sys
 
 from .config import ConfigError, build_problem, load_config, trace_name, validate_config
-from .diagnostics import CERTIFICATE_KINDS, certify, format_certificates, write_violations_csv
-from .runner import run_experiment
+from .diagnostics import format_certificates, write_violations_csv
+from .runner import certify_cell, run_experiment
 from .schedule import default_params
 from .solver import read_trace_csv
 
@@ -67,14 +67,14 @@ def _cmd_certify(args) -> int:
                           + trace_name("<problem>", "<solver>", "<seed>"))
     spec, solver = cell
     problem = build_problem(spec, config.base_dir)
-    cert = certify(trace, problem, solver.params or default_params(problem), args.kind)
-    print(format_certificates([cert]))
+    certs = certify_cell(trace, problem, solver.params or default_params(problem))
+    print(format_certificates(certs))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        out = os.path.join(args.out, f"violations_{args.kind}.csv")
-        write_violations_csv([cert], out)
+        out = os.path.join(args.out, "violations.csv")
+        write_violations_csv(certs, out)
         print(f"violations written to {out}")
-    return 0 if cert.passed else 3
+    return 0 if all(c.passed for c in certs) else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,12 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("config")
     p_val.set_defaults(func=_cmd_validate)
 
-    p_cert = sub.add_parser("certify", help="re-check a certificate on a trace CSV")
+    p_cert = sub.add_parser("certify", help="re-check a trace's certificates")
     p_cert.add_argument("trace")
     p_cert.add_argument("--problem", required=True,
                         help="config file whose run wrote the trace")
-    p_cert.add_argument("--kind", required=True, choices=CERTIFICATE_KINDS)
-    p_cert.add_argument("--out", help="directory for the violations CSV")
+    p_cert.add_argument("--out", help="directory for violations.csv")
     p_cert.set_defaults(func=_cmd_certify)
     return parser
 

@@ -31,8 +31,12 @@ literally (no ``%`` interpolation).  A solver's parameters come from its
 Every solver takes ``max_iters``, ``grad_tol`` and ``gap_tol``; ``adaagm``
 also takes ``profile``, while ``gd`` and ``nesterov`` take ``step``.  A key
 the solver would ignore is an error, as is a ``step`` that is not positive
-and finite or a negative or NaN tolerance; so are non-finite inputs and two
-cells (say, a repeated seed) that would write the same trace file.
+and finite or a tolerance that is negative, infinite or NaN; so are
+non-finite inputs and two cells (say, a repeated seed) that would write
+the same trace file.  Sections are ``[experiment]``, ``[problem <name>]``
+and ``[solver <name>]``, with an unnamed ``[problem]`` or ``[solver]``
+numbered by position; a name has only letters, digits, ``_``, ``-`` and
+``.``, since it becomes part of a trace file name and of ``summary.csv``.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import configparser
 import itertools
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,6 +69,7 @@ _PROBLEM_KEYS = {
     "log_sum_exp": {"kind", "rows", "rows_csv", "shifts", "temperature", "symmetric"},
     "logistic": {"kind", "features", "features_csv", "labels", "ridge"},
 }
+_SECTION = re.compile(r"experiment|(problem|solver)(?: ([A-Za-z0-9_.-]+))?")
 _STOP_KEYS = {"algorithm", "max_iters", "grad_tol", "gap_tol"}
 _SOLVER_KEYS = {
     "adaagm": _STOP_KEYS | {"profile"},
@@ -136,6 +142,12 @@ def load_config(path) -> ExperimentConfig:
     x0_scale = 1.0
 
     for section in parser.sections():
+        match = _SECTION.fullmatch(section)
+        if match is None:
+            raise ConfigError(f"unknown section [{section}]: sections are [experiment], "
+                              "[problem], [problem <name>], [solver] and [solver <name>], "
+                              "a name made of letters, digits, '_', '-' and '.'")
+        head, name = match.groups()
         items = dict(parser.items(section))
         try:
             if section == "experiment":
@@ -153,8 +165,8 @@ def load_config(path) -> ExperimentConfig:
                 x0_scale = float(items.get("x0_scale", x0_scale))
                 if not math.isfinite(x0_scale):
                     raise ValueError("x0_scale must be finite")
-            elif section.startswith("problem"):
-                name = section[len("problem"):].strip() or f"problem{len(problems)}"
+            elif head == "problem":
+                name = name or f"problem{len(problems)}"
                 kind = items.get("kind")
                 if kind not in _PROBLEM_KEYS:
                     raise ConfigError(f"[{section}]: unknown or missing kind {kind!r}")
@@ -162,11 +174,8 @@ def load_config(path) -> ExperimentConfig:
                 if unknown:
                     raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
                 problems.append(ProblemSpec(name=name, kind=kind, options=items))
-            elif section.startswith("solver"):
-                name = section[len("solver"):].strip() or f"solver{len(solvers)}"
-                solvers.append(_parse_solver(name, items, section))
             else:
-                raise ConfigError(f"unknown section [{section}]")
+                solvers.append(_parse_solver(name or f"solver{len(solvers)}", items, section))
         except ConfigError:
             raise
         except ValueError as exc:

@@ -113,7 +113,9 @@ class RateCertificate:
 
     ``checks`` counts the inequalities evaluated; a certificate with no
     checks and no violations passed vacuously.  ``max_violation_rel`` is the
-    worst (lhs - rhs)/(1 + |rhs|), negative on a pass, -inf without checks.
+    worst (lhs - rhs)/(1 + |rhs|): at most the tolerance on a pass, usually
+    negative but just above 0 where an inequality holds with equality up to
+    rounding; -inf without checks.
     ``epochs`` counts the restart epochs; ``constant_D`` is the first epoch's.
     """
 

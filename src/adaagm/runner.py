@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .config import (ConfigError, ExperimentConfig, SolverSpec, build_problem, start_point,
                      trace_name)
-from .diagnostics import certify
+from .diagnostics import RateCertificate, certify
 from .problems import SmoothProblem
 from .schedule import AlgoParams, default_params, floor_q
 from .solver import (
@@ -41,7 +41,9 @@ class CellResult:
     restarts: int = 0
 
 
-def _applicable_certificates(problem: SmoothProblem, params: AlgoParams) -> list[str]:
+def certify_cell(trace: Trace, problem: SmoothProblem,
+                 params: AlgoParams) -> list[RateCertificate]:
+    """A cell's certificates in summary order, via ``certify`` here: bench/probes.py patches it."""
     if problem.L_known is None or problem.L_known <= 0:
         return []
     kinds = ["step_floor", "step_cap"]
@@ -49,7 +51,7 @@ def _applicable_certificates(problem: SmoothProblem, params: AlgoParams) -> list
         kinds += ["sublinear", "energy_monotone"]
         if problem.mu_known is not None and problem.mu_known > 0 and params.linear_rate:
             kinds += ["linear", "grad_summable"]
-    return kinds
+    return [certify(trace, problem, params, kind) for kind in kinds]
 
 
 def _run_cell(config: ExperimentConfig, p_idx: int, problem: SmoothProblem,
@@ -63,9 +65,8 @@ def _run_cell(config: ExperimentConfig, p_idx: int, problem: SmoothProblem,
             trace = run_adaagm(problem, params, solver.stop, x0, thin=config.thinning)
             # every epoch start is recorded, and t == t0 marks exactly those rows
             result.restarts = sum(r.t == params.t0 for r in trace.records[1:])
-            kinds = _applicable_certificates(problem, params)
-            if kinds:
-                certs = [certify(trace, problem, params, kind) for kind in kinds]
+            certs = certify_cell(trace, problem, params)
+            if certs:
                 result.certificates = ";".join(
                     f"{c.kind}:{'pass' if c.passed else 'fail'}" for c in certs)
         else:

@@ -3,8 +3,8 @@
 Three coupled sequences drive the adaptive solver:
 
 * t_k, the inertial (momentum) weights, growing linearly in k;
-* L_k, a per-iteration local estimate of the smoothness constant that never
-  exceeds the global L;
+* L_k, a per-iteration local estimate of the smoothness constant, capped at
+  the global L when L is known (rounding can push the raw estimate above it);
 * s_k, the step size, advanced as the minimum of three candidates A_k*s_k,
   B_k*s_k and C_k/L_{k+1}.  Under valid parameters A_k and B_k exceed 1, so
   the step can grow, while the third candidate keeps it above a closed-form

@@ -74,8 +74,9 @@ class StopCriteria:
     """Stopping rule: iteration budget plus optional tolerances.
 
     ``grad_tol=None`` resolves to the scale-free default
-    1e-10*(1 + ||grad(x0)||).  Zero tolerances never fire, leaving the
-    budget as the only criterion.
+    1e-10*(1 + ||grad(x0)||).  A tolerance is finite, since an infinite
+    one fires at k = 0; zero tolerances never fire, leaving the budget as
+    the only criterion.
     """
 
     max_iters: int = 100_000
@@ -87,8 +88,8 @@ class StopCriteria:
             raise ValueError("max_iters must be positive")
         for key in ("grad_tol", "gap_tol"):
             tol = getattr(self, key)
-            if tol is not None and not tol >= 0.0:  # also rejects NaN
-                raise ValueError(f"{key} must be a non-negative number")
+            if tol is not None and not 0.0 <= tol < math.inf:  # also rejects NaN
+                raise ValueError(f"{key} must be a non-negative number and finite")
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import os
 import shutil
@@ -83,6 +84,11 @@ LOGIT = "kind = logistic\nfeatures = 1 0; 0 1\nlabels = 1 -1"
                  "gap_tol must be a non-negative number", id="negative-gap-tol"),
     pytest.param("grad_tol = 1e-9", "gap_tol = nan", "[solver agm]",
                  "gap_tol must be a non-negative number", id="nan-gap-tol"),
+    # an infinite tolerance stopped every cell at k = 0, reported ok
+    pytest.param("grad_tol = 1e-9", "grad_tol = inf", "[solver agm]",
+                 "grad_tol must be a non-negative number and finite", id="inf-grad-tol"),
+    pytest.param("grad_tol = 1e-9", "gap_tol = inf", "[solver agm]",
+                 "gap_tol must be a non-negative number and finite", id="inf-gap-tol"),
     pytest.param("profile = cor-4.4", "profile = default\nm = 0.5\ns0 = 123",
                  "unknown keys in [solver agm] for algorithm 'adaagm'", "['m', 's0']",
                  id="default-with-fields"),
@@ -168,6 +174,23 @@ algorithm = nesterov
 def test_cells_sharing_a_trace_file_exit_one(tmp_path, capsys, verb, text, message):
     code, err = _exit_and_error(tmp_path, capsys, verb, text)
     assert (code, err) == (1, f"config error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "validate"])
+@pytest.mark.parametrize("old,header", [
+    # a name becomes part of the trace file name and of summary.csv
+    pytest.param("[problem quad]", "problem a/b", id="slash"),
+    pytest.param("[problem quad]", "problem a,b", id="comma"),
+    pytest.param("[problem quad]", 'problem "q', id="quote"),
+    pytest.param("[problem quad]", "problem a b", id="space"),
+    # once read as a problem named s and a solver named X
+    pytest.param("[problem quad]", "problems", id="problems"),
+    pytest.param("[solver agm]", "solverX", id="solverX"),
+])
+def test_section_header_outside_the_grammar_exit_one(tmp_path, capsys, verb, old, header):
+    code, err = _exit_and_error(tmp_path, capsys, verb, CONFIG.replace(old, f"[{header}]"))
+    assert code == 1 and err.startswith(f"config error: unknown section [{header}]: ")
     assert not (tmp_path / "out").exists()
 
 
@@ -260,6 +283,11 @@ class TestRun:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
+def _kinds(out: str) -> list[str]:
+    """The kinds of ``certify``'s printed lines, in order."""
+    return [line.split()[0][len("kind="):] for line in out.splitlines()]
+
+
 class TestCertify:
     @pytest.fixture()
     def trace_path(self, config_path, tmp_path):
@@ -268,51 +296,63 @@ class TestCertify:
         return str(out_dir / "quad_agm_0.csv")
 
     def test_pass(self, trace_path, config_path, capsys):
-        assert main(["certify", trace_path, "--problem", config_path,
-                     "--kind", "sublinear"]) == 0
+        assert main(["certify", trace_path, "--problem", config_path]) == 0
         out = capsys.readouterr().out
         assert "kind=sublinear" in out and "PASS" in out
 
     def test_all_kinds_on_real_trace(self, trace_path, config_path, capsys):
-        for kind in ("sublinear", "step_floor", "step_cap", "energy_monotone"):
-            assert main(["certify", trace_path, "--problem", config_path,
-                         "--kind", kind]) == 0
-        # the convex profile's runs do not promise summable gradients (the
-        # runner never applies this kind to them); this one fails, with exit 3
-        assert main(["certify", trace_path, "--problem", config_path,
-                     "--kind", "grad_summable"]) == 3
-        assert "FAIL(1)" in capsys.readouterr().out
+        # the convex profile's cell gets the four kinds the run applied to it,
+        # not the strongly convex ones (linear, grad_summable)
+        assert main(["certify", trace_path, "--problem", config_path]) == 0
+        out = capsys.readouterr().out
+        assert _kinds(out) == ["step_floor", "step_cap", "sublinear", "energy_monotone"]
+        assert all(" PASS checks=" in line for line in out.splitlines())
 
     def test_violations_csv_written(self, trace_path, config_path, tmp_path):
         out_dir = tmp_path / "certs"
         assert main(["certify", trace_path, "--problem", config_path,
-                     "--kind", "step_floor",
                      "--out", str(out_dir)]) == 0
-        assert (out_dir / "violations_step_floor.csv").exists()
+        assert (out_dir / "violations.csv").read_text() == "kind,k,lhs,rhs\n"
 
-    def test_wrong_profile_fails_cleanly(self, trace_path, config_path, capsys):
-        # linear certificate needs the strongly convex profile's omega/delta
-        assert main(["certify", trace_path, "--problem", config_path,
-                     "--kind", "linear"]) == 1
-        assert "config error" in capsys.readouterr().err
+    def test_step_below_its_floor_exits_three(self, trace_path, config_path, tmp_path,
+                                              capsys):
+        # s at k = 5 forced far below q/L: step_floor fails, the other kinds hold
+        lines = (tmp_path / "out" / "quad_agm_0.csv").read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("5,"))
+        fields = lines[i].split(",")
+        fields[3] = "1e-12"
+        lines[i] = ",".join(fields)
+        corrupted = tmp_path / "quad_agm_0.csv"
+        corrupted.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "certs"
+        capsys.readouterr()
+        assert main(["certify", str(corrupted), "--problem", config_path,
+                     "--out", str(out_dir)]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert _kinds("\n".join(out[:-1])) == ["step_floor", "step_cap", "sublinear",
+                                               "energy_monotone"]
+        assert " FAIL(1) checks=" in out[0] and "FAIL" not in "\n".join(out[1:])
+        violations = (out_dir / "violations.csv").read_text().splitlines()
+        assert violations[0] == "kind,k,lhs,rhs"
+        assert [v.split(",")[:2] for v in violations[1:]] == [["step_floor", "5"]]
 
     def test_missing_trace(self, config_path, tmp_path, capsys):
         assert main(["certify", str(tmp_path / "gone.csv"), "--problem",
-                     config_path, "--kind", "sublinear"]) == 1
+                     config_path]) == 1
         assert "cannot read trace" in capsys.readouterr().err
 
     def test_missing_problem_file(self, trace_path, tmp_path, capsys):
         path = tmp_path / "gone_matrix.ini"
         path.write_text(CONFIG.replace("diag = 1 100", "matrix_csv = gone.csv"))
-        assert main(["certify", trace_path, "--problem", str(path),
-                     "--kind", "sublinear"]) == 1
+        assert main(["certify", trace_path, "--problem", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "gone.csv" in err
 
     def test_unknown_kind_rejected_by_parser(self, trace_path, config_path):
-        with pytest.raises(SystemExit):
-            main(["certify", trace_path, "--problem", config_path,
-                  "--kind", "bogus"])
+        # the cell's kinds come from the run: certify takes no --kind at all
+        for kind in ("bogus", "sublinear"):
+            with pytest.raises(SystemExit):
+                main(["certify", trace_path, "--problem", config_path, "--kind", kind])
 
 
 @pytest.fixture(scope="module")
@@ -327,9 +367,9 @@ def test_certify_default_profile_on_demo_trace(demo_runs, capsys):
     # at m = 1/2 on the strongly convex quad, so every kind applies
     trace = str(demo_runs / "quad_agm_0.csv")
     capsys.readouterr()
-    for kind in CERTIFICATE_KINDS:
-        assert main(["certify", trace, "--problem", DEMO, "--kind", kind]) == 0
+    assert main(["certify", trace, "--problem", DEMO]) == 0
     out = capsys.readouterr().out
+    assert sorted(_kinds(out)) == sorted(CERTIFICATE_KINDS)
     # at the shipped thinning 10 the only adjacent recorded rows are an
     # epoch start off the thinning grid and its successor, and the energy
     # certificate compares exactly those
@@ -360,10 +400,10 @@ def test_certify_uses_the_constants_of_the_traces_own_problem(demo_runs, capsys,
     row = next(r.split(",") for r in rows if r.startswith(f"{problem},agm,0,"))
     kinds = [v.split(":")[0] for v in row[8].split(";")]
     assert kinds
-    for kind in kinds:
-        assert main(["certify", str(demo_runs / f"{problem}_agm_0.csv"),
-                     "--problem", DEMO, "--kind", kind]) == 0
-        line = capsys.readouterr().out
+    assert main(["certify", str(demo_runs / f"{problem}_agm_0.csv"), "--problem", DEMO]) == 0
+    out = capsys.readouterr().out
+    assert _kinds(out) == kinds
+    for kind, line in zip(kinds, out.splitlines()):
         assert (" PASS checks=" in line or " VACUOUS checks=0 " in line) and "FAIL" not in line
         assert f"q={float(row[7]):.12g} " in line
         if kind == "sublinear" and problem == "lse":
@@ -380,13 +420,13 @@ def test_named_profile_cell_starts_from_the_local_probe(demo_runs):
 
 def test_certify_rejects_a_nesterov_trace(demo_runs, tmp_path, capsys):
     trace = demo_runs / "quad_nesterov_0.csv"
-    assert main(["certify", str(trace), "--problem", DEMO, "--kind", "sublinear"]) == 1
+    assert main(["certify", str(trace), "--problem", DEMO]) == 1
     assert ("trace quad_nesterov_0.csv (nesterov) is not written by an adaagm cell"
             in capsys.readouterr().err)
     # under an adaagm cell's name, its algorithm line still gives it away
     renamed = tmp_path / "quad_agm_0.csv"
     renamed.write_text(trace.read_text())
-    assert main(["certify", str(renamed), "--problem", DEMO, "--kind", "step_floor"]) == 1
+    assert main(["certify", str(renamed), "--problem", DEMO]) == 1
     assert ("trace quad_agm_0.csv (nesterov) is not written by an adaagm cell"
             in capsys.readouterr().err)
 
@@ -394,7 +434,7 @@ def test_certify_rejects_a_nesterov_trace(demo_runs, tmp_path, capsys):
 def test_certify_rejects_a_trace_name_no_cell_writes(demo_runs, tmp_path, capsys):
     trace = tmp_path / "quad_agm_7.csv"  # seed 7 is not listed
     trace.write_text((demo_runs / "quad_agm_0.csv").read_text())
-    assert main(["certify", str(trace), "--problem", DEMO, "--kind", "sublinear"]) == 1
+    assert main(["certify", str(trace), "--problem", DEMO]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: trace quad_agm_7.csv (adaagm) is not written by an "
                           "adaagm cell")
@@ -407,8 +447,26 @@ def test_passing_certificates_show_their_slack(tmp_path, capsys):
     trace = tmp_path / "quad_agm_0.csv"
     shutil.copy(os.path.join(os.path.dirname(__file__), "data", "format2_default_quad.csv"),
                 trace)
-    for kind in CERTIFICATE_KINDS:
-        assert main(["certify", str(trace), "--problem", DEMO, "--kind", kind]) == 0
-        line = capsys.readouterr().out.strip()
+    assert main(["certify", str(trace), "--problem", DEMO]) == 0
+    out = capsys.readouterr().out
+    assert sorted(_kinds(out)) == sorted(CERTIFICATE_KINDS)
+    for line in out.splitlines():
         assert " PASS checks=" in line
         assert float(line.rsplit(" worst_rel=", 1)[1]) < 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("solver", ["agm", "agm-convex"])
+@pytest.mark.parametrize("problem", ["quad", "lse", "logit"])
+def test_certify_prints_the_verdicts_of_the_cells_summary_row(demo_runs, capsys, problem,
+                                                               solver, seed):
+    with open(demo_runs / "summary.csv", newline="") as fh:
+        row = next(r for r in csv.DictReader(fh)
+                   if (r["problem"], r["solver"], r["seed"]) == (problem, solver, str(seed)))
+    capsys.readouterr()
+    assert main(["certify", str(demo_runs / f"{problem}_{solver}_{seed}.csv"),
+                 "--problem", DEMO]) == 0
+    out = capsys.readouterr().out
+    verdicts = [f"{kind}:{'fail' if ' FAIL(' in line else 'pass'}"
+                for kind, line in zip(_kinds(out), out.splitlines())]
+    assert ";".join(verdicts) == row["certificates"]

@@ -163,6 +163,8 @@ class TestStopping:
         ("grad_tol", float("nan"), "grad_tol must be a non-negative number"),
         ("gap_tol", -1e-3, "gap_tol must be a non-negative number"),
         ("gap_tol", float("nan"), "gap_tol must be a non-negative number"),
+        ("grad_tol", math.inf, "grad_tol must be a non-negative number and finite"),
+        ("gap_tol", math.inf, "gap_tol must be a non-negative number and finite"),
     ])
     def test_invalid_criteria_rejected(self, field, value, fragment):
         with pytest.raises(ValueError, match=fragment):
