@@ -36,8 +36,9 @@ def _cmd_run(args) -> int:
     results = run_experiment(config)
     for r in results:
         gap = "" if r.final_gap is None else f" gap={r.final_gap:.6g}"
+        reason = f" ({r.reason})" if r.reason else ""
         print(f"{r.problem} x {r.solver} seed={r.seed}: {r.status} "
-              f"iters={r.iterations}{gap} certs={r.certificates}")
+              f"iters={r.iterations}{gap} certs={r.certificates}{reason}")
     print(f"summary written to {os.path.join(config.output_dir, 'summary.csv')}")
     return 2 if any(r.status != "ok" for r in results) else 0
 
@@ -68,7 +69,10 @@ def _cmd_certify(args) -> int:
     spec, solver = cell
     problem = build_problem(spec, config.base_dir)
     certs = certify_cell(trace, problem, solver.params or default_params(problem))
-    print(format_certificates(certs))
+    if certs:
+        print(format_certificates(certs))
+    else:  # certify_cell's condition, and the "-" of the cell's summary row
+        print(f"no certificate applies: problem {spec.name} has no known L > 0")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         out = os.path.join(args.out, "violations.csv")

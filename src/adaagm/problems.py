@@ -128,20 +128,13 @@ def make_log_sum_exp(rows, shifts, temperature: float,
     sigma_max = float(np.linalg.norm(A, 2))
 
     def value_and_grad(x: Array) -> tuple[float, Array]:
-        # The shifted log-sum-exp/softmax pair of Blanchard, Higham & Higham
-        # (IMA J. Numer. Anal. 41(4), 2021), operation for operation as
-        # scipy.special.logsumexp/softmax compute it for a real vector: the
-        # m entries tied at the maximum leave the sum and come back as
-        # log(m).  SciPy skips s/m when s == 0; 0/m is 0 for m >= 1, and
-        # m == 0 only when z holds a NaN, which makes s NaN either way.
+        # the shifted log-sum-exp/softmax pair of Blanchard, Higham & Higham
+        # (IMA J. Numer. Anal. 41(4), 2021), sharing one normaliser
         z = (A.dot(x) + b) / t
         zmax = np.maximum.reduce(z)
         e = np.exp(z - zmax)
-        tied = z == zmax
-        m = np.count_nonzero(tied)
-        s = np.add.reduce(np.where(tied, 0.0, e)) / m
-        lse = np.log1p(s) + np.log(m) + zmax
-        return t * float(lse), A.T.dot(e / np.add.reduce(e))
+        total = np.add.reduce(e)
+        return t * float(np.log(total) + zmax), A.T.dot(e / total)
 
     return SmoothProblem(
         dimension=A.shape[1], value_and_grad=value_and_grad,

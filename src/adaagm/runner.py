@@ -39,6 +39,7 @@ class CellResult:
     q: float | None = None
     certificates: str = "-"
     restarts: int = 0
+    reason: str = ""  # why a cell diverged or failed; not in summary.csv
 
 
 def certify_cell(trace: Trace, problem: SmoothProblem,
@@ -82,10 +83,12 @@ def _run_cell(config: ExperimentConfig, p_idx: int, problem: SmoothProblem,
     except DivergenceError as exc:
         result.status = "diverged"
         result.iterations = exc.k
+        result.reason = str(exc)
         return result, None
-    except ValueError:
+    except ValueError as exc:
         # non-convex curvature, a missing step or parameters unfit for this problem
         result.status = "failed"
+        result.reason = str(exc)
         return result, None
     last = trace.records[-1]
     result.iterations = last.k

@@ -106,8 +106,7 @@ def floor_q(params: AlgoParams) -> float:
 
 
 def local_smoothness(g_next, g_prev, f_next: float, f_prev: float,
-                     x_next, x_prev, gg_next: float, clamp: Optional[float] = None,
-                     underflow_fallback: Optional[float] = None) -> float:
+                     x_next, x_prev, gg_next: float, clamp: Optional[float] = None) -> float:
     """Local smoothness estimate from one iterate pair of float arrays.
 
     Returns 0.5*||g_next - g_prev||^2 / (<g_next, x_next - x_prev> -
@@ -121,8 +120,10 @@ def local_smoothness(g_next, g_prev, f_next: float, f_prev: float,
     ``clamp`` is the known global smoothness constant when available: the
     raw ratio can never exceed it in exact arithmetic, but cancellation in
     the denominator near convergence can push the computed ratio far above
-    it, so the estimate is capped.  ``underflow_fallback`` replaces the
-    ratio when the denominator underflows and no clamp is known.
+    it, so the estimate is capped.  Past the zero branch the numerator is
+    at least 5e-29, so a denominator below 1e-300 gives a ratio above any
+    clamp below 5e271, and the clamp is returned.  Without a clamp the raw
+    ratio stands, however large.
 
     Cancellation fallback.  The denominator is the Bregman divergence
     D_f(x_prev, x_next), a difference of two first-order terms.  On
@@ -165,11 +166,6 @@ def local_smoothness(g_next, g_prev, f_next: float, f_prev: float,
         if not monotone > 0.0:
             return 0.0
         num, denom = diff_norm * diff_norm, monotone
-    if denom < 1e-300:
-        if clamp is not None:
-            return clamp
-        if underflow_fallback is not None:
-            return underflow_fallback
     ratio = num / denom
     if clamp is not None:
         ratio = min(ratio, clamp)

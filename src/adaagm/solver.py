@@ -20,10 +20,9 @@ With ``params.restart`` (set by :func:`default_params` only), an adaptive
 run restarts whenever g_k'(y_{k+1} - y_k) > 0: x_{k+1} = y_{k+1} without
 extrapolation, t goes back to t_0, and the step s_{k+1} becomes the new
 epoch's s0.  From there on every step is exactly a fresh run from
-z = y_{k+1} (only the underflow fallback of the local estimate remembers
-the earlier epochs), and the oracle call at z is the one the loop makes
-anyway.  An epoch's first row is recorded even when thinned; when x* is
-known it carries ||z - x*||^2 (``dist_sq``), which certificates need to
+z = y_{k+1}, and the oracle call at z is the one the loop makes anyway.
+An epoch's first row is recorded even when thinned; when x* is known it
+carries ||z - x*||^2 (``dist_sq``), which certificates need to
 re-anchor the rate constant.  Epoch starts are the rows with t == t_0,
 since t grows strictly inside an epoch.
 
@@ -208,7 +207,6 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
 
     records: list[TraceRecord] = []
     L_curr = 0.0 if adaptive else None
-    L_seen = 0.0
     k = 0
     restarted = False
     while True:
@@ -239,9 +237,7 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
 
         if adaptive:
             L_curr = local_smoothness(g_next, g_x, f_next, f_x, x_eval, x, gg_next,
-                                      clamp=L_known,
-                                      underflow_fallback=(L_seen or None))
-            L_seen = max(L_seen, L_curr)
+                                      clamp=L_known)
             if rec is not None and has_energy:
                 rec.energy = diagnostics.energy(x_next, y_next, gg_x, f_x, t, t_next, s,
                                                 x_star, f_star, params)

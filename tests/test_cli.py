@@ -283,6 +283,44 @@ class TestRun:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
+#: L = 0: no certificate applies, and nesterov has no 1/L step to default to
+ZERO_L = """
+[experiment]
+seeds = 0
+
+[problem z]
+kind = quadratic
+diag = 0 0
+offset = 0 0
+
+[solver x]
+algorithm = adaagm
+
+[solver nest]
+algorithm = nesterov
+"""
+
+
+def test_failed_cell_prints_its_reason(tmp_path, capsys):
+    path = tmp_path / "zero.ini"
+    path.write_text(ZERO_L)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert ("z x nest seed=0: failed iters=0 certs=- (solver nest needs an explicit step: "
+            "problem z has no known L)\n") in capsys.readouterr().out
+    # the reason stays out of summary.csv, whose columns are unchanged
+    assert (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:] == [
+        "z,x,0,ok,0,0,0,0.20000000000000001,-,0", "z,nest,0,failed,0,,,,-,0"]
+
+
+def test_certify_without_a_certificate_says_why(tmp_path, capsys):
+    path = tmp_path / "zero.ini"
+    path.write_text(ZERO_L)
+    main(["run", str(path), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert main(["certify", str(tmp_path / "out" / "z_x_0.csv"), "--problem", str(path)]) == 0
+    assert capsys.readouterr().out == "no certificate applies: problem z has no known L > 0\n"
+
+
 def _kinds(out: str) -> list[str]:
     """The kinds of ``certify``'s printed lines, in order."""
     return [line.split()[0][len("kind="):] for line in out.splitlines()]
@@ -407,7 +445,7 @@ def test_certify_uses_the_constants_of_the_traces_own_problem(demo_runs, capsys,
         assert (" PASS checks=" in line or " VACUOUS checks=0 " in line) and "FAIL" not in line
         assert f"q={float(row[7]):.12g} " in line
         if kind == "sublinear" and problem == "lse":
-            assert "q=0.2 D=48.9137871114 " in line
+            assert "q=0.2 D=48.9137880393 " in line
 
 
 def test_named_profile_cell_starts_from_the_local_probe(demo_runs):

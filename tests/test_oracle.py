@@ -1,11 +1,12 @@
 """The fused oracle against the separate value/gradient formulas it replaced.
 
 Each problem computes f and grad f in one ``value_and_grad`` call.  The
-reference closures below are the two-call formulas (for log-sum-exp,
-``scipy.special.logsumexp``/``softmax``); the fused oracle must reproduce
-them bit for bit, alone and through whole solver runs.  The logistic
-gradient's sigma(-m) is NumPy arithmetic, not ``scipy.special.expit``; it
-is checked against ``expit`` within a rounding bound.
+reference closures below are the two-call formulas; the fused oracle must
+reproduce them bit for bit, alone and through whole solver runs.  SciPy
+serves as an independent reference within rounding bounds: the log-sum-exp
+value against ``scipy.special.logsumexp`` (its gradient matches
+``softmax`` bit for bit), and the logistic gradient's sigma(-m), which is
+NumPy arithmetic, against ``scipy.special.expit``.
 """
 
 import dataclasses
@@ -52,13 +53,46 @@ def ref_logistic(A, y, ridge):
 
 
 def ref_log_sum_exp(A, b, t):
-    return (lambda x: t * float(logsumexp((A @ x + b) / t)),
-            lambda x: A.T @ softmax((A @ x + b) / t))
+    def shifted(x):
+        z = (A @ x + b) / t
+        zmax = np.max(z)
+        e = np.exp(z - zmax)
+        return e, np.sum(e), zmax
+
+    def value(x):
+        _, total, zmax = shifted(x)
+        return t * float(np.log(total) + zmax)
+
+    def gradient(x):
+        e, total, _ = shifted(x)
+        return A.T @ (e / total)
+
+    return value, gradient
 
 
 def paired(value, gradient):
     """One oracle that calls the two reference closures."""
     return lambda x: (value(x), gradient(x))
+
+
+def assert_near_scipy_log_sum_exp(problem, A, b, t, x):
+    # Both values are t*(log S + zmax) for the same z = (Ax + b)/t, where
+    # S = sum_i exp(z_i - zmax) >= 1 holds the exact term exp(0) = 1.  Each
+    # term is off by at most 2*eps absolute (exp's last bit, and the rounded
+    # argument z_i - zmax moving e_i by eps*|z_i - zmax|*e_i <= eps/e), and
+    # n - 1 additions add (n - 1)*eps*S, so S is off by at most 3n*eps
+    # relative, which log turns into 3n*eps absolute; log's own rounding
+    # adds eps*log(n).  SciPy's log1p(s/m) + log(m) + zmax form also rounds
+    # a division, a second log and a second addition: (1 + 2*log(n))*eps
+    # more.  The addition of zmax and the product with t round by eps*|f|
+    # each.  Over both implementations the values differ by at most
+    # eps*(t*(6n + 4*log(n) + 1) + 4*|f|) <= 10*eps*(t*n + |f|), n >= 1.
+    f, g = problem.value_and_grad(x)
+    z = (A @ x + b) / t
+    f_ref = t * float(logsumexp(z))
+    assert type(f) is float
+    assert abs(f - f_ref) <= 10.0 * np.finfo(float).eps * (t * len(z) + abs(f_ref))
+    assert np.array_equal(g, A.T @ softmax(z))
 
 
 def assert_bitwise(problem, reference, x):
@@ -129,8 +163,8 @@ class TestBitwise:
             problem = make_log_sum_exp(A, b, t)
             for scale in SCALES:
                 for _ in range(10):
-                    assert_bitwise(problem, ref_log_sum_exp(A, b, t),
-                                   scale * rng.normal(size=5))
+                    assert_near_scipy_log_sum_exp(problem, A, b, t,
+                                                  scale * rng.normal(size=5))
 
     @pytest.mark.parametrize("t", [0.01, 0.5, 3.0])
     def test_log_sum_exp_tied_maxima(self, t):
@@ -139,15 +173,15 @@ class TestBitwise:
         # symmetric rows: every entry ties at x = 0
         sym = np.vstack([R, -R])
         zero = np.zeros(sym.shape[0])
-        assert_bitwise(make_log_sum_exp(sym, zero, t), ref_log_sum_exp(sym, zero, t),
-                       np.zeros(3))
+        assert_near_scipy_log_sum_exp(make_log_sum_exp(sym, zero, t), sym, zero, t,
+                                      np.zeros(3))
         # duplicated rows and integer data: ties at the maximum for many x
         dup = np.vstack([np.round(3 * R), np.round(3 * R[:2])])
         shifts = np.zeros(dup.shape[0])
         problem = make_log_sum_exp(dup, shifts, t)
         for _ in range(40):
             x = rng.integers(-3, 4, size=3).astype(float)
-            assert_bitwise(problem, ref_log_sum_exp(dup, shifts, t), x)
+            assert_near_scipy_log_sum_exp(problem, dup, shifts, t, x)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
