@@ -20,9 +20,9 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, build_problem, load_config, trace_name, validate_config
+from .config import ConfigError, build_problem, load_config, trace_name
 from .diagnostics import format_certificates, write_violations_csv
-from .runner import certify_cell, run_experiment
+from .runner import certify_cell, run_experiment, validate_config
 from .schedule import default_params
 from .solver import read_trace_csv
 

@@ -60,7 +60,7 @@ from .problems import (
     make_quadratic,
     make_symmetric_log_sum_exp,
 )
-from .schedule import PROFILES, AlgoParams, default_params, floor_q
+from .schedule import PROFILES, AlgoParams
 from .solver import StopCriteria, check_step
 
 _EXPERIMENT_KEYS = {"output_dir", "seeds", "thinning", "x0_scale"}
@@ -273,18 +273,3 @@ def start_point(config: ExperimentConfig, problem_index: int,
     gen = rng.XorShift64Star(rng.cell_seed(problem_index, solver_index, seed))
     return gen.normal_vector(dimension, scale=config.x0_scale)
 
-
-def validate_config(path) -> dict[tuple[str, str], float]:
-    """Parse the config and build every problem as the run does; return q per
-    (adaagm solver, problem), or raise one ConfigError naming every failed problem."""
-    config = load_config(path)
-    problems, errors = [], []
-    for spec in config.problems:
-        try:
-            problems.append(build_problem(spec, config.base_dir))
-        except ConfigError as exc:
-            errors.append(str(exc))
-    if errors:
-        raise ConfigError("; ".join(errors))
-    return {(spec.name, problem.name): floor_q(spec.params or default_params(problem))
-            for spec in config.solvers if spec.algorithm == "adaagm" for problem in problems}

@@ -36,20 +36,6 @@ class SmoothProblem:
     x_star: Optional[Array] = None
     f_star: Optional[float] = None
     name: str = "problem"
-    # True when x_star/f_star come from a numerical reference solve rather
-    # than a closed form; certificate tolerances widen accordingly.
-    solution_is_reference: bool = False
-
-    def with_minimizer(self, x_star, f_star: Optional[float] = None,
-                       reference: bool = False) -> "SmoothProblem":
-        """Return a copy with the minimizer fields filled in."""
-        x_star = np.asarray(x_star, dtype=float)
-        if x_star.shape != (self.dimension,):
-            raise ValueError("minimizer has wrong dimension")
-        if f_star is None:
-            f_star = self.value_and_grad(x_star)[0]
-        return replace(self, x_star=x_star, f_star=float(f_star),
-                       solution_is_reference=reference)
 
 
 def load_matrix_csv(path) -> Array:
@@ -98,11 +84,10 @@ def make_quadratic(matrix, offset, name: str = "quadratic") -> SmoothProblem:
         Ax = A.dot(x)
         return 0.5 * float(x.dot(Ax)) - float(b.dot(x)), Ax - b
 
-    prob = SmoothProblem(
-        dimension=n, value_and_grad=value_and_grad,
-        L_known=lam_max, mu_known=max(lam_min, 0.0), name=name,
+    return SmoothProblem(
+        dimension=n, value_and_grad=value_and_grad, L_known=lam_max,
+        mu_known=max(lam_min, 0.0), x_star=x_star, f_star=value_and_grad(x_star)[0], name=name,
     )
-    return prob.with_minimizer(x_star)
 
 
 def make_log_sum_exp(rows, shifts, temperature: float,
@@ -111,7 +96,7 @@ def make_log_sum_exp(rows, shifts, temperature: float,
 
     The smoothness constant is bounded by sigma_max(A)^2 / t.  No minimizer
     is recorded at construction; it may not exist (e.g. a single affine row
-    is unbounded below).  Use ``with_minimizer`` when one is known.
+    is unbounded below).
     """
     A = np.asarray(rows, dtype=float)
     if A.ndim == 1:
@@ -154,8 +139,8 @@ def make_symmetric_log_sum_exp(rows, temperature: float,
         A = A.reshape(1, -1)
     full = np.vstack([A, -A])
     prob = make_log_sum_exp(full, np.zeros(full.shape[0]), temperature, name=name)
-    f_star = temperature * float(np.log(full.shape[0]))
-    return prob.with_minimizer(np.zeros(prob.dimension), f_star)
+    return replace(prob, x_star=np.zeros(prob.dimension),
+                   f_star=float(temperature) * float(np.log(full.shape[0])))
 
 
 def make_logistic(features, labels, ridge: float,
@@ -164,8 +149,9 @@ def make_logistic(features, labels, ridge: float,
 
     f(x) = sum_i log(1 + exp(-y_i a_i'x)) + (ridge/2)||x||^2 with
     L = sigma_max(A)^2/4 + ridge and mu = ridge.  When ridge > 0, the
-    minimizer is computed once by a damped Newton reference solve and frozen
-    into the problem.
+    minimizer is computed once by a damped Newton reference solve, to
+    ||grad f|| <= 1e-12 or the rounding floor above it, and frozen into the
+    problem.
     """
     A = np.asarray(features, dtype=float)
     if A.ndim == 1:
@@ -193,7 +179,8 @@ def make_logistic(features, labels, ridge: float,
         L_known=0.25 * sigma_max ** 2 + ridge, mu_known=ridge, name=name,
     )
     if ridge > 0:
-        prob = prob.with_minimizer(_newton_minimizer(prob, A, y, ridge), reference=True)
+        x_star = _newton_minimizer(prob, A, y, ridge)
+        prob = replace(prob, x_star=x_star, f_star=value_and_grad(x_star)[0])
     return prob
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .config import (ConfigError, ExperimentConfig, SolverSpec, build_problem, start_point,
-                     trace_name)
+from .config import (ConfigError, ExperimentConfig, SolverSpec, build_problem, load_config,
+                     start_point, trace_name)
 from .diagnostics import RateCertificate, certify
 from .problems import SmoothProblem
 from .schedule import AlgoParams, default_params, floor_q
@@ -40,6 +40,29 @@ class CellResult:
     certificates: str = "-"
     restarts: int = 0
     reason: str = ""  # why a cell diverged or failed; not in summary.csv
+
+
+def build_problems(config: ExperimentConfig) -> list[SmoothProblem]:
+    """Every problem of the config, via ``build_problem`` here: bench/probes.py
+    patches it.  Raises one ConfigError naming every problem that fails to build."""
+    problems, errors = [], []
+    for spec in config.problems:
+        try:
+            problems.append(build_problem(spec, config.base_dir))
+        except ConfigError as exc:
+            errors.append(str(exc))
+    if errors:
+        raise ConfigError("; ".join(errors))
+    return problems
+
+
+def validate_config(path) -> dict[tuple[str, str], float]:
+    """Parse the config and build every problem as the run does; return q per
+    (adaagm solver, problem), or raise one ConfigError naming every failed problem."""
+    config = load_config(path)
+    problems = build_problems(config)
+    return {(spec.name, problem.name): floor_q(spec.params or default_params(problem))
+            for spec in config.solvers if spec.algorithm == "adaagm" for problem in problems}
 
 
 def certify_cell(trace: Trace, problem: SmoothProblem,
@@ -105,7 +128,7 @@ def run_experiment(config: ExperimentConfig) -> list[CellResult]:
     if config.thinning < 1:
         raise ConfigError("thinning must be a positive integer")
     # a problem that fails to build leaves no output directory behind
-    problems = [build_problem(spec, config.base_dir) for spec in config.problems]
+    problems = build_problems(config)
     os.makedirs(config.output_dir, exist_ok=True)
     probe = os.path.join(config.output_dir, ".writable")
     try:

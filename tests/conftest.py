@@ -13,7 +13,7 @@ from adaagm import (
     make_quadratic,
     rho,
 )
-from adaagm.diagnostics import _require, _tolerance
+from adaagm.diagnostics import TOLERANCE, _require
 
 
 def random_quadratic(dim, seed, lam_min=1e-3, lam_max=1.0, name="quad"):
@@ -115,7 +115,6 @@ def certify_rows(trace, problem, params, kind):
         raise ValueError(f"unknown certificate kind {kind!r}")
     if not trace.records:
         raise ValueError("trace is empty")
-    tol = _tolerance(problem)
     recs = trace.records
     q = floor_q(params)
     cert = RateCertificate(kind=kind, constant_q=q)
@@ -123,7 +122,7 @@ def certify_rows(trace, problem, params, kind):
     def check(k, lhs, rhs):
         rel = (lhs - rhs) / (1.0 + abs(rhs))
         cert.checks += 1
-        if rel > tol:
+        if rel > TOLERANCE:
             cert.violations.append((k, lhs, rhs))
         cert.max_violation_rel = max(cert.max_violation_rel, rel)
 

@@ -127,6 +127,13 @@ LOGIT = "kind = logistic\nfeatures = 1 0; 0 1\nlabels = 1 -1"
                  "features must be finite", id="features-nan"),
     pytest.param("seeds = 0", "seeds = 0\nx0_scale = nan", "[experiment]",
                  "x0_scale must be finite", id="x0-scale-nan"),
+    pytest.param("[solver agm]", "[problem quad]\nkind = quadratic\ndiag = 1\n\n[solver agm]",
+                 "parse failure", "section 'problem quad' already exists",
+                 id="duplicate-section"),
+    pytest.param(QUAD, "diag = 1 100", "[problem quad]", "unknown or missing kind None",
+                 id="missing-kind"),
+    pytest.param(QUAD, "kind = cubic\ndiag = 1 100", "[problem quad]",
+                 "unknown or missing kind 'cubic'", id="unknown-kind"),
 ])
 def test_malformed_value_exit_one(tmp_path, capsys, verb, old, new, section, fragment):
     path = tmp_path / "bad.ini"
@@ -201,12 +208,14 @@ def test_run_whose_problem_fails_to_build_leaves_no_output_directory(tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
-def test_validate_names_every_problem_that_fails(tmp_path, capsys):
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_names_every_problem_that_fails_to_build(tmp_path, capsys, verb):
     text = (CONFIG.replace("diag = 1 100", "diag = 1 -100")
             + "\n[problem logit]\nkind = logistic\nfeatures = 1 0; 0 1\nlabels = 1 0\n")
-    code, err = _exit_and_error(tmp_path, capsys, "validate", text)
+    code, err = _exit_and_error(tmp_path, capsys, verb, text)
     assert (code, err) == (1, "config error: problem quad: matrix must be positive "
                               "semidefinite; problem logit: labels must be +1 or -1\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_converging_at_k0_is_ok(tmp_path, capsys):
@@ -373,6 +382,18 @@ class TestCertify:
         violations = (out_dir / "violations.csv").read_text().splitlines()
         assert violations[0] == "kind,k,lhs,rhs"
         assert [v.split(",")[:2] for v in violations[1:]] == [["step_floor", "5"]]
+
+    def test_header_only_trace_exit_one(self, trace_path, config_path, tmp_path, capsys):
+        # the comment lines and the column header of a real trace, no row
+        lines = (tmp_path / "out" / "quad_agm_0.csv").read_text().splitlines()
+        header = lines[:next(i for i, line in enumerate(lines) if line[:1].isdigit())]
+        assert header[-1].startswith("k,")
+        empty = tmp_path / "quad_agm_0.csv"
+        empty.write_text("\n".join(header) + "\n")
+        capsys.readouterr()
+        assert main(["certify", str(empty), "--problem", config_path]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "config error: trace is empty\n")
 
     def test_missing_trace(self, config_path, tmp_path, capsys):
         assert main(["certify", str(tmp_path / "gone.csv"), "--problem",

@@ -8,15 +8,9 @@ import numpy as np
 import pytest
 
 import adaagm.runner
-from adaagm.config import (
-    ConfigError,
-    build_problem,
-    load_config,
-    start_point,
-    validate_config,
-)
+from adaagm.config import ConfigError, build_problem, load_config, start_point
 from adaagm.problems import SmoothProblem
-from adaagm.runner import run_experiment
+from adaagm.runner import run_experiment, validate_config
 from adaagm.schedule import PROFILES, default_params
 from adaagm.solver import read_trace_csv
 
@@ -169,6 +163,27 @@ algorithm = adaagm
         p = build_problem(config.problems[0], config.base_dir)
         assert p.L_known == pytest.approx(8.0)
         assert p.mu_known == pytest.approx(2.0)
+
+    def test_quadratic_offset_csv(self, tmp_path):
+        # the offset file is raveled: a row, as the dense benchmark writes
+        # it, and a column give the same vector
+        (tmp_path / "A.csv").write_text("2,0\n0,8\n")
+        (tmp_path / "b.csv").write_text("2,8\n")
+        (tmp_path / "b_column.csv").write_text("2\n8\n")
+        text = """
+[problem q]
+kind = quadratic
+matrix_csv = A.csv
+offset_csv = b.csv
+
+[solver s]
+algorithm = adaagm
+"""
+        for offset in ("b.csv", "b_column.csv"):
+            config = load_config(write(tmp_path, text.replace("b.csv", offset)))
+            p = build_problem(config.problems[0], config.base_dir)
+            assert np.allclose(p.x_star, [1.0, 1.0], rtol=0.0, atol=1e-15)
+            assert p.f_star == pytest.approx(-5.0, abs=1e-14)
 
     def test_symmetric_log_sum_exp(self, tmp_path):
         text = """

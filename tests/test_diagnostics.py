@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import os
 import re
 
 import numpy as np
@@ -25,6 +26,8 @@ from adaagm import (
     run_adaagm,
     write_violations_csv,
 )
+from adaagm.config import build_problem, load_config
+from adaagm.solver import read_trace_csv
 
 from conftest import (
     certify_rows,
@@ -48,6 +51,9 @@ def phi_alt(x, y, y_next, t, gamma, x_star):
     """phi's equivalent form (t_k - 1)(x_k - y_k) + gamma*t_k(y_{k+1} - x_k) + (x_k - x*)."""
     return (t - 1.0) * (x - y) + gamma * t * (y_next - x) + (x - x_star)
 
+
+TESTS = os.path.dirname(__file__)
+DEMO = os.path.join(TESTS, "..", "configs", "benchmark.ini")
 
 vec3 = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3).map(np.array)
 
@@ -262,6 +268,25 @@ class TestCertify:
         with pytest.raises(ValueError, match="'energy_monotone' needs problem.x_star"):
             certify(trace, bare, params, "energy_monotone")
 
+    def test_reference_solved_minimizer_has_the_one_tolerance(self):
+        # demo logit's x* comes from the damped Newton solve, which reaches
+        # ||g(x*)|| <= 1e-12 (test_problems.py): a gap 1e-7 above its bound,
+        # relative to 1 + |bound|, fails as it would on a closed-form x*
+        config = load_config(DEMO)
+        spec = next(s for s in config.problems if s.name == "logit")
+        p = build_problem(spec, config.base_dir)
+        params = default_params(p)
+        trace = read_trace_csv(os.path.join(TESTS, "data", "format2_default_logit.csv"))
+        clean = certify(trace, p, params, "sublinear")
+        assert clean.passed
+        r = trace.records[1]
+        assert r.t != params.t0  # in the first epoch, whose D the certificate reports
+        bound = clean.constant_D * p.L_known / r.t ** 2
+        r.gap = bound + 1e-7 * (1.0 + abs(bound))
+        cert = certify(trace, p, params, "sublinear")
+        assert [k for k, _, _ in cert.violations] == [r.k]
+        assert cert.max_violation_rel == pytest.approx(1e-7, rel=1e-6)
+
     def test_fitted_contraction_below_guarantee(self, sc_run):
         p, params, trace = sc_run
         r = rho(params, p.mu_known, p.L_known)
@@ -397,6 +422,19 @@ class TestArrayCertifyMatchesRows:
         assert assert_matches_rows(bad, p, params, "grad_summable").passed
         energy = assert_matches_rows(bad, p, params, "energy_monotone")
         assert energy.passed and energy.epochs == len(starts)
+
+    def test_restart_epoch_without_dist_sq(self, array_traces):
+        # a later epoch's D needs ||x - x*||^2 at its first row, which only
+        # the trace's dist_sq column carries
+        p, params, trace = array_traces["quad-default-thin1"]
+        a = next(i for i, r in enumerate(trace.records) if i and r.t == params.t0)
+        bad = copy.deepcopy(trace)
+        bad.records[a].dist_sq = None
+        message = f"the restart epoch at k={bad.records[a].k} carries no dist_sq"
+        for kind in ("sublinear", "linear"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                certify(bad, p, params, kind)
+            assert assert_matches_rows(bad, p, params, kind) is None  # the rows raise alike
 
     def test_trace_without_energies(self, array_traces):
         p, params, trace = array_traces["quad-sc-2-thin1"]

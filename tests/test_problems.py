@@ -113,7 +113,6 @@ class TestLogistic:
     def test_reference_solve_is_tight(self, logistic_problem, benchmark_logistic):
         for p in (logistic_problem, benchmark_logistic):
             assert np.linalg.norm(p.value_and_grad(p.x_star)[1]) <= 1e-12
-            assert p.solution_is_reference
 
     def test_reference_solve_uses_no_solver(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -152,6 +151,36 @@ class TestLogistic:
     def test_constants(self, logistic_problem):
         assert logistic_problem.mu_known == pytest.approx(0.1)
         assert logistic_problem.L_known > 0.1
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: make_quadratic(np.ones((2, 3)), np.zeros(2)),
+                 "matrix must be square", id="quadratic-non-square"),
+    pytest.param(lambda: make_quadratic(np.eye(2), np.zeros(3)),
+                 "offset length must match matrix size", id="quadratic-offset"),
+    pytest.param(lambda: make_log_sum_exp(np.ones((2, 3)), np.zeros(3), 1.0),
+                 "shifts length must match the number of rows", id="log-sum-exp-shifts"),
+    pytest.param(lambda: make_logistic(np.ones((3, 2)), np.ones(2), 0.1),
+                 "labels length must match the number of feature rows", id="logistic-labels"),
+])
+def test_shape_mismatch_rejected(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_one_dimensional_rows_and_features_are_one_row():
+    a = np.array([1.0, -2.0, 0.5])
+    x = np.array([0.3, 0.1, -0.7])
+    lse = make_log_sum_exp(a, np.array([0.25]), 1.0)
+    assert lse.dimension == 3
+    assert lse.value_and_grad(x)[0] == pytest.approx(float(a @ x) + 0.25, rel=1e-15)
+    # the symmetric form pairs the one row with its negation
+    sym = make_symmetric_log_sum_exp(a, 1.0)
+    assert sym.dimension == 3 and sym.f_star == pytest.approx(np.log(2.0), rel=1e-15)
+    logit = make_logistic(a, np.array([1.0]), 0.5)
+    assert logit.dimension == 3
+    assert logit.value_and_grad(x)[0] == pytest.approx(
+        np.logaddexp(0.0, -float(a @ x)) + 0.25 * float(x @ x), rel=1e-15)
 
 
 class TestCheckGradFd:
