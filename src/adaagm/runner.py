@@ -39,6 +39,7 @@ class CellResult:
     q: float | None = None
     certificates: str = "-"
     restarts: int = 0
+    fallbacks: int = 0
     reason: str = ""  # why a cell diverged or failed; not in summary.csv
 
 
@@ -89,6 +90,7 @@ def _run_cell(config: ExperimentConfig, p_idx: int, problem: SmoothProblem,
             trace = run_adaagm(problem, params, solver.stop, x0, thin=config.thinning)
             # every epoch start is recorded, and t == t0 marks exactly those rows
             result.restarts = sum(r.t == params.t0 for r in trace.records[1:])
+            result.fallbacks = trace.fallbacks
             certs = certify_cell(trace, problem, params)
             if certs:
                 result.certificates = ";".join(
@@ -154,12 +156,12 @@ def run_experiment(config: ExperimentConfig) -> list[CellResult]:
 
 def _write_summary(results: list[CellResult], output_dir: str) -> None:
     lines = ["problem,solver,seed,status,iterations,final_gap,final_grad_norm,q,certificates,"
-             "restarts"]
+             "restarts,fallbacks"]
     for r in results:
         lines.append(",".join([
             r.problem, r.solver, str(r.seed), r.status, str(r.iterations),
             format_float(r.final_gap), format_float(r.final_grad_norm),
-            format_float(r.q), r.certificates, str(r.restarts),
+            format_float(r.q), r.certificates, str(r.restarts), str(r.fallbacks),
         ]))
     with open(os.path.join(output_dir, "summary.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -23,6 +23,7 @@ from typing import Optional
 
 
 _SQRT_EPS = math.sqrt(2.0 ** -52)
+_F_ROUNDING = 64 * 2.0 ** -52
 
 
 class NonConvexInputError(ValueError):
@@ -106,70 +107,65 @@ def floor_q(params: AlgoParams) -> float:
 
 
 def local_smoothness(g_next, g_prev, f_next: float, f_prev: float,
-                     x_next, x_prev, gg_next: float, clamp: Optional[float] = None) -> float:
+                     x_next, x_prev, gg_next: float,
+                     clamp: Optional[float] = None) -> tuple[float, bool]:
     """Local smoothness estimate from one iterate pair of float arrays.
 
-    Returns 0.5*||g_next - g_prev||^2 / (<g_next, x_next - x_prev> -
-    (f_next - f_prev)), with the 0/0 = 0 convention.  ``gg_next`` is
-    g_next.g_next, which the caller's oracle evaluation already has.  Exact
-    gradient equality never fires in floating point, so the zero branch
-    triggers on ||g_next - g_prev|| <= 1e-14*(1 + ||g_next||).  Tiny negative
-    denominators are rounding and map to the zero branch; genuinely
-    negative ones raise, since convexity makes them impossible.
+    Returns ``(L_hat, fallback)``: L_hat = 0.5*||dg||^2/D with dg =
+    g_next - g_prev, dx = x_next - x_prev and D = <g_next, dx> - (f_next -
+    f_prev), the Bregman divergence D_f(x_prev, x_next); 0/0 = 0.
+    ``gg_next`` is g_next.g_next, which the caller's oracle evaluation
+    already has.  Exact gradient equality never fires in floating point, so
+    the zero branch triggers on ||dg|| <= 1e-14*(1 + ||g_next||).
+
+    One rounding band.  D is a difference of two first-order terms, and
+    on ill-conditioned objectives f carries a rounding error far above
+    eps*|f| (cancellation inside the oracle: about 4e-10 at |f| = 2.5 on a
+    quadratic with spectrum 1..1e6), so near convergence the computed D is
+    noise.  With f_size = |f_next| + |f_prev|, the band is -tau <= D <=
+    64*eps*f_size, tau = max(sqrt(eps)*f_size, 1e-12*(1 + f_size)).  A
+    negative D is impossible for a convex f, so every one down to -tau
+    counts as rounding: sqrt(eps) is the rounding of an oracle that loses
+    up to half of f's digits, as the cond-1e6 quadratic does, and D < -tau
+    raises.  A positive D counts as rounding only within f's own rounding,
+    64*eps*f_size; above it the paper's ratio stands.  Inside the band
+    ``fallback`` is True and L_hat is the gradient-only ||dg||^2/<dg, dx>,
+    which cocoercivity keeps <= L, or 0 (no information) when <dg, dx> <=
+    0.  The energy argument needs D >= ||dg||^2/(2*L_hat); with the
+    fallback this holds with equality when f is quadratic along the
+    segment, but not for a general convex f.  The solver counts fallback
+    iterations, and ``summary.csv`` reports them per cell as ``fallbacks``.
 
     ``clamp`` is the known global smoothness constant when available: the
-    raw ratio can never exceed it in exact arithmetic, but cancellation in
-    the denominator near convergence can push the computed ratio far above
-    it, so the estimate is capped.  Past the zero branch the numerator is
-    at least 5e-29, so a denominator below 1e-300 gives a ratio above any
-    clamp below 5e271, and the clamp is returned.  Without a clamp the raw
-    ratio stands, however large.
-
-    Cancellation fallback.  The denominator is the Bregman divergence
-    D_f(x_prev, x_next), a difference of two first-order terms.  On
-    ill-conditioned objectives f carries a rounding error far above
-    eps*|f| (cancellation inside the oracle: about 4e-10 at |f| = 2.5 on a
-    quadratic with spectrum 1..1e6), so near convergence the computed
-    denominator can come out negative on a convex input while f still
-    changes by far more than eps*|f|.  A negative denominator therefore
-    raises only beyond sqrt(eps)*(|f_next| + |f_prev|), the rounding of an
-    oracle that loses up to half of f's digits.  Inside that band f cannot
-    resolve the curvature, and the estimate becomes the gradient-only
-    ||dg||^2/<dg, dx>, which cocoercivity keeps <= L, or 0 (no
-    information, as in the rounding band above) when <dg, dx> <= 0, where
-    the gradients are at their own rounding level too.  Curvature too
-    small for f to resolve is not tested for convexity.  The energy
-    argument needs D_f(x_prev, x_next) >= ||dg||^2/(2*L_hat).  With the
-    fallback this holds with equality when f is quadratic along the
-    segment (both sides are dx'H dx/2), but not for a general convex f,
-    where it needs D_f(x_prev, x_next) >= D_f(x_next, x_prev); iterations
-    that take the fallback are not marked in the trace.
+    raw estimate never exceeds it in exact arithmetic, but rounding can push
+    the computed one above it, so the estimate is capped (also when a
+    subnormal denominator makes the ratio infinite).  Without a clamp the
+    raw estimate stands, however large.
     """
     diff = g_next - g_prev
     # np.linalg.norm's own 1-D formula, bit for bit
     diff_norm = math.sqrt(diff.dot(diff))
     if diff_norm <= 1e-14 * (1.0 + math.sqrt(gg_next)):
-        return 0.0
+        return 0.0, False
     dx = x_next - x_prev
     denom = float(g_next.dot(dx)) - (f_next - f_prev)
-    num = 0.5 * diff_norm * diff_norm
-    if denom <= 0.0:
-        f_size = abs(f_next) + abs(f_prev)
-        if denom >= -1e-12 * (f_size + 1.0):
-            return 0.0
-        if denom < -_SQRT_EPS * f_size:
+    f_size = abs(f_next) + abs(f_prev)
+    fallback = denom <= _F_ROUNDING * f_size
+    if fallback:
+        if denom < -_SQRT_EPS * f_size and denom < -1e-12 * (f_size + 1.0):
             raise NonConvexInputError(
                 f"negative curvature denominator {denom:.3e}: inputs are not "
                 "from a convex smooth objective"
             )
         monotone = float(diff.dot(dx))
         if not monotone > 0.0:
-            return 0.0
-        num, denom = diff_norm * diff_norm, monotone
-    ratio = num / denom
-    if clamp is not None:
-        ratio = min(ratio, clamp)
-    return ratio
+            return 0.0, True
+        ratio = diff_norm * diff_norm / monotone
+    else:
+        ratio = 0.5 * diff_norm * diff_norm / denom
+    if clamp is not None and ratio > clamp:
+        ratio = clamp
+    return ratio, fallback
 
 
 def _coefficients(t_next: float, params: AlgoParams) -> tuple[float, float, float]:

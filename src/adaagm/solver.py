@@ -110,14 +110,16 @@ class TraceRecord:
 class Trace:
     """A solver run: per-iteration records plus the start point.
 
-    ``x_final`` is the iterate the run stopped at; traces read back from CSV
-    do not carry it.
+    ``x_final`` is the iterate the run stopped at, and ``fallbacks`` the
+    number of iterations whose local estimate fell in the rounding band of
+    :func:`local_smoothness`; traces read back from CSV carry neither.
     """
 
     records: list[TraceRecord]
     x0: Array
     algorithm: str
     x_final: Optional[Array] = None
+    fallbacks: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -166,7 +168,7 @@ def _probe_s0(problem: SmoothProblem, x0: Array, g0: Array, f0: float,
     x1 = x0 - eps * g0 / g_norm
     f1, g1, gg1 = _evaluate(problem, x1, 0)
     L_known = problem.L_known
-    L_hat = local_smoothness(g1, g0, f1, f0, x1, x0, gg1, clamp=L_known)
+    L_hat, _ = local_smoothness(g1, g0, f1, f0, x1, x0, gg1, clamp=L_known)
     if L_hat > 0.0:
         return q / L_hat
     return q / L_known if L_known else 1.0
@@ -207,6 +209,7 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
 
     records: list[TraceRecord] = []
     L_curr = 0.0 if adaptive else None
+    fallbacks = 0
     k = 0
     restarted = False
     while True:
@@ -236,8 +239,9 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
         f_next, g_next, gg_next = _evaluate(problem, x_eval, k + 1)
 
         if adaptive:
-            L_curr = local_smoothness(g_next, g_x, f_next, f_x, x_eval, x, gg_next,
-                                      clamp=L_known)
+            L_curr, fallback = local_smoothness(g_next, g_x, f_next, f_x, x_eval, x, gg_next,
+                                                clamp=L_known)
+            fallbacks += fallback
             if rec is not None and has_energy:
                 rec.energy = diagnostics.energy(x_next, y_next, gg_x, f_x, t, t_next, s,
                                                 x_star, f_star, params)
@@ -250,7 +254,7 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
         x, y, f_x, g_x, gg_x = x_eval, y_next, f_next, g_next, gg_next
         k += 1
 
-    return Trace(records=records, x0=x0, algorithm=algorithm, x_final=x)
+    return Trace(records=records, x0=x0, algorithm=algorithm, x_final=x, fallbacks=fallbacks)
 
 
 def run_adaagm(problem: SmoothProblem, params: Optional[AlgoParams] = None,
@@ -363,4 +367,6 @@ def read_trace_csv(path) -> Trace:
                 float(d) if d else None))
     if x0 is None:
         raise ValueError(f"trace file {path} is missing the x0 comment line")
+    if not records:
+        raise ValueError(f"trace file {path} has no rows")
     return Trace(records=records, x0=x0, algorithm=algorithm)

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import os
 import subprocess
@@ -358,17 +359,17 @@ class TestRunner:
         rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert len(rows) == 19
         assert rows[0] == ("problem,solver,seed,status,iterations,final_gap,"
-                           "final_grad_norm,q,certificates,restarts")
+                           "final_grad_norm,q,certificates,restarts,fallbacks")
 
 
 def test_summary_counts_restarts_of_default_cells_only(tmp_path):
     config = load_config(DEMO_CONFIG)
     config.output_dir = str(tmp_path / "out")
     results = run_experiment(config)
-    rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()
-    assert rows[0].split(",")[-1] == "restarts"
+    with open(tmp_path / "out" / "summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
     restarts = {(r.problem, r.solver, r.seed): r.restarts for r in results}
-    assert [int(row.split(",")[-1]) for row in rows[1:]] == list(restarts.values())
+    assert [int(row["restarts"]) for row in rows] == list(restarts.values())
     for (problem, solver, seed), n in restarts.items():
         assert (n > 0) == (solver == "agm"), (problem, solver, seed)
         if solver == "agm":  # every epoch start is a recorded row with t == t0
@@ -376,6 +377,21 @@ def test_summary_counts_restarts_of_default_cells_only(tmp_path):
                 [p.name for p in config.problems].index(problem)]))
             trace = read_trace_csv(tmp_path / "out" / f"{problem}_agm_{seed}.csv")
             assert sum(r.t == params.t0 for r in trace.records) == n + 1
+
+
+def test_summary_counts_fallbacks_of_adaagm_cells_only(tmp_path):
+    config = load_config(DEMO_CONFIG)
+    config.output_dir = str(tmp_path / "out")
+    results = run_experiment(config)
+    with open(tmp_path / "out" / "summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["fallbacks"]) for row in rows] == [r.fallbacks for r in results]
+    for r in results:
+        if r.solver == "nesterov":
+            assert r.fallbacks == 0
+        else:  # a loop iteration takes the band at most once
+            assert 0 <= r.fallbacks <= r.iterations
+    assert any(r.fallbacks > 0 for r in results)
 
 
 def test_demo_problems_load_no_scipy_linalg():

@@ -67,30 +67,30 @@ class TestLocalSmoothness:
         L = 7.0
         x0, x1 = np.array([2.0]), np.array([-1.5])
         g1 = L * x1
-        est = local_smoothness(g1, L * x0, 0.5 * L * x1 @ x1,
-                               0.5 * L * x0 @ x0, x1, x0, g1 @ g1)
-        assert est == pytest.approx(L, rel=1e-14)
+        est, fallback = local_smoothness(g1, L * x0, 0.5 * L * x1 @ x1,
+                                         0.5 * L * x0 @ x0, x1, x0, g1 @ g1)
+        assert est == pytest.approx(L, rel=1e-14) and not fallback
 
     def test_isotropic_quadratic_exact(self):
         c = 3.0
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=4), rng.normal(size=4)
         gb = c * b
-        est = local_smoothness(gb, c * a, 0.5 * c * b @ b, 0.5 * c * a @ a, b, a, gb @ gb)
-        assert est == pytest.approx(c, rel=1e-14)
+        est, fallback = local_smoothness(gb, c * a, 0.5 * c * b @ b, 0.5 * c * a @ a, b, a,
+                                         gb @ gb)
+        assert est == pytest.approx(c, rel=1e-14) and not fallback
 
     def test_equal_gradients_is_zero(self):
         g = np.array([1.0, 2.0])
-        assert local_smoothness(g, g, 1.0, 0.5, np.zeros(2), np.ones(2), g @ g) == 0.0
+        assert local_smoothness(g, g, 1.0, 0.5, np.zeros(2), np.ones(2), g @ g) == (0.0, False)
 
     def test_tiny_negative_denominator_is_zero(self):
-        # rounding-level negative denominators map to the 0/0 branch
-        # identical points but f drifted up by rounding: denom = -1e-14
+        # identical points but f drifted up by rounding: denom = -1e-14 lies
+        # in the band, and with dx = 0 the gradient form carries no information
         g0 = np.array([1.0])
         g1 = np.array([1.0 + 1e-10])
         x = np.array([1.0])
-        est = local_smoothness(g1, g0, 1.0 + 1e-14, 1.0, x, x, g1 @ g1)
-        assert est == 0.0
+        assert local_smoothness(g1, g0, 1.0 + 1e-14, 1.0, x, x, g1 @ g1) == (0.0, True)
 
     def test_negative_curvature_raises(self):
         with pytest.raises(NonConvexInputError):
@@ -108,14 +108,63 @@ class TestLocalSmoothness:
         f1 = 0.5 * H @ (x1 * x1) + c + 1e-5  # an error of 1e-11*|f| in f
         assert float(g1 @ (x1 - x0)) - (f1 - f0) < -1e-12 * (abs(f1) + abs(f0) + 1.0)
         dg, dx = g1 - g0, x1 - x0
-        est = local_smoothness(g1, g0, f1, f0, x1, x0, g1 @ g1)
-        assert est == pytest.approx((dg @ dg) / (dg @ dx), rel=1e-14)
+        est, fallback = local_smoothness(g1, g0, f1, f0, x1, x0, g1 @ g1)
+        assert est == pytest.approx((dg @ dg) / (dg @ dx), rel=1e-14) and fallback
         assert est <= H.max()
 
     def test_cancelled_denominator_without_monotone_gradients_is_zero(self):
         g0, g1 = np.array([1e-9, 0.0]), np.array([0.0, 1e-9])
         x0, x1 = np.zeros(2), np.array([1e-3, 0.0])  # <dg, dx> < 0
-        assert local_smoothness(g1, g0, 1.0 + 1e-11, 1.0, x1, x0, g1 @ g1) == 0.0
+        assert local_smoothness(g1, g0, 1.0 + 1e-11, 1.0, x1, x0, g1 @ g1) == (0.0, True)
+
+    @staticmethod
+    def _quadratic_pair(H, x0, x1, c, denom):
+        """f = 0.5*x'diag(H)x + c at x0, and f at x1 moved so that the
+        computed denominator is ``denom``; returns the arguments and dx."""
+        g0, g1 = H * x0, H * x1
+        f0 = 0.5 * H.dot(x0 * x0) + c
+        f1 = f0 + (float(g1.dot(x1 - x0)) - denom)
+        assert float(g1.dot(x1 - x0)) - (f1 - f0) == pytest.approx(denom, rel=0.05)
+        return (g1, g0, f1, f0, x1, x0, g1.dot(g1)), x1 - x0
+
+    def test_positive_denominator_inside_the_band_uses_the_gradient_form(self):
+        # true D_f = 5e-6, but f = 1e6 + ... is off by 1e-8, and the computed
+        # D = 1e-8 lies inside f's rounding 64*eps*2e6 = 2.8e-8: its ratio
+        # 0.5*||dg||^2/D = 3400 would exceed L = 8 and hit the clamp
+        H = np.array([2.0, 8.0])
+        args, dx = self._quadratic_pair(H, np.array([1e-3, 0.0]), np.array([0.0, 1e-3]),
+                                        1e6, 1e-8)
+        est, fallback = local_smoothness(*args, clamp=H.max())
+        hdx = H * dx
+        assert fallback and est < H.max()
+        assert est == pytest.approx(hdx.dot(hdx) / hdx.dot(dx), rel=1e-9)
+
+    def test_positive_denominator_above_f_rounding_keeps_the_ratio(self):
+        # D = 1e-6 is above f's rounding 2.8e-8, though far below
+        # sqrt(eps)*2e6 = 0.03, the raise threshold of a negative D
+        H = np.array([2.0, 8.0])
+        args, _ = self._quadratic_pair(H, np.array([1e-3, 0.0]), np.array([0.0, 1e-3]),
+                                       1e6, 1e-6)
+        dg = args[0] - args[1]
+        est, fallback = local_smoothness(*args)
+        assert not fallback
+        assert est == pytest.approx(0.5 * dg.dot(dg) / 1e-6, rel=1e-3)
+
+    def test_negative_denominator_just_inside_the_band_uses_the_gradient_form(self):
+        # f near 0, so tau = 1e-12*(1 + |f_next| + |f_prev|), just above 1e-12
+        H = np.array([2.0, 8.0])
+        args, dx = self._quadratic_pair(H, np.array([1e-4, 0.0]), np.array([0.0, 1e-4]),
+                                        0.0, -0.9e-12)
+        est, fallback = local_smoothness(*args, clamp=H.max())
+        hdx = H * dx
+        assert fallback and est == pytest.approx(hdx.dot(hdx) / hdx.dot(dx), rel=1e-9)
+
+    def test_negative_denominator_just_beyond_the_band_raises(self):
+        H = np.array([2.0, 8.0])
+        args, _ = self._quadratic_pair(H, np.array([1e-4, 0.0]), np.array([0.0, 1e-4]),
+                                       0.0, -1.1e-12)
+        with pytest.raises(NonConvexInputError):
+            local_smoothness(*args, clamp=H.max())
 
     def test_negative_curvature_beyond_rounding_raises(self):
         # the same pair as the cancellation test, but f rose by 1 > sqrt(eps)*2e6
@@ -128,16 +177,15 @@ class TestLocalSmoothness:
         # inflate the numerator so the raw ratio exceeds the clamp
         g0, g1 = np.array([0.0]), np.array([100.0])
         x0, x1 = np.array([0.0]), np.array([1.0])
-        raw = local_smoothness(g1, g0, 0.0, 0.0, x1, x0, g1 @ g1)
+        raw, _ = local_smoothness(g1, g0, 0.0, 0.0, x1, x0, g1 @ g1)
         assert raw > 2.0
-        assert local_smoothness(g1, g0, 0.0, 0.0, x1, x0, g1 @ g1, clamp=2.0) == 2.0
+        assert local_smoothness(g1, g0, 0.0, 0.0, x1, x0, g1 @ g1, clamp=2.0) == (2.0, False)
 
     def test_subnormal_denominator_returns_the_clamp(self):
         # positive but subnormal denominator: the raw ratio overflows to inf
         g0, g1 = np.array([0.0]), np.array([1.0])
         x0, x1 = np.array([0.0]), np.array([1e-310])
-        est = local_smoothness(g1, g0, 0.0, 0.0, x1, x0, g1 @ g1, clamp=2.0)
-        assert est == 2.0
+        assert local_smoothness(g1, g0, 0.0, 0.0, x1, x0, g1 @ g1, clamp=2.0) == (2.0, False)
 
     @given(st.floats(0.1, 10.0), st.integers(0, 2 ** 32))
     @settings(max_examples=50)
@@ -147,7 +195,7 @@ class TestLocalSmoothness:
         a, b = rng.normal(size=3), rng.normal(size=3)
         ga, gb = lam * a, lam * b
         fa, fb = 0.5 * lam @ (a * a), 0.5 * lam @ (b * b)
-        est = local_smoothness(gb, ga, fb, fa, b, a, gb @ gb)
+        est, _ = local_smoothness(gb, ga, fb, fa, b, a, gb @ gb)
         assert est <= lam[-1] * (1 + 1e-9)
 
 

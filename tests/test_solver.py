@@ -436,6 +436,12 @@ class TestCsv:
         with pytest.raises(ValueError, match="x0"):
             read_trace_csv(path)
 
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# format = 2\n# x0 = 0\nk,gap,grad_norm,s,t,L_est,energy,dist_sq\n")
+        with pytest.raises(ValueError, match="has no rows"):
+            read_trace_csv(path)
+
     def test_none_fields_roundtrip(self, tmp_path):
         trace = Trace(records=[TraceRecord(k=0, gap=None, grad_norm=1.0, s=None,
                                            t=None, L_est=None, energy=None)],
@@ -500,6 +506,24 @@ class TestDefaultProfile:
         stop = StopCriteria(max_iters=100_000, grad_tol=1e-9)
         trace = run_adaagm(p, default_params(p), stop, x0, thin=1000)
         assert trace.records[-1].grad_norm <= 1e-9
+
+
+def test_fallbacks_count_the_loops_band_iterations(diag_problem, monkeypatch):
+    # every flag local_smoothness returns inside the loop, not the s0 probe's
+    flags = []
+    estimate = adaagm.solver.local_smoothness
+
+    def recorded(*args, **kwargs):
+        L_hat, fallback = estimate(*args, **kwargs)
+        flags.append(fallback)
+        return L_hat, fallback
+
+    monkeypatch.setattr(adaagm.solver, "local_smoothness", recorded)
+    stop = StopCriteria(max_iters=5000, grad_tol=1e-12)
+    trace = run_adaagm(diag_problem, default_params(diag_problem), stop, X0, thin=10)
+    assert len(flags) == trace.records[-1].k + 1
+    assert 0 < trace.fallbacks == sum(flags[1:]) < trace.records[-1].k
+    assert run_nesterov(diag_problem, 0.01, stop, X0).fallbacks == 0
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
