@@ -12,18 +12,24 @@ checkout for the ``run_seconds`` of that checkout's ``BENCHMARK.json``, in
 an order that alternates between repeats, so slow drift on a shared host
 hits every checkout alike.  The workloads default to every one
 ``BENCHMARK.json`` declares.  After each run the script reads
-``.bench_out/<workload>-seed<n>-trace0/result.json`` of that checkout.  The
+``.bench_out/<workload>-seed<n>-trace0/result.json`` of that checkout, and
+the iterations of every cell from ``runs/summary.csv`` beside it.  The
 output holds, per checkout and per ``<workload>/seed<n>``, each end-to-end
 metric's median, quartiles and run count, the failure shares, how many runs
 passed their correctness checks, the repetitions per run, the
-environment and commit the runs reported, and whether the checkout's
-tracked files differed from that commit.  Checkout paths stay out of the
-output; the labels name them.
+environment and commit the runs reported, whether the checkout's
+tracked files differed from that commit, and the sum of ``iterations`` per
+solver section (``agm``, ``agm-convex``, ``nesterov``).  Iteration counts
+are exact, so a count that differs between repeats stops the script.
+``rises`` lists, per later label and ``<workload>/seed<n>``, every cell
+whose count is higher than under the first label.  Checkout paths stay out
+of the output; the labels name them.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -80,6 +86,38 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
         return json.load(fh)
 
 
+def read_iterations(path: str) -> dict[tuple[str, str, str], int]:
+    """``iterations`` of every cell of a ``summary.csv``, keyed by
+    (problem, solver, seed)."""
+    with open(path, newline="") as fh:
+        return {(row["problem"], row["solver"], row["seed"]): int(row["iterations"])
+                for row in csv.DictReader(fh)}
+
+
+def section_sums(counts: dict[tuple[str, str, str], int]) -> dict[str, int]:
+    """The sum of iterations per solver section."""
+    sums: dict[str, int] = {}
+    for (_, solver, _), n in counts.items():
+        sums[solver] = sums.get(solver, 0) + n
+    return sums
+
+
+def keep_counts(store: dict, label: str, cell: str,
+                counts: dict[tuple[str, str, str], int]) -> None:
+    """Store a run's counts under (label, cell), or check them against the
+    stored ones: the runs are deterministic, so counts that differ stop the
+    script."""
+    if store.setdefault((label, cell), counts) != counts:
+        raise RuntimeError(f"{label} {cell}: iteration counts differ between repeats")
+
+
+def rises(base: dict[tuple[str, str, str], int],
+          other: dict[tuple[str, str, str], int]) -> list[dict]:
+    """The cells of ``other`` whose count is higher than in ``base``."""
+    return [{"problem": key[0], "solver": key[1], "seed": key[2], "from": base[key], "to": n}
+            for key, n in sorted(other.items()) if key in base and n > base[key]]
+
+
 def tree_state(root: str) -> str:
     """Whether the checkout's tracked files differ from its ``git_commit``."""
     try:
@@ -115,15 +153,20 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     labels = list(args.checkouts)
     runs: dict = {label: {} for label in labels}
+    counts: dict = {}
     environment: dict = {}
     for rep in range(args.repeats):
         order = labels if rep % 2 == 0 else labels[::-1]
         for workload in args.workload:
             for seed in args.seed:
                 for label in order:
-                    result = run_once(args.checkouts[label], workload, seed,
-                                      args.seconds[label])
-                    runs[label].setdefault(f"{workload}/seed{seed}", []).append(result)
+                    root = args.checkouts[label]
+                    result = run_once(root, workload, seed, args.seconds[label])
+                    cell = f"{workload}/seed{seed}"
+                    runs[label].setdefault(cell, []).append(result)
+                    summary = os.path.join(root, ".bench_out", f"{workload}-seed{seed}-trace0",
+                                           "runs", "summary.csv")
+                    keep_counts(counts, label, cell, read_iterations(summary))
                     environment.setdefault(label, result["environment"])
                     print(f"repeat {rep + 1}/{args.repeats} {label} {workload} seed {seed}: "
                           f"wall_s {result['metrics']['wall_s']['value']:.3f}", flush=True)
@@ -134,9 +177,14 @@ def main(argv=None) -> int:
         "checkouts": {
             label: {"environment": environment[label],
                     "tree": tree_state(args.checkouts[label]),
-                    "cells": {cell: summarize(rs) for cell, rs in runs[label].items()}}
+                    "cells": {cell: {**summarize(rs),
+                                     "iterations": section_sums(counts[label, cell])}
+                              for cell, rs in runs[label].items()}}
             for label in labels
         },
+        "rises": {label: {cell: rises(counts[labels[0], cell], counts[label, cell])
+                          for cell in runs[label]}
+                  for label in labels[1:]},
     }
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=False)

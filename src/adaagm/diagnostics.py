@@ -147,7 +147,8 @@ def _epoch_D(trace: Trace, first: Array, problem: SmoothProblem,
     """D of every epoch, the smaller form, from the epoch's first row.
 
     The first epoch takes ||x0 - x*||^2 from the trace's start point, later
-    ones from the row's ``dist_sq``.
+    ones from the row's ``dist_sq``.  A start gap below 0 is f's rounding
+    below f* and counts as 0, since the exact gap is not negative.
     """
     D = []
     for i in first.tolist():
@@ -158,7 +159,7 @@ def _epoch_D(trace: Trace, first: Array, problem: SmoothProblem,
             raise ValueError(f"the restart epoch at k={r.k} carries no dist_sq")
         else:
             dist_sq = r.dist_sq
-        gap = math.nan if r.gap is None else r.gap
+        gap = math.nan if r.gap is None else max(r.gap, 0.0)
         D.append(min(initial_D(gap, r.grad_norm ** 2, dist_sq, problem.L_known, params, r.s)))
     return np.array(D)
 

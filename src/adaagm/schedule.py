@@ -3,12 +3,12 @@
 Three coupled sequences drive the adaptive solver:
 
 * t_k, the inertial (momentum) weights, growing linearly in k;
-* L_k, a per-iteration local estimate of the smoothness constant, capped at
-  the global L when L is known (rounding can push the raw estimate above it);
+* L_k, a per-iteration local estimate of the smoothness constant from the
+  iterate pair alone;
 * s_k, the step size, advanced as the minimum of three candidates A_k*s_k,
   B_k*s_k and C_k/L_{k+1}.  Under valid parameters A_k and B_k exceed 1, so
   the step can grow, while the third candidate keeps it above a closed-form
-  floor q/L.
+  floor min(s_0, q/L) whenever every estimate is <= L.
 
 The solver keeps t_k, t_{k+1} and s_k as plain numbers: :func:`next_t`
 advances t and :func:`advance_step` returns s_{k+1} from t_{k+1}, s_k and
@@ -35,8 +35,8 @@ class AlgoParams:
     """Solver parameters (m, t0, gamma, beta, omega, delta, s0, restart).
 
     ``s0=None`` means "resolve at run time" by a one-step probe of the
-    local smoothness at the start point: q/L_hat(x0), with L_hat capped at
-    the known L, so never below q/L.
+    local smoothness at the start point: q/L_hat(x0), or 1 when the probe
+    sees no curvature.
     ``restart`` turns on gradient-based adaptive restart; only
     :func:`default_params` sets it, and no config key exposes it.
     """
@@ -107,8 +107,7 @@ def floor_q(params: AlgoParams) -> float:
 
 
 def local_smoothness(g_next, g_prev, f_next: float, f_prev: float,
-                     x_next, x_prev, gg_next: float,
-                     clamp: Optional[float] = None) -> tuple[float, bool]:
+                     x_next, x_prev, gg_next: float) -> tuple[float, bool]:
     """Local smoothness estimate from one iterate pair of float arrays.
 
     Returns ``(L_hat, fallback)``: L_hat = 0.5*||dg||^2/D with dg =
@@ -128,19 +127,18 @@ def local_smoothness(g_next, g_prev, f_next: float, f_prev: float,
     counts as rounding: sqrt(eps) is the rounding of an oracle that loses
     up to half of f's digits, as the cond-1e6 quadratic does, and D < -tau
     raises.  A positive D counts as rounding only within f's own rounding,
-    64*eps*f_size; above it the paper's ratio stands.  Inside the band
-    ``fallback`` is True and L_hat is the gradient-only ||dg||^2/<dg, dx>,
-    which cocoercivity keeps <= L, or 0 (no information) when <dg, dx> <=
-    0.  The energy argument needs D >= ||dg||^2/(2*L_hat); with the
-    fallback this holds with equality when f is quadratic along the
-    segment, but not for a general convex f.  The solver counts fallback
-    iterations, and ``summary.csv`` reports them per cell as ``fallbacks``.
+    64*eps*f_size; above it the paper's ratio stands unless it overflows
+    (a subnormal D), which the band's estimate replaces too.
 
-    ``clamp`` is the known global smoothness constant when available: the
-    raw estimate never exceeds it in exact arithmetic, but rounding can push
-    the computed one above it, so the estimate is capped (also when a
-    subnormal denominator makes the ratio infinite).  Without a clamp the
-    raw estimate stands, however large.
+    Inside the band ``fallback`` is True and L_hat is the secant ratio
+    ||dg||/||dx|| of Malitsky and Mishchenko ("Adaptive gradient descent
+    without descent", ICML 2020), which the Lipschitz bound alone keeps
+    <= L; with dx = 0 it carries no information and is 0.  By
+    Cauchy-Schwarz the secant is <= the gradient form ||dg||^2/<dg, dx>, so
+    the energy argument's D >= ||dg||^2/(2*L_hat) is not guaranteed on band
+    rows, even when f is quadratic; D is rounding noise there anyway.  The
+    solver counts fallback iterations, and ``summary.csv`` reports them per
+    cell as ``fallbacks``.
     """
     diff = g_next - g_prev
     # np.linalg.norm's own 1-D formula, bit for bit
@@ -150,22 +148,17 @@ def local_smoothness(g_next, g_prev, f_next: float, f_prev: float,
     dx = x_next - x_prev
     denom = float(g_next.dot(dx)) - (f_next - f_prev)
     f_size = abs(f_next) + abs(f_prev)
-    fallback = denom <= _F_ROUNDING * f_size
-    if fallback:
-        if denom < -_SQRT_EPS * f_size and denom < -1e-12 * (f_size + 1.0):
-            raise NonConvexInputError(
-                f"negative curvature denominator {denom:.3e}: inputs are not "
-                "from a convex smooth objective"
-            )
-        monotone = float(diff.dot(dx))
-        if not monotone > 0.0:
-            return 0.0, True
-        ratio = diff_norm * diff_norm / monotone
-    else:
+    if denom > _F_ROUNDING * f_size:
         ratio = 0.5 * diff_norm * diff_norm / denom
-    if clamp is not None and ratio > clamp:
-        ratio = clamp
-    return ratio, fallback
+        if ratio < math.inf:
+            return ratio, False
+    elif denom < -_SQRT_EPS * f_size and denom < -1e-12 * (f_size + 1.0):
+        raise NonConvexInputError(
+            f"negative curvature denominator {denom:.3e}: inputs are not "
+            "from a convex smooth objective"
+        )
+    dx_norm = math.sqrt(dx.dot(dx))
+    return (diff_norm / dx_norm if dx_norm > 0.0 else 0.0), True
 
 
 def _coefficients(t_next: float, params: AlgoParams) -> tuple[float, float, float]:
@@ -191,7 +184,7 @@ def advance_step(t_next: float, s: float, L_hat: float, params: AlgoParams) -> f
     return s_next
 
 
-def validate_params(params: AlgoParams, L_known: Optional[float] = None) -> list[str]:
+def validate_params(params: AlgoParams) -> list[str]:
     """Check every standing assumption on the parameters; return the warnings.
 
     Raises ``ValueError`` naming every failed clause.  The binding clause is
@@ -228,13 +221,4 @@ def validate_params(params: AlgoParams, L_known: Optional[float] = None) -> list
             )
     if failures:
         raise ValueError("invalid parameters: " + "; ".join(failures))
-
-    # the step-growth condition holds, so t0 > 1 and q is defined
-    if params.s0 is not None and L_known is not None and L_known > 0:
-        s0_floor = floor_q(params) / L_known
-        if params.s0 < s0_floor * (1.0 - 1e-12):
-            warnings.append(
-                f"s0={params.s0:.6g} is below the floor q/L={s0_floor:.6g}; "
-                "the step floor degrades to min(s0, q/L)"
-            )
     return warnings

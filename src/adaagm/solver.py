@@ -154,11 +154,10 @@ def _probe_s0(problem: SmoothProblem, x0: Array, g0: Array, f0: float,
               params: AlgoParams) -> float:
     """Initial step q/L_hat(x0) from one short trial step along -g0.
 
-    L_hat(x0) is :func:`local_smoothness` of the pair (x0, x1), capped at
-    the known L as in the loop, so s0 = q/min(L_hat(x0), L) >= q/L: the
-    local curvature at the start point, not the global bound, sets the
-    first step.  A probe that sees no curvature (L_hat = 0) starts from
-    q/L when L is known and from 1 otherwise.
+    L_hat(x0) is :func:`local_smoothness` of the pair (x0, x1), as in the
+    loop: the local curvature at the start point, not a global bound, sets
+    the first step.  A probe that sees no curvature (L_hat = 0) starts from
+    1.
     """
     q = floor_q(params)
     g_norm = float(np.linalg.norm(g0))
@@ -167,11 +166,8 @@ def _probe_s0(problem: SmoothProblem, x0: Array, g0: Array, f0: float,
     eps = 1e-4 * (1.0 + float(np.linalg.norm(x0)))
     x1 = x0 - eps * g0 / g_norm
     f1, g1, gg1 = _evaluate(problem, x1, 0)
-    L_known = problem.L_known
-    L_hat, _ = local_smoothness(g1, g0, f1, f0, x1, x0, gg1, clamp=L_known)
-    if L_hat > 0.0:
-        return q / L_hat
-    return q / L_known if L_known else 1.0
+    L_hat, _ = local_smoothness(g1, g0, f1, f0, x1, x0, gg1)
+    return q / L_hat if L_hat > 0.0 else 1.0
 
 
 def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
@@ -191,7 +187,7 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
     stop = stop or StopCriteria()
     adaptive = algorithm == "adaagm"
     # loop invariants, read once
-    f_star, x_star, L_known = problem.f_star, problem.x_star, problem.L_known
+    f_star, x_star = problem.f_star, problem.x_star
     t0, m, gamma, max_iters = params.t0, params.m, params.gamma, stop.max_iters
     has_gap = f_star is not None
     gap_tol = stop.gap_tol if has_gap and stop.gap_tol is not None else 0.0
@@ -239,8 +235,7 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
         f_next, g_next, gg_next = _evaluate(problem, x_eval, k + 1)
 
         if adaptive:
-            L_curr, fallback = local_smoothness(g_next, g_x, f_next, f_x, x_eval, x, gg_next,
-                                                clamp=L_known)
+            L_curr, fallback = local_smoothness(g_next, g_x, f_next, f_x, x_eval, x, gg_next)
             fallbacks += fallback
             if rec is not None and has_energy:
                 rec.energy = diagnostics.energy(x_next, y_next, gg_x, f_x, t, t_next, s,
@@ -262,13 +257,13 @@ def run_adaagm(problem: SmoothProblem, params: Optional[AlgoParams] = None,
     """Run the adaptive accelerated method from x0 = y0.
 
     ``params.s0=None`` resolves by a one-step probe of the local smoothness
-    at the start point (:func:`_probe_s0`), whether or not L is known; it
-    costs one oracle call.  Invalid parameters raise ``ValueError``;
-    :func:`validate_params`' warnings are emitted.
+    at the start point (:func:`_probe_s0`); it costs one oracle call.
+    Invalid parameters raise ``ValueError``; :func:`validate_params`'
+    warnings are emitted.
     """
     if params is None:
         params = default_params(problem)
-    for message in validate_params(params, L_known=problem.L_known):
+    for message in validate_params(params):
         warnings.warn(message, stacklevel=2)
     return _iterate(problem, "adaagm", params, params.s0, x0, stop, thin)
 

@@ -142,7 +142,7 @@ def certify_rows(trace, problem, params, kind):
             raise ValueError(f"the restart epoch at k={start.k} carries no dist_sq")
         else:
             dist_sq = start.dist_sq
-        return min(initial_D(start.gap, start.grad_norm ** 2, dist_sq,
+        return min(initial_D(max(start.gap, 0.0), start.grad_norm ** 2, dist_sq,
                              problem.L_known, params, start.s))
 
     cert.epochs = sum(1 for _, _, _, same in epochs() if not same)

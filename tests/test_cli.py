@@ -505,7 +505,9 @@ def test_certify_rejects_a_trace_name_no_cell_writes(demo_runs, tmp_path, capsys
 def test_passing_certificates_show_their_slack(tmp_path, capsys):
     # the demo's quad_agm_0 trace (seed 0, thinning 10): every kind passes
     # and prints the worst relative slack it held by, negative except where
-    # the gap, a multiple of f*'s ulp, meets a restarted bound below one ulp
+    # the gap, a multiple of f*'s ulp, meets a restarted bound below one ulp,
+    # or enters the energy one ulp below f* (the epoch that starts at k = 169
+    # reads gap = -ulp(f*), which lowers that row's energy by its rounding)
     trace = tmp_path / "quad_agm_0.csv"
     shutil.copy(os.path.join(os.path.dirname(__file__), "data", "format2_default_quad.csv"),
                 trace)
@@ -517,7 +519,10 @@ def test_passing_certificates_show_their_slack(tmp_path, capsys):
     for kind, line in zip(_kinds(out), out.splitlines()):
         assert " PASS checks=" in line
         worst = float(line.rsplit(" worst_rel=", 1)[1])
-        assert worst <= ulp if kind in ("sublinear", "linear") else worst < 0.0
+        if kind in ("sublinear", "linear", "energy_monotone"):
+            assert worst <= ulp
+        else:
+            assert worst < 0.0
 
 
 @pytest.mark.parametrize("seed", [0, 1])

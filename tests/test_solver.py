@@ -71,7 +71,20 @@ class TestStepResolution:
         params = default_params(p) if name == "default" else PROFILES[name]
         x0 = x0_scale * np.random.default_rng(seed).standard_normal(dim)
         s0 = run_adaagm(p, params, StopCriteria(max_iters=1), x0=x0).records[0].s
-        assert s0 >= floor_q(params) / p.L_known * (1.0 - 1e-12)
+        # No cap: the bound is the one f's rounding leaves.  On a quadratic,
+        # ||dg||^2 = dx'A^2 dx <= L*dx'A dx = 2*L*D_f exactly, so the ratio
+        # 0.5*||dg||^2/D_f is <= L.  The probe divides by the computed
+        # denominator D instead, which differs from D_f by f's rounding, and
+        # r = 64*eps*(|f0| + |f1|) is the band's own measure of it.  Above
+        # the band (D > r), L_hat <= L*D_f/D <= L*(D + r)/D, so
+        # s0 = q/L_hat >= (q/L)/(1 + r/D) >= (q/L)*(1 - r/D).
+        f0, g0 = p.value_and_grad(x0)
+        x1 = x0 - 1e-4 * (1.0 + np.linalg.norm(x0)) * g0 / np.linalg.norm(g0)
+        f1, g1 = p.value_and_grad(x1)
+        D = float(g1.dot(x1 - x0)) - (f1 - f0)
+        r = 64 * 2.0 ** -52 * (abs(f0) + abs(f1))
+        assert D > r  # the probe's step keeps r/D below 4e-6 on these problems
+        assert s0 >= floor_q(params) / p.L_known * (1.0 - r / D)
 
     @pytest.mark.parametrize("name", ["quad", "lse", "logit"])
     def test_probed_s0_never_below_q_over_L_on_demo_problems(self, name):
@@ -86,21 +99,21 @@ class TestStepResolution:
                 s0 = run_adaagm(problem, params, StopCriteria(max_iters=1), x0=x0).records[0].s
                 assert s0 >= floor_q(params) / problem.L_known * (1.0 - 1e-12)
 
-    def test_probe_without_curvature_starts_from_q_over_L(self):
-        # a linear objective: the probe's gradients agree, so L_hat(x0) = 0
+    def test_probe_without_curvature_starts_from_one(self):
+        # a linear objective: the probe's gradients agree, so L_hat(x0) = 0,
+        # and a known L does not enter
         c = np.array([1.0, -2.0])
         linear = SmoothProblem(2, lambda x: (float(c.dot(x)), c.copy()), L_known=0.5)
         params = PROFILES["cor-4.4"]
         stop = StopCriteria(max_iters=1)
-        assert run_adaagm(linear, params, stop, x0=np.ones(2)).records[0].s == \
-            floor_q(params) / 0.5
+        assert run_adaagm(linear, params, stop, x0=np.ones(2)).records[0].s == 1.0
         blind = dataclasses.replace(linear, L_known=None)
         assert run_adaagm(blind, params, stop, x0=np.ones(2)).records[0].s == 1.0
 
     def test_s0_explicit(self, diag_problem):
+        # far below q/L, and no warning: step_floor grades against min(s0, q/L)
         params = dataclasses.replace(PROFILES["cor-4.4"], s0=1e-3)
-        with pytest.warns(UserWarning, match="below the floor"):
-            trace = run_adaagm(diag_problem, params, StopCriteria(max_iters=1), x0=X0)
+        trace = run_adaagm(diag_problem, params, StopCriteria(max_iters=1), x0=X0)
         assert trace.records[0].s == 1e-3
 
     def test_s0_probe_when_L_unknown(self, diag_problem):
@@ -114,19 +127,12 @@ class TestStepResolution:
         with pytest.raises(ValueError, match="invalid parameters"):
             run_adaagm(diag_problem, dataclasses.replace(PROFILES["cor-4.4"], gamma=1.9), x0=X0)
 
-    def test_s0_below_floor_warns(self):
-        p = make_quadratic(np.diag([1.0, 10.0]), np.array([1.0, 10.0]))
-        with pytest.warns(UserWarning, match="below the floor q/L") as record:
-            run_adaagm(p, dataclasses.replace(PROFILES["cor-4.4"], s0=1e-6),
-                       StopCriteria(max_iters=1), x0=X0)
-        assert len(record) == 1
-        assert record[0].filename == __file__
-
     def test_m_one_warns(self, diag_problem):
         with pytest.warns(UserWarning, match="m=1 disables step growth") as record:
             run_adaagm(diag_problem, dataclasses.replace(PROFILES["cor-4.4"], m=1.0),
                        StopCriteria(max_iters=1), x0=X0)
         assert len(record) == 1
+        assert record[0].filename == __file__
 
 
 class TestStopping:
@@ -385,9 +391,8 @@ class TestScaleCoherence:
         stop = StopCriteria(max_iters=100, grad_tol=0.0)
         params = dataclasses.replace(PROFILES["cor-4.4"], s0=s)
         params4 = dataclasses.replace(PROFILES["cor-4.4"], s0=s / 4.0)
-        with pytest.warns(UserWarning, match="below the floor"):
-            _, xa, _ = run_with_iterates(run_adaagm, p, params, stop, x0=np.ones(5))
-            _, xb, _ = run_with_iterates(run_adaagm, p4, params4, stop, x0=np.ones(5))
+        _, xa, _ = run_with_iterates(run_adaagm, p, params, stop, x0=np.ones(5))
+        _, xb, _ = run_with_iterates(run_adaagm, p4, params4, stop, x0=np.ones(5))
         assert len(xa) == len(xb) == 101
         for a, b in zip(xa, xb):
             assert np.array_equal(a, b)
@@ -500,12 +505,22 @@ class TestDefaultProfile:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_cond_1e6_quadratic_converges_without_raising(self, seed):
         # g.dx and df cancel below f's rounding here; the curvature estimate
-        # falls back to the gradients instead of calling the input non-convex
+        # falls back to the secant instead of calling the input non-convex
         p = _dense_quadratic(seed, n=60, cond=1e6)
         x0 = 2.0 * np.random.default_rng(seed).standard_normal(p.dimension)
         stop = StopCriteria(max_iters=100_000, grad_tol=1e-9)
-        trace = run_adaagm(p, default_params(p), stop, x0, thin=1000)
+        params = default_params(p)
+        trace = run_adaagm(p, params, stop, x0, thin=1000)
         assert trace.records[-1].grad_norm <= 1e-9
+        # the run reads no L: hiding it changes no record, and the hidden-L
+        # run, graded with the true L, keeps its step floor and rate
+        blind = dataclasses.replace(p, L_known=None)
+        hidden = run_adaagm(blind, params, stop, x0, thin=1000)
+        assert [dataclasses.astuple(r) for r in hidden.records] == \
+            [dataclasses.astuple(r) for r in trace.records]
+        for kind in ("step_floor", "sublinear"):
+            cert = certify(hidden, p, params, kind)
+            assert cert.passed and cert.checks > 0, (kind, cert.violations[:3])
 
 
 def test_fallbacks_count_the_loops_band_iterations(diag_problem, monkeypatch):
