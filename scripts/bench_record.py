@@ -15,7 +15,8 @@ hits every checkout alike.  The workloads default to every one
 ``.bench_out/<workload>-seed<n>-trace0/result.json`` of that checkout, and
 the iterations of every cell from ``runs/summary.csv`` beside it.  The
 output holds, per checkout and per ``<workload>/seed<n>``, each end-to-end
-metric's median, quartiles and run count, the failure shares, how many runs
+metric's median, quartiles, run count and the value of every run in run
+order (so the repeats of two labels pair up), the failure shares, how many runs
 passed their correctness checks, the repetitions per run, the
 environment and commit the runs reported, whether the checkout's
 tracked files differed from that commit, and the sum of ``iterations`` per
@@ -131,13 +132,15 @@ def tree_state(root: str) -> str:
 
 
 def summarize(runs: list[dict]) -> dict:
-    """Median, quartiles and count of every metric over the runs of one cell."""
+    """Median, quartiles, count and the values in run order of every metric
+    over the runs of one cell."""
     metrics = {}
     for name, first in runs[0]["metrics"].items():
         values = np.array([r["metrics"][name]["value"] for r in runs], dtype=float)
         q1, median, q3 = np.percentile(values, [25, 50, 75])
         metrics[name] = {"unit": first["unit"], "median": float(median),
-                         "q1": float(q1), "q3": float(q3), "n": len(values)}
+                         "q1": float(q1), "q3": float(q3), "n": len(values),
+                         "values": values.tolist()}
     shares = {name: float(np.median([r["shares"][name] for r in runs]))
               for name in runs[0].get("shares", {})}
     return {

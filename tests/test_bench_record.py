@@ -1,5 +1,6 @@
 """The per-cell iteration counts ``scripts/bench_record.py`` reads from a
-benchmark run's ``summary.csv``; no benchmark is run."""
+benchmark run's ``summary.csv``, and its per-metric summary of the runs; no
+benchmark is run."""
 
 import importlib.util
 import os
@@ -68,3 +69,11 @@ def test_counts_that_differ_between_repeats_stop_the_record(two_runs):
                      ("change", "demo-matrix/seed17"): change}
     with pytest.raises(RuntimeError, match="parent demo-matrix/seed17: iteration counts differ"):
         bench_record.keep_counts(store, "parent", "demo-matrix/seed17", change)
+
+
+def test_summary_keeps_every_run_value_in_run_order():
+    runs = [{"metrics": {"peak_rss_mb": {"value": v, "unit": "MB"}}, "shares": {},
+             "correct": True, "repetitions": 3} for v in (52.5, 50.25, 51.0)]
+    metric = bench_record.summarize(runs)["metrics"]["peak_rss_mb"]
+    assert metric["values"] == [52.5, 50.25, 51.0]
+    assert (metric["median"], metric["n"]) == (51.0, 3)
