@@ -150,17 +150,15 @@ def _epoch_D(trace: Trace, first: Array, problem: SmoothProblem,
     ones from the row's ``dist_sq``.  A start gap below 0 is f's rounding
     below f* and counts as 0, since the exact gap is not negative.
     """
+    k, gap, grad_norm, s, dist_sq = (trace.column(name)[first].tolist()
+                                     for name in ("k", "gap", "grad_norm", "s", "dist_sq"))
+    dist_sq[0] = float(np.sum((trace.x0 - problem.x_star) ** 2))
     D = []
-    for i in first.tolist():
-        r = trace.records[i]
-        if i == 0:
-            dist_sq = float(np.sum((trace.x0 - problem.x_star) ** 2))
-        elif r.dist_sq is None:
-            raise ValueError(f"the restart epoch at k={r.k} carries no dist_sq")
-        else:
-            dist_sq = r.dist_sq
-        gap = math.nan if r.gap is None else max(r.gap, 0.0)
-        D.append(min(initial_D(gap, r.grad_norm ** 2, dist_sq, problem.L_known, params, r.s)))
+    for i in range(len(first)):
+        if dist_sq[i] != dist_sq[i]:  # NaN: no value
+            raise ValueError(f"the restart epoch at k={int(k[i])} carries no dist_sq")
+        D.append(min(initial_D(max(gap[i], 0.0), grad_norm[i] ** 2, dist_sq[i],
+                               problem.L_known, params, s[i])))
     return np.array(D)
 
 
@@ -168,8 +166,8 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
             kind: str) -> RateCertificate:
     """Check the chosen inequality on every row of the trace and collect violations.
 
-    Each kind reads the trace columns it needs as float arrays (an empty
-    entry becomes NaN) and evaluates its inequality over all rows at once.
+    Each kind slices the trace columns it needs (a missing value is NaN)
+    and evaluates its inequality over all rows at once.
     A row whose inequality involves NaN is neither a violation nor a check,
     and neither is a ``step_cap`` row whose cap overflows to +inf (m below
     about 0.0028).
@@ -182,26 +180,23 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
     """
     if kind not in CERTIFICATE_KINDS:
         raise ValueError(f"unknown certificate kind {kind!r}")
-    if not trace.records:
+    if not len(trace):
         raise ValueError("trace is empty")
     if len(trace.x0) != problem.dimension:
         raise ValueError(f"trace start point has {len(trace.x0)} entries, "
                          f"problem {problem.name} has dimension {problem.dimension}")
-    recs = trace.records
     q = floor_q(params)
     cert = RateCertificate(kind=kind, constant_q=q)
-    k = np.array([r.k for r in recs])
-    t = None
-    if params.restart or kind in ("sublinear", "linear"):
-        t = np.array([r.t for r in recs], dtype=float)
+    k = trace.column("k")
+    t = trace.column("t")
     if params.restart:
         starts = t == params.t0
         starts[0] = True
         first = np.flatnonzero(starts)  # row of each epoch's start
         epoch = np.cumsum(starts) - 1  # epoch of each row
-    else:  # one epoch; skips reading t for the kinds that do not need it
+    else:
         first = np.zeros(1, dtype=int)
-        epoch = np.zeros(len(recs), dtype=int)
+        epoch = np.zeros(len(k), dtype=int)
     k_rel = k - k[first][epoch]
     cert.epochs = len(first)
 
@@ -225,19 +220,18 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
             decay = np.exp(k_rel * math.log1p(-cert.constant_rho))
         D = _epoch_D(trace, first, problem, params)
         cert.constant_D = float(D[0])
-        gap = np.array([r.gap for r in recs], dtype=float)
-        check(k, gap, D[epoch] * problem.L_known / t ** 2 * decay)
+        check(k, trace.column("gap"), D[epoch] * problem.L_known / t ** 2 * decay)
 
     elif kind == "step_floor":
         _require(problem, kind, "L_known")
-        s = np.array([r.s for r in recs], dtype=float)
+        s = trace.column("s")
         floor = np.minimum(s[first], q / problem.L_known)
         later = k_rel >= 1  # an epoch's first row meets its own floor by construction
         check(k[later], floor[epoch[later]], s[later])  # violation when s_k < floor
 
     elif kind == "step_cap":
         growth = 2.0 * (1.0 - params.m) / params.m
-        s = np.array([r.s for r in recs], dtype=float)
+        s = trace.column("s")
         try:
             lead = s[first] * math.exp(growth)
         except OverflowError:  # m below about 0.0028
@@ -255,20 +249,20 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
                 and problem.mu_known > 0 and problem.L_known is not None):
             factor = 1.0 - rho(params, problem.mu_known, problem.L_known)
             cert.constant_rho = 1.0 - factor
-        e = np.array([r.energy for r in recs], dtype=float)
+        e = trace.column("energy")
         # adjacent rows of one epoch; a NaN energy on either side drops the pair
         pair = (k[1:] == k[:-1] + 1) & (epoch[1:] == epoch[:-1])
         check(k[1:][pair], e[1:][pair], factor * e[:-1][pair])
 
     elif kind == "grad_summable":
-        g = np.array([r.grad_norm for r in recs], dtype=float)
+        g = trace.column("grad_norm")
         partials = np.cumsum(k_rel ** 2 * g ** 2)  # adds in row order
         total = float(partials[-1])
         if total > 0.0:
             increment = (total - float(partials[len(partials) // 2])) / total
             cert.checks = 1
             if increment > 0.01:
-                cert.violations.append((recs[-1].k, increment, 0.01))
+                cert.violations.append((int(k[-1]), increment, 0.01))
             cert.max_violation_rel = increment - 0.01
 
     return cert

@@ -11,6 +11,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import (ConfigError, ExperimentConfig, SolverSpec, build_problem, load_config,
                      start_point, trace_name)
 from .diagnostics import RateCertificate, certify
@@ -89,7 +91,7 @@ def _run_cell(config: ExperimentConfig, p_idx: int, problem: SmoothProblem,
             result.q = floor_q(params)
             trace = run_adaagm(problem, params, solver.stop, x0, thin=config.thinning)
             # every epoch start is recorded, and t == t0 marks exactly those rows
-            result.restarts = sum(r.t == params.t0 for r in trace.records[1:])
+            result.restarts = int(np.count_nonzero(trace.column("t")[1:] == params.t0))
             result.fallbacks = trace.fallbacks
             certs = certify_cell(trace, problem, params)
             if certs:

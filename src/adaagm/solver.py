@@ -28,19 +28,23 @@ since t grows strictly inside an epoch.
 
 Every iteration, and the s0 probe, makes exactly one oracle call,
 ``problem.value_and_grad``; a non-finite value or gradient raises
-:class:`DivergenceError`.  All runs produce a :class:`Trace` of
-per-iteration records and the final iterate; the iterates along the way are
-not kept.  The energy column of an adaptive record at index k is computed
-from the iterates available at the end of iteration k (it needs x_{k+1} and
-y_{k+1}), so it lags the other columns by one step; the final record carries
+:class:`DivergenceError`, so no NaN reaches a trace as a value.  All runs
+produce a :class:`Trace` of recorded rows and the final iterate; the
+iterates along the way are not kept.  A trace is one float64 array, a row
+per recorded iteration and a column per :class:`TraceRecord` field; the
+loop appends each row's values to one flat list and converts it once.
+The energy column of an adaptive row at index k is computed from the
+iterates available at the end of iteration k (it needs x_{k+1} and
+y_{k+1}), so it lags the other columns by one step; the final row carries
 no energy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -94,10 +98,9 @@ class StopCriteria:
 
 @dataclass(slots=True)
 class TraceRecord:
-    """One logged iteration; its fields, in order, are the trace CSV's columns.
+    """One logged iteration; its fields, in order, are a trace's columns.
 
-    A thinning-1 run holds one record per iteration, and slots keep each at
-    about two thirds of the memory of one with a ``__dict__``.
+    :attr:`Trace.records` builds one per row on access.
     """
 
     k: int
@@ -111,23 +114,71 @@ class TraceRecord:
     dist_sq: Optional[float] = None
 
 
+#: Trace columns: :class:`TraceRecord`'s fields, in order.
+COLUMNS = tuple(f.name for f in fields(TraceRecord))
+_COLUMN = {name: i for i, name in enumerate(COLUMNS)}
+
+
+def _record(row: list[float]) -> TraceRecord:
+    k, *values = row
+    return TraceRecord(int(k), *[None if v != v else v for v in values])  # NaN != NaN
+
+
+class TraceRows(Sequence):
+    """Read-only rows of a trace: each access builds a :class:`TraceRecord`,
+    with an ``int`` k and None for NaN.  A slice is a list of records.
+
+    A record is a copy, so writing to it leaves the trace as it was; write
+    to :meth:`Trace.column` to change a trace.
+    """
+
+    __slots__ = ("_data",)
+
+    def __init__(self, data: Array):
+        self._data = data
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(_record, self._data[i].tolist()))
+        return _record(self._data[i].tolist())
+
+    def __iter__(self):
+        return map(_record, self._data.tolist())
+
+
 @dataclass
 class Trace:
-    """A solver run: per-iteration records plus the start point.
+    """A solver run: its recorded rows plus the start point.
 
+    ``data`` holds one row per recorded iteration and one float64 column
+    per :class:`TraceRecord` field, in :data:`COLUMNS` order; a missing
+    value (no f*, no energy, no ``dist_sq``) is NaN.  :meth:`column` slices
+    one column and :attr:`records` views the rows as records.
     ``x_final`` is the iterate the run stopped at, and ``fallbacks`` the
     number of iterations whose local estimate fell in the rounding band of
     :func:`local_smoothness`; traces read back from CSV carry neither.
     """
 
-    records: list[TraceRecord]
+    data: Array
     x0: Array
     algorithm: str
     x_final: Optional[Array] = None
     fallbacks: Optional[int] = None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.data)
+
+    def column(self, name: str) -> Array:
+        """The named column, a view: writing to it writes to the trace."""
+        return self.data[:, _COLUMN[name]]
+
+    @property
+    def records(self) -> TraceRows:
+        """The rows as records, each built on access."""
+        return TraceRows(self.data)
 
 
 #: Fixed-rule parameters: the t-recursion from t_0 = 1 at m = 1 (Nesterov)
@@ -211,25 +262,24 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
     t, t_next = t0, next_t(t0, m)
     t1 = t_next
 
-    records: list[TraceRecord] = []
-    L_curr = 0.0 if adaptive else None
+    nan = math.nan  # no value
+    rows: list[float] = []  # the recorded rows' values, flat
+    L_curr = 0.0 if adaptive else nan
     fallbacks = 0
     k = 0
     restarted = False
     while True:
         grad_norm = math.sqrt(gg_x)  # np.linalg.norm's own formula, bit for bit
-        gap = f_x - f_star if has_gap else None
+        gap = f_x - f_star if has_gap else nan
         stopping = (k >= max_iters or (grad_tol > 0.0 and grad_norm <= grad_tol)
                     or (gap_tol > 0.0 and gap <= gap_tol))
-        rec = None
-        if k % thin == 0 or stopping or restarted:
-            dist_sq = None
+        recorded = k % thin == 0 or stopping or restarted
+        if recorded:
+            dist_sq = nan
             if restarted and x_star is not None:
                 dz = x - x_star
                 dist_sq = float(dz.dot(dz))
-            rec = TraceRecord(k, gap, grad_norm, s, None if algorithm == "gd" else t, L_curr,
-                              None, dist_sq)
-            records.append(rec)
+            rows += (k, gap, grad_norm, s, nan if algorithm == "gd" else t, L_curr, nan, dist_sq)
         if stopping:
             break
 
@@ -246,9 +296,9 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
         if adaptive:
             L_curr, fallback = local_smoothness(g_next, g_x, f_next, f_x, x_eval, x, gg_next)
             fallbacks += fallback
-            if rec is not None and has_energy:
-                rec.energy = diagnostics.energy(x_next, y_next, gg_x, f_x, t, t_next, s,
-                                                x_star, f_star, params)
+            if recorded and has_energy:  # the energy field of the row just recorded
+                rows[-2] = diagnostics.energy(x_next, y_next, gg_x, f_x, t, t_next, s,
+                                              x_star, f_star, params)
             s = advance_step(t_next, s, L_curr, params)
         if restarted:
             t, t_next = t0, t1
@@ -258,7 +308,8 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
         x, y, f_x, g_x, gg_x = x_eval, y_next, f_next, g_next, gg_next
         k += 1
 
-    return Trace(records=records, x0=x0, algorithm=algorithm, x_final=x, fallbacks=fallbacks)
+    data = np.fromiter(rows, float, len(rows)).reshape(-1, len(COLUMNS))
+    return Trace(data=data, x0=x0, algorithm=algorithm, x_final=x, fallbacks=fallbacks)
 
 
 def run_adaagm(problem: SmoothProblem, params: Optional[AlgoParams] = None,
@@ -299,14 +350,13 @@ def run_nesterov(problem: SmoothProblem, step: float,
 
 # --- CSV serialization -------------------------------------------------------
 
-#: The columns are :class:`TraceRecord`'s fields, in order.  Format 2 appends
-#: ``dist_sq``; format 1 files (no ``# format`` line, the first seven columns)
-#: still read back, with ``dist_sq`` None.
+#: The columns are :data:`COLUMNS`.  Format 2 appends ``dist_sq``; format 1
+#: files (no ``# format`` line, the first seven columns) still read back,
+#: with ``dist_sq`` NaN.
 _CSV_FORMAT = 2
-_CSV_COLUMNS = tuple(f.name for f in fields(TraceRecord))
-_CSV_HEADER = ",".join(_CSV_COLUMNS)
-_CSV_HEADERS = (_CSV_HEADER, ",".join(_CSV_COLUMNS[:-1]))
-_row = operator.attrgetter(*_CSV_COLUMNS)
+_CSV_HEADER = ",".join(COLUMNS)
+_CSV_HEADERS = (_CSV_HEADER, ",".join(COLUMNS[:-1]))
+_CSV_ROW = ",".join(["%.17g"] * len(COLUMNS))
 
 
 def format_float(v: Optional[float]) -> str:
@@ -318,7 +368,7 @@ def write_trace_csv(trace: Trace, path) -> None:
     """Write a trace as CSV with 17-significant-digit floats.
 
     The start point rides along in a comment line so that certificates can
-    be re-checked from the file alone.
+    be re-checked from the file alone.  A missing value is an empty field.
     """
     lines = [
         f"# format = {_CSV_FORMAT}",
@@ -328,52 +378,68 @@ def write_trace_csv(trace: Trace, path) -> None:
         "# note: dist_sq is ||z - x*||^2 at the start point z of a restart epoch",
         _CSV_HEADER,
     ]
-    # one pass over every value of every row, then one join per row: a list
-    # built per row costs a call each on CPython 3.11.  The format is
-    # format_float's, and an iteration count k < 1e17 prints as its digits.
-    values = ["" if v is None else "%.17g" % v for r in trace.records for v in _row(r)]
-    lines.extend(map(",".join, zip(*[iter(values)] * len(_CSV_COLUMNS))))
+    # one format per row, format_float's; k < 1e17 prints as its digits.
+    # NaN prints as "nan", which no number does, and a missing value is empty
+    body = "\n".join([_CSV_ROW % tuple(row) for row in trace.data.tolist()])
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines) + "\n" + body.replace("nan", "") + "\n")
+
+
+def _row_values(lines, width: int):
+    """Every field of every row, as floats; an empty field is NaN."""
+    nan = math.nan
+    for line in lines:
+        parts = line.split(",")
+        if len(parts) != width:
+            if not line:
+                continue
+            raise ValueError(f"malformed trace row: {line!r}")
+        for v in parts:
+            yield float(v) if v else nan
 
 
 def read_trace_csv(path) -> Trace:
-    """Read a trace written by :func:`write_trace_csv`, in format 2 or 1."""
+    """Read a trace written by :func:`write_trace_csv`, in format 2 or 1.
+
+    A row has eight fields under ``# format = 2`` and seven without;
+    another width, or a k that is not a strictly increasing integer, is a
+    malformed row.
+    """
     algorithm = "unknown"
     x0: Optional[Array] = None
-    records: list[TraceRecord] = []
+    width = len(COLUMNS) - 1  # format 1 has no dist_sq
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line[:1] in "#k":  # a comment, the header, or a blank line ("" is in "#k")
-                if line[:1] == "#":
-                    body = line.lstrip("# ").strip()
-                    if body.startswith("format ="):
-                        version = body.split("=", 1)[1].strip()
-                        if version not in ("1", "2"):
-                            raise ValueError(f"unsupported trace format {version!r}")
-                    elif body.startswith("algorithm ="):
-                        algorithm = body.split("=", 1)[1].strip()
-                    elif body.startswith("x0 ="):
-                        x0 = np.array([float(v) for v in body.split("=", 1)[1].split()])
-                    continue
-                if line == "" or line in _CSV_HEADERS:
-                    continue
-            parts = line.split(",")
-            if len(parts) != len(_CSV_COLUMNS):
-                if len(parts) != len(_CSV_COLUMNS) - 1:  # format 1 has no dist_sq
-                    raise ValueError(f"malformed trace row: {line!r}")
-                parts.append("")
-            # field by field: a loop over the fields costs about 10% more read
-            # time on CPython 3.11
-            k, gap, grad_norm, s, t, L_est, e, d = parts
-            records.append(TraceRecord(
-                int(k), float(gap) if gap else None, float(grad_norm) if grad_norm else None,
-                float(s) if s else None, float(t) if t else None,
-                float(L_est) if L_est else None, float(e) if e else None,
-                float(d) if d else None))
-    if x0 is None:
-        raise ValueError(f"trace file {path} is missing the x0 comment line")
-    if not records:
+        lines = map(str.strip, fh)
+        for line in lines:  # comments and the header, up to the first row
+            if line.startswith("#"):
+                body = line.lstrip("# ").strip()
+                if body.startswith("format ="):
+                    version = body.split("=", 1)[1].strip()
+                    if version not in ("1", "2"):
+                        raise ValueError(f"unsupported trace format {version!r}")
+                    width = len(COLUMNS) - (version == "1")
+                elif body.startswith("algorithm ="):
+                    algorithm = body.split("=", 1)[1].strip()
+                elif body.startswith("x0 ="):
+                    x0 = np.array([float(v) for v in body.split("=", 1)[1].split()])
+            elif line and line not in _CSV_HEADERS:
+                break
+        else:
+            line = ""
+        if x0 is None:
+            raise ValueError(f"trace file {path} is missing the x0 comment line")
+        data = np.fromiter(_row_values(itertools.chain([line], lines), width), float)
+    if not data.size:
         raise ValueError(f"trace file {path} has no rows")
-    return Trace(records=records, x0=x0, algorithm=algorithm)
+    data = data.reshape(-1, width)
+    if width < len(COLUMNS):
+        data = np.column_stack([data, np.full(len(data), math.nan)])
+    k = data[:, 0]
+    # one check on the column: every k an integer, each above the one before
+    bad = ~np.isfinite(k) | (k != np.floor(k))
+    bad[1:] |= k[1:] <= k[:-1]
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"malformed trace row {i + 1}: k = {k[i]:.17g} is not an integer "
+                         f"above the row before")
+    return Trace(data=data, x0=x0, algorithm=algorithm)

@@ -7,6 +7,7 @@ import pytest
 from adaagm import (
     CERTIFICATE_KINDS,
     RateCertificate,
+    Trace,
     floor_q,
     initial_D,
     make_logistic,
@@ -25,6 +26,12 @@ def random_quadratic(dim, seed, lam_min=1e-3, lam_max=1.0, name="quad"):
     A = 0.5 * (A + A.T)
     x_target = rng.normal(size=dim)
     return make_quadratic(A, A @ x_target, name=name)
+
+
+def trace_from_rows(records, x0, algorithm="adaagm"):
+    """A trace whose rows are the given ``TraceRecord``s; None becomes NaN."""
+    data = np.array([dataclasses.astuple(r) for r in records], dtype=float)
+    return Trace(data=data, x0=np.asarray(x0, dtype=float), algorithm=algorithm)
 
 
 def run_with_iterates(run, problem, *args, **kwargs):
@@ -113,9 +120,9 @@ def certify_rows(trace, problem, params, kind):
     """
     if kind not in CERTIFICATE_KINDS:
         raise ValueError(f"unknown certificate kind {kind!r}")
-    if not trace.records:
+    if not len(trace):
         raise ValueError("trace is empty")
-    recs = trace.records
+    recs = list(trace.records)
     q = floor_q(params)
     cert = RateCertificate(kind=kind, constant_q=q)
 
@@ -127,16 +134,17 @@ def certify_rows(trace, problem, params, kind):
         cert.max_violation_rel = max(cert.max_violation_rel, rel)
 
     def epochs():
-        """(row, k - k_start, start row, same epoch as the previous row) per row."""
-        start = None
-        for r in recs:
-            fresh = start is None or (params.restart and r.t == params.t0)
+        """(row, k - k_start, index of the start row, same epoch as the previous row) per row."""
+        j = None
+        for i, r in enumerate(recs):
+            fresh = j is None or (params.restart and r.t == params.t0)
             if fresh:
-                start = r
-            yield r, r.k - start.k, start, not fresh
+                j = i
+            yield r, r.k - recs[j].k, j, not fresh
 
-    def epoch_D(start):
-        if start is recs[0]:
+    def epoch_D(j):
+        start = recs[j]
+        if j == 0:
             dist_sq = float(np.sum((trace.x0 - problem.x_star) ** 2))
         elif start.dist_sq is None:
             raise ValueError(f"the restart epoch at k={start.k} carries no dist_sq")
@@ -150,9 +158,9 @@ def certify_rows(trace, problem, params, kind):
     if kind == "sublinear":
         _require(problem, kind, "x_star", "f_star", "L_known")
         L = problem.L_known
-        for r, _, start, _ in epochs():
-            D = epoch_D(start)
-            if start is recs[0]:
+        for r, _, j, _ in epochs():
+            D = epoch_D(j)
+            if j == 0:
                 cert.constant_D = D
             check(r.k, r.gap, D * L / r.t ** 2)
 
@@ -164,24 +172,24 @@ def certify_rows(trace, problem, params, kind):
         cert.constant_rho = rho_val
         L = problem.L_known
         log1m = math.log1p(-rho_val)
-        for r, k_rel, start, _ in epochs():
-            D = epoch_D(start)
-            if start is recs[0]:
+        for r, k_rel, j, _ in epochs():
+            D = epoch_D(j)
+            if j == 0:
                 cert.constant_D = D
             check(r.k, r.gap, D * L / r.t ** 2 * math.exp(k_rel * log1m))
 
     elif kind == "step_floor":
         _require(problem, kind, "L_known")
-        for r, _, start, _ in epochs():
-            if r is not start:  # an epoch's first row meets its own floor by construction
-                check(r.k, min(start.s, q / problem.L_known), r.s)
+        for r, _, j, same in epochs():
+            if same:  # an epoch's first row meets its own floor by construction
+                check(r.k, min(recs[j].s, q / problem.L_known), r.s)
 
     elif kind == "step_cap":
         growth = 2.0 * (1.0 - params.m) / params.m
-        for r, k_rel, start, _ in epochs():
+        for r, k_rel, j, _ in epochs():
             if k_rel < 1:
                 continue
-            check(r.k, r.s, start.s * math.exp(growth) * k_rel ** growth)
+            check(r.k, r.s, recs[j].s * math.exp(growth) * k_rel ** growth)
 
     elif kind == "energy_monotone":
         _require(problem, kind, "x_star", "f_star")

@@ -13,7 +13,6 @@ from adaagm import (
     CERTIFICATE_KINDS,
     PROFILES,
     StopCriteria,
-    Trace,
     certify,
     default_params,
     energy,
@@ -27,7 +26,7 @@ from adaagm import (
     write_violations_csv,
 )
 from adaagm.config import build_problem, load_config
-from adaagm.solver import read_trace_csv
+from adaagm.solver import TraceRows, read_trace_csv
 
 from conftest import (
     certify_rows,
@@ -35,6 +34,7 @@ from conftest import (
     random_quadratic,
     run_with_iterates,
     start_values,
+    trace_from_rows,
 )
 
 
@@ -244,7 +244,7 @@ class TestCertify:
         import copy
 
         bad = copy.deepcopy(trace)
-        bad.records[5].s = 1e-12
+        bad.column("s")[5] = 1e-12
         cert = certify(bad, p, params, "step_floor")
         assert not cert.passed
         assert cert.violations[0][0] == bad.records[5].k
@@ -282,7 +282,7 @@ class TestCertify:
         r = trace.records[1]
         assert r.t != params.t0  # in the first epoch, whose D the certificate reports
         bound = clean.constant_D * p.L_known / r.t ** 2
-        r.gap = bound + 1e-7 * (1.0 + abs(bound))
+        trace.column("gap")[1] = bound + 1e-7 * (1.0 + abs(bound))
         cert = certify(trace, p, params, "sublinear")
         assert [k for k, _, _ in cert.violations] == [r.k]
         assert cert.max_violation_rel == pytest.approx(1e-7, rel=1e-6)
@@ -378,9 +378,21 @@ class TestArrayCertifyMatchesRows:
             if cert is not None and kind != "grad_summable":
                 assert cert.checks > 0 or (kind == "energy_monotone" and "thin10" in name)
 
+    def test_no_record_is_built(self, array_traces, monkeypatch):
+        # every kind slices the trace's columns, epoch starts and D included
+        def refuse(*args):
+            raise AssertionError("certify built a TraceRecord")
+
+        monkeypatch.setattr(TraceRows, "__getitem__", refuse)
+        monkeypatch.setattr(TraceRows, "__iter__", refuse)
+        for name in ("quad-default-thin1", "quad-sc-2-thin10", "logit-default-thin1"):
+            p, params, trace = array_traces[name]
+            for kind in CERTIFICATE_KINDS:
+                assert certify(trace, p, params, kind).checks > 0 or kind == "energy_monotone"
+
     def test_one_row_trace(self, array_traces):
         p, params, trace = array_traces["quad-sc-2-thin1"]
-        one = Trace(records=[copy.copy(trace.records[0])], x0=trace.x0, algorithm="adaagm")
+        one = trace_from_rows([trace.records[0]], trace.x0)
         checks = {kind: assert_matches_rows(one, p, params, kind).checks
                   for kind in CERTIFICATE_KINDS}
         assert checks == {"sublinear": 1, "linear": 1, "step_floor": 0, "step_cap": 0,
@@ -394,14 +406,15 @@ class TestArrayCertifyMatchesRows:
         p, params, trace = array_traces[f"quad-sc-2-thin{thin}"]
         bad = copy.deepcopy(trace)
         row = 7
-        bad.records[row].s = 1e-12  # below the floor q/L
-        bad.records[row + 2].gap = 1e6  # above D*L/t^2
-        r = bad.records[row + 4]
-        r.energy = 3.0 * bad.records[row + 3].energy  # energy rises
-        expected = {"step_floor": [bad.records[row].k],
-                    "sublinear": [bad.records[row + 2].k],
-                    "linear": [bad.records[row + 2].k],
-                    "energy_monotone": [r.k] if thin == 1 else []}
+        bad.column("s")[row] = 1e-12  # below the floor q/L
+        bad.column("gap")[row + 2] = 1e6  # above D*L/t^2
+        energy = bad.column("energy")
+        energy[row + 4] = 3.0 * energy[row + 3]  # energy rises
+        k = bad.records[row].k, bad.records[row + 2].k, bad.records[row + 4].k
+        expected = {"step_floor": [k[0]],
+                    "sublinear": [k[1]],
+                    "linear": [k[1]],
+                    "energy_monotone": [k[2]] if thin == 1 else []}
         for kind, ks in expected.items():
             cert = assert_matches_rows(bad, p, params, kind)
             assert [k for k, _, _ in cert.violations] == ks
@@ -414,9 +427,11 @@ class TestArrayCertifyMatchesRows:
         bad = copy.deepcopy(trace)
         a = starts[2]
         growth = 2.0 * (1.0 - params.m) / params.m
-        bad.records[a + 1].s = 2.0 * bad.records[a].s * math.exp(growth)  # above the epoch's cap
+        s = bad.column("s")
+        s[a + 1] = 2.0 * s[a] * math.exp(growth)  # above the epoch's cap
         # a huge gradient at an epoch start adds nothing to the sum of k_rel^2*||g||^2
-        bad.records[starts[-1]].grad_norm = 1e3 * bad.records[0].grad_norm
+        grad_norm = bad.column("grad_norm")
+        grad_norm[starts[-1]] = 1e3 * grad_norm[0]
         cap = assert_matches_rows(bad, p, params, "step_cap")
         assert [k for k, _, _ in cap.violations] == [bad.records[a + 1].k]
         assert assert_matches_rows(bad, p, params, "grad_summable").passed
@@ -429,7 +444,7 @@ class TestArrayCertifyMatchesRows:
         p, params, trace = array_traces["quad-default-thin1"]
         a = next(i for i, r in enumerate(trace.records) if i and r.t == params.t0)
         bad = copy.deepcopy(trace)
-        bad.records[a].dist_sq = None
+        bad.column("dist_sq")[a] = math.nan  # no value
         message = f"the restart epoch at k={bad.records[a].k} carries no dist_sq"
         for kind in ("sublinear", "linear"):
             with pytest.raises(ValueError, match=f"^{message}$"):
@@ -439,8 +454,7 @@ class TestArrayCertifyMatchesRows:
     def test_trace_without_energies(self, array_traces):
         p, params, trace = array_traces["quad-sc-2-thin1"]
         stripped = copy.deepcopy(trace)
-        for r in stripped.records:
-            r.energy = None
+        stripped.column("energy")[:] = math.nan  # no value
         # no energy pair to compare: nothing is checked, nothing fails
         cert = assert_matches_rows(stripped, p, params, "energy_monotone")
         assert cert.passed and cert.checks == 0
