@@ -24,14 +24,14 @@ Problem kinds: ``quadratic`` (diag or matrix_csv, offset or offset_csv),
 ``logistic`` (features or features_csv, labels, ridge).  Inline matrices
 use ';' between rows and spaces between entries.  Values are taken
 literally (no ``%`` interpolation).  A solver's parameters come from its
-``profile`` alone: a named one from :mod:`adaagm.schedule`, or ``default``
-(also when ``profile`` is absent), which
+``profile`` alone: ``cor-4.4`` or ``sc-2`` from :mod:`adaagm.schedule`, or
+``default`` (also when ``profile`` is absent), which
 :func:`~adaagm.schedule.default_params` resolves per problem; only
 ``default`` restarts.  Other parameter sets come from the Python API.
-Every solver takes ``max_iters``, ``grad_tol`` and ``gap_tol``; ``adaagm``
-also takes ``profile``, while ``gd`` and ``nesterov`` take ``step``.  A key
-the solver would ignore is an error, as is a ``step`` that is not positive
-and finite or a tolerance that is negative, infinite or NaN; so are
+Every solver takes ``max_iters`` and ``grad_tol``; ``adaagm`` also takes
+``profile``, while ``gd`` and ``nesterov`` take ``step``.  A key the
+solver would ignore is an error, as is a ``step`` that is not positive and
+finite or a ``grad_tol`` that is negative, infinite or NaN; so are
 non-finite inputs and two cells (say, a repeated seed) that would write
 the same trace file.  Sections are ``[experiment]``, ``[problem <name>]``
 and ``[solver <name>]``, with an unnamed ``[problem]`` or ``[solver]``
@@ -70,7 +70,7 @@ _PROBLEM_KEYS = {
     "logistic": {"kind", "features", "features_csv", "labels", "ridge"},
 }
 _SECTION = re.compile(r"experiment|(problem|solver)(?: ([A-Za-z0-9_.-]+))?")
-_STOP_KEYS = {"algorithm", "max_iters", "grad_tol", "gap_tol"}
+_STOP_KEYS = {"algorithm", "max_iters", "grad_tol"}
 _SOLVER_KEYS = {
     "adaagm": _STOP_KEYS | {"profile"},
     "gd": _STOP_KEYS | {"step"},
@@ -208,7 +208,6 @@ def _parse_solver(name: str, items: dict[str, str], section: str) -> SolverSpec:
     stop = StopCriteria(
         max_iters=int(items.get("max_iters", 100_000)),
         grad_tol=float(items["grad_tol"]) if "grad_tol" in items else None,
-        gap_tol=float(items["gap_tol"]) if "gap_tol" in items else None,
     )
     step = float(items["step"]) if "step" in items else None
     if step is not None:

@@ -142,6 +142,17 @@ def _require(problem: SmoothProblem, kind: str, *fields: str) -> None:
             raise ValueError(f"certificate {kind!r} needs problem.{name}")
 
 
+def epoch_starts(trace: Trace, params: AlgoParams) -> Array:
+    """The first row of each restart epoch: row 0 and, under ``params.restart``,
+    every row with t == t0 (t grows strictly inside an epoch, and the loop
+    records every epoch's start)."""
+    if not params.restart:
+        return np.zeros(1, dtype=int)
+    starts = trace.column("t") == params.t0
+    starts[0] = True
+    return np.flatnonzero(starts)
+
+
 def _epoch_D(trace: Trace, first: Array, problem: SmoothProblem,
              params: AlgoParams) -> Array:
     """D of every epoch, the smaller form, from the epoch's first row.
@@ -173,9 +184,9 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
     about 0.0028).
 
     When ``params.restart`` is set, every kind re-anchors at each restart
-    epoch, the rows from one with t == params.t0 to the next: k counts
-    from the epoch's first row, and s0, D and the energy baseline come
-    from it, so each epoch is checked as the fresh run it is.
+    epoch (:func:`epoch_starts`): k counts from the epoch's first row, and
+    s0, D and the energy baseline come from it, so each epoch is checked
+    as the fresh run it is.
     ``energy_monotone`` compares pairs within an epoch only.
     """
     if kind not in CERTIFICATE_KINDS:
@@ -189,14 +200,11 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
     cert = RateCertificate(kind=kind, constant_q=q)
     k = trace.column("k")
     t = trace.column("t")
-    if params.restart:
-        starts = t == params.t0
-        starts[0] = True
-        first = np.flatnonzero(starts)  # row of each epoch's start
-        epoch = np.cumsum(starts) - 1  # epoch of each row
-    else:
-        first = np.zeros(1, dtype=int)
-        epoch = np.zeros(len(k), dtype=int)
+    first = epoch_starts(trace, params)
+    epoch = np.zeros(len(k), dtype=int)  # epoch of each row
+    if len(first) > 1:
+        epoch[first[1:]] = 1
+        epoch = np.cumsum(epoch)
     k_rel = k - k[first][epoch]
     cert.epochs = len(first)
 

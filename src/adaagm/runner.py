@@ -11,11 +11,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import (ConfigError, ExperimentConfig, SolverSpec, build_problem, load_config,
                      start_point, trace_name)
-from .diagnostics import RateCertificate, certify
+from .diagnostics import RateCertificate, certify, epoch_starts
 from .problems import SmoothProblem
 from .schedule import AlgoParams, default_params, floor_q
 from .solver import (
@@ -90,8 +88,7 @@ def _run_cell(config: ExperimentConfig, p_idx: int, problem: SmoothProblem,
             params = solver.params or default_params(problem)
             result.q = floor_q(params)
             trace = run_adaagm(problem, params, solver.stop, x0, thin=config.thinning)
-            # every epoch start is recorded, and t == t0 marks exactly those rows
-            result.restarts = int(np.count_nonzero(trace.column("t")[1:] == params.t0))
+            result.restarts = len(epoch_starts(trace, params)) - 1
             result.fallbacks = trace.fallbacks
             certs = certify_cell(trace, problem, params)
             if certs:

@@ -57,12 +57,11 @@ class AlgoParams:
         return self.omega == 0.5 and self.delta == 0.5
 
 
-#: Named parameter profiles exposed to configs.  The two convex profiles have
-#: step floors q = 1/4 and 1/5; the two strongly convex ones 1/12 and 1/16.
+#: Named parameter profiles exposed to configs: the convex one has step
+#: floor q = 1/5, the strongly convex one 1/16.  They are the two that
+#: :func:`default_params` resolves to; other sets come from the Python API.
 PROFILES = {
-    "cor-4.3": AlgoParams(m=0.99, t0=2.0, gamma=0.5, beta=1.0, omega=0.0, delta=0.0),
     "cor-4.4": AlgoParams(),  # AlgoParams' defaults are this profile
-    "sc-1": AlgoParams(m=0.99, t0=2.0, gamma=0.5, beta=1.0, omega=0.5, delta=0.5),
     "sc-2": AlgoParams(m=0.99, t0=3.0, gamma=1.0, beta=1.0 / 3.0, omega=0.5, delta=0.5),
 }
 

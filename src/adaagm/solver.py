@@ -23,8 +23,8 @@ epoch's s0.  From there on every step is exactly a fresh run from
 z = y_{k+1}, and the oracle call at z is the one the loop makes anyway.
 An epoch's first row is recorded even when thinned; when x* is known it
 carries ||z - x*||^2 (``dist_sq``), which certificates need to
-re-anchor the rate constant.  Epoch starts are the rows with t == t_0,
-since t grows strictly inside an epoch.
+re-anchor the rate constant.  Epoch starts are the rows with t == t_0
+(:func:`diagnostics.epoch_starts`), since t grows strictly inside an epoch.
 
 Every iteration, and the s0 probe, makes exactly one oracle call,
 ``problem.value_and_grad``; a non-finite value or gradient raises
@@ -75,25 +75,22 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class StopCriteria:
-    """Stopping rule: iteration budget plus optional tolerances.
+    """Stopping rule: iteration budget plus an optional gradient tolerance.
 
     ``grad_tol=None`` resolves to the scale-free default
-    1e-10*(1 + ||grad(x0)||).  A tolerance is finite, since an infinite
-    one fires at k = 0; zero tolerances never fire, leaving the budget as
-    the only criterion.
+    1e-10*(1 + ||grad(x0)||).  The tolerance is finite, since an infinite
+    one fires at k = 0; zero never fires, leaving the budget as the only
+    criterion.
     """
 
     max_iters: int = 100_000
     grad_tol: Optional[float] = None
-    gap_tol: Optional[float] = None
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        for key in ("grad_tol", "gap_tol"):
-            tol = getattr(self, key)
-            if tol is not None and not 0.0 <= tol < math.inf:  # also rejects NaN
-                raise ValueError(f"{key} must be a non-negative number and finite")
+        if self.grad_tol is not None and not 0.0 <= self.grad_tol < math.inf:  # rejects NaN
+            raise ValueError("grad_tol must be a non-negative number and finite")
 
 
 @dataclass(slots=True)
@@ -149,7 +146,7 @@ class TraceRows(Sequence):
         return map(_record, self._data.tolist())
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: a generated one would compare arrays and raise
 class Trace:
     """A solver run: its recorded rows plus the start point.
 
@@ -246,10 +243,6 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
     f_star, x_star = problem.f_star, problem.x_star
     t0, m, gamma, max_iters = params.t0, params.m, params.gamma, stop.max_iters
     has_gap = f_star is not None
-    gap_tol = stop.gap_tol or 0.0
-    if gap_tol > 0.0 and not has_gap:
-        raise ValueError(f"gap_tol = {gap_tol:g} needs the optimal value: "
-                         f"problem {problem.name} has no known f*")
     has_energy = adaptive and has_gap and x_star is not None
     restart = adaptive and params.restart
 
@@ -271,15 +264,14 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
     while True:
         grad_norm = math.sqrt(gg_x)  # np.linalg.norm's own formula, bit for bit
         gap = f_x - f_star if has_gap else nan
-        stopping = (k >= max_iters or (grad_tol > 0.0 and grad_norm <= grad_tol)
-                    or (gap_tol > 0.0 and gap <= gap_tol))
+        stopping = k >= max_iters or (grad_tol > 0.0 and grad_norm <= grad_tol)
         recorded = k % thin == 0 or stopping or restarted
         if recorded:
             dist_sq = nan
             if restarted and x_star is not None:
                 dz = x - x_star
                 dist_sq = float(dz.dot(dz))
-            rows += (k, gap, grad_norm, s, nan if algorithm == "gd" else t, L_curr, nan, dist_sq)
+            rows += (k, gap, grad_norm, s, t, L_curr, nan, dist_sq)
         if stopping:
             break
 

@@ -6,6 +6,8 @@ import pytest
 
 from adaagm import (
     CERTIFICATE_KINDS,
+    PROFILES,
+    AlgoParams,
     RateCertificate,
     Trace,
     floor_q,
@@ -15,6 +17,14 @@ from adaagm import (
     rho,
 )
 from adaagm.diagnostics import TOLERANCE, _require
+
+#: Two more parameter sets from the paper, for the gamma != 1 branch of the
+#: loop and the general closed forms: step floors q = 1/4 and 1/12.
+COR_4_3 = AlgoParams(m=0.99, t0=2.0, gamma=0.5, beta=1.0, omega=0.0, delta=0.0)
+SC_1 = AlgoParams(m=0.99, t0=2.0, gamma=0.5, beta=1.0, omega=0.5, delta=0.5)
+#: The named profiles and the two sets above, convex ones first.
+PARAMETER_SETS = {"cor-4.3": COR_4_3, "cor-4.4": PROFILES["cor-4.4"],
+                  "sc-1": SC_1, "sc-2": PROFILES["sc-2"]}
 
 
 def random_quadratic(dim, seed, lam_min=1e-3, lam_max=1.0, name="quad"):

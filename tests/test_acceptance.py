@@ -25,7 +25,8 @@ from adaagm import (
     run_nesterov,
 )
 
-from conftest import check_grad_fd, fitted_energy_contraction, run_with_iterates
+from conftest import (PARAMETER_SETS, check_grad_fd, fitted_energy_contraction,
+                      run_with_iterates)
 
 
 def _report(criterion: int, label: str, ok: bool, detail: str = "") -> bool:
@@ -112,7 +113,7 @@ def test_criterion_4_floor_constants_exact():
         "sc-1": 1.0 / 12.0,
         "sc-2": 1.0 / 16.0,
     }
-    errs = {name: abs(floor_q(PROFILES[name]) - v) for name, v in values.items()}
+    errs = {name: abs(floor_q(PARAMETER_SETS[name]) - v) for name, v in values.items()}
     ok = all(e <= 1e-15 for e in errs.values())
     assert _report(4, "floor constants 1/4, 1/5, 1/12, 1/16", ok,
                    f"max err={max(errs.values()):.2e}")

@@ -81,15 +81,19 @@ LOGIT = "kind = logistic\nfeatures = 1 0; 0 1\nlabels = 1 -1"
                  "grad_tol must be a non-negative number", id="negative-grad-tol"),
     pytest.param("grad_tol = 1e-9", "grad_tol = nan", "[solver agm]",
                  "grad_tol must be a non-negative number", id="nan-grad-tol"),
-    pytest.param("grad_tol = 1e-9", "gap_tol = -1e-3", "[solver agm]",
-                 "gap_tol must be a non-negative number", id="negative-gap-tol"),
-    pytest.param("grad_tol = 1e-9", "gap_tol = nan", "[solver agm]",
-                 "gap_tol must be a non-negative number", id="nan-gap-tol"),
+    # there is no gap tolerance: any gap_tol is a key no solver takes
+    pytest.param("grad_tol = 1e-9", "gap_tol = -1e-3",
+                 "unknown keys in [solver agm] for algorithm 'adaagm'", "['gap_tol']",
+                 id="negative-gap-tol"),
+    pytest.param("grad_tol = 1e-9", "gap_tol = nan",
+                 "unknown keys in [solver agm] for algorithm 'adaagm'", "['gap_tol']",
+                 id="nan-gap-tol"),
     # an infinite tolerance stopped every cell at k = 0, reported ok
     pytest.param("grad_tol = 1e-9", "grad_tol = inf", "[solver agm]",
                  "grad_tol must be a non-negative number and finite", id="inf-grad-tol"),
-    pytest.param("grad_tol = 1e-9", "gap_tol = inf", "[solver agm]",
-                 "gap_tol must be a non-negative number and finite", id="inf-gap-tol"),
+    pytest.param("grad_tol = 1e-9", "gap_tol = inf",
+                 "unknown keys in [solver agm] for algorithm 'adaagm'", "['gap_tol']",
+                 id="inf-gap-tol"),
     pytest.param("profile = cor-4.4", "profile = default\nm = 0.5\ns0 = 123",
                  "unknown keys in [solver agm] for algorithm 'adaagm'", "['m', 's0']",
                  id="default-with-fields"),
@@ -320,39 +324,6 @@ def test_failed_cell_prints_its_reason(tmp_path, capsys):
     # the reason stays out of summary.csv, which has no column for it
     assert (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:] == [
         "z,x,0,ok,0,0,0,0.20000000000000001,-,0,0", "z,nest,0,failed,0,,,,-,0,0"]
-
-
-#: a gap tolerance on a problem without a known f*, beside one with it
-GAP_TOL = """
-[experiment]
-seeds = 0
-
-[problem lse]
-kind = log_sum_exp
-rows = 1 0; 0 1; 1 1
-temperature = 0.5
-
-[problem quad]
-kind = quadratic
-diag = 1 10
-offset = 1 10
-
-[solver agm]
-algorithm = adaagm
-max_iters = 100
-gap_tol = 1e-6
-"""
-
-
-def test_gap_tol_without_known_f_star_fails_its_cell_only(tmp_path, capsys):
-    path = tmp_path / "gap.ini"
-    path.write_text(GAP_TOL)
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert ("lse x agm seed=0: failed iters=0 certs=- (gap_tol = 1e-06 needs the optimal "
-            "value: problem lse has no known f*)\n") in capsys.readouterr().out
-    with open(tmp_path / "out" / "summary.csv", newline="") as fh:
-        status = {row["problem"]: row["status"] for row in csv.DictReader(fh)}
-    assert status == {"lse": "failed", "quad": "ok"}
 
 
 def test_certify_without_a_certificate_says_why(tmp_path, capsys):

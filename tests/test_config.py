@@ -79,9 +79,11 @@ class TestLoadConfig:
             load_config(write(tmp_path, text))
 
     def test_bad_profile(self, tmp_path):
-        text = BASIC.replace("profile = cor-4.4", "profile = cor-9.9")
-        with pytest.raises(ConfigError, match="unknown profile"):
-            load_config(write(tmp_path, text))
+        # cor-4.3 and sc-1 are parameter sets of the paper, but no profiles
+        for profile in ["cor-9.9", "cor-4.3", "sc-1"]:
+            text = BASIC.replace("profile = cor-4.4", f"profile = {profile}")
+            with pytest.raises(ConfigError, match=f"unknown profile '{profile}'"):
+                load_config(write(tmp_path, text))
 
     def test_invalid_override_params(self, tmp_path):
         # the profile names every parameter: a field is an unknown key
@@ -125,6 +127,8 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("algorithm,line", [
         ("adaagm", "step = 0.01"),
+        ("adaagm", "gap_tol = 1e-6"),
+        ("nesterov", "step = 0.01\ngap_tol = 1e-6"),
         ("gd", "step = 0.01\nprofile = cor-4.4"),
         ("gd", "step = 0.01\ns0 = 0.01"),
         ("nesterov", "step = 0.01\nm = 0.5"),

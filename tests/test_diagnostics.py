@@ -29,6 +29,8 @@ from adaagm.config import build_problem, load_config
 from adaagm.solver import TraceRows, read_trace_csv
 
 from conftest import (
+    COR_4_3,
+    SC_1,
     certify_rows,
     fitted_energy_contraction,
     random_quadratic,
@@ -74,7 +76,7 @@ class TestPhi:
 
     def test_initial_phi_closed_form(self):
         # with x0 = y0: phi_0 = -gamma*s0*t0*grad(x0) + (x0 - x*)
-        params = PROFILES["cor-4.3"]
+        params = COR_4_3
         from adaagm import next_t
         rng = np.random.default_rng(4)
         x0 = rng.normal(size=3)
@@ -112,16 +114,16 @@ class TestRateConstants:
         # closed forms: sc-1 -> min(mu/(96L), mu/(48L+34mu));
         #               sc-2 -> min(mu/(64L), mu/(96L+26mu))
         mu, L = 0.5, 10.0
-        assert rho(PROFILES["sc-1"], mu, L) == pytest.approx(
+        assert rho(SC_1, mu, L) == pytest.approx(
             min(mu / (96 * L), mu / (48 * L + 34 * mu)), rel=1e-14)
         assert rho(PROFILES["sc-2"], mu, L) == pytest.approx(
             min(mu / (64 * L), mu / (96 * L + 26 * mu)), rel=1e-14)
 
     def test_rho_guards(self):
         with pytest.raises(ValueError, match="mu > 0"):
-            rho(PROFILES["sc-1"], 0.0, 1.0)
+            rho(SC_1, 0.0, 1.0)
         with pytest.raises(ValueError, match="mu <= L"):
-            rho(PROFILES["sc-1"], 2.0, 1.0)
+            rho(SC_1, 2.0, 1.0)
         with pytest.raises(ValueError, match="omega"):
             rho(PROFILES["cor-4.4"], 0.5, 1.0)
 

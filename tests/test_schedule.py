@@ -18,6 +18,8 @@ from adaagm import (
 )
 from adaagm.schedule import _coefficients
 
+from conftest import COR_4_3, PARAMETER_SETS, SC_1
+
 
 class TestNextT:
     def test_golden_ratio_case(self):
@@ -44,10 +46,10 @@ class TestNextT:
 
 class TestFloorQ:
     def test_profile_values_exact(self):
-        # the four named profiles have rational floors
-        assert floor_q(PROFILES["cor-4.3"]) == pytest.approx(0.25, abs=1e-15)
+        # the two named profiles and the two test sets have rational floors
+        assert floor_q(COR_4_3) == pytest.approx(0.25, abs=1e-15)
         assert floor_q(PROFILES["cor-4.4"]) == pytest.approx(0.2, abs=1e-15)
-        assert floor_q(PROFILES["sc-1"]) == pytest.approx(1.0 / 12.0, abs=1e-15)
+        assert floor_q(SC_1) == pytest.approx(1.0 / 12.0, abs=1e-15)
         assert floor_q(PROFILES["sc-2"]) == pytest.approx(1.0 / 16.0, abs=1e-15)
 
     def test_requires_t0_above_one(self):
@@ -207,17 +209,17 @@ class TestCoefficients:
         assert A == pytest.approx(t * t / (tn * (tn - 1.0)), rel=1e-12)
 
     def test_growth_factors_exceed_one_for_profiles(self):
-        for params in PROFILES.values():
+        for params in PARAMETER_SETS.values():
             tn = next_t(params.t0, params.m)
             A, B, C = _coefficients(tn, params)
             assert A > 1.0
             assert B > 1.0
             assert C > 0.0
 
-    @given(st.sampled_from(sorted(PROFILES)), st.integers(0, 200))
+    @given(st.sampled_from(sorted(PARAMETER_SETS)), st.integers(0, 200))
     @settings(max_examples=60)
     def test_growth_factors_along_trajectory(self, name, k):
-        params = PROFILES[name]
+        params = PARAMETER_SETS[name]
         t = params.t0
         for _ in range(k % 40):
             t = next_t(t, params.m)
@@ -240,7 +242,7 @@ class TestAdvanceStep:
     def test_floor_holds_under_worst_case_estimates(self):
         # feed L_hat = L every step: s_k must stay >= q/L
         L = 50.0
-        for name, params in PROFILES.items():
+        for name, params in PARAMETER_SETS.items():
             q = floor_q(params)
             t, s = params.t0, q / L
             for _ in range(200):
@@ -262,7 +264,7 @@ class TestAdvanceStep:
 
 class TestValidateParams:
     def test_profiles_valid(self):
-        for name, params in PROFILES.items():
+        for name, params in PARAMETER_SETS.items():
             assert validate_params(params) == []
             # any positive s0 is valid: step_floor grades against min(s0, q/L)
             assert validate_params(replace(params, s0=1e-6)) == []

@@ -21,7 +21,6 @@ from adaagm import (
     TraceRecord,
     certify,
     floor_q,
-    make_log_sum_exp,
     make_quadratic,
     next_t,
     read_trace_csv,
@@ -40,7 +39,7 @@ from adaagm.diagnostics import CERTIFICATE_KINDS
 from adaagm.problems import SmoothProblem
 from adaagm.schedule import default_params
 
-from conftest import random_quadratic, run_with_iterates, trace_from_rows
+from conftest import PARAMETER_SETS, SC_1, random_quadratic, run_with_iterates, trace_from_rows
 
 
 @pytest.fixture()
@@ -68,11 +67,11 @@ class TestStepResolution:
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(2, 12), seed=st.integers(0, 2 ** 16),
            log_cond=st.floats(0.0, 6.0), log_L=st.floats(-3.0, 3.0),
-           x0_scale=st.floats(1e-3, 1e3), name=st.sampled_from([*PROFILES, "default"]))
+           x0_scale=st.floats(1e-3, 1e3), name=st.sampled_from([*PARAMETER_SETS, "default"]))
     def test_probed_s0_never_below_q_over_L(self, dim, seed, log_cond, log_L, x0_scale, name):
         L = 10.0 ** log_L
         p = random_quadratic(dim, seed, lam_min=L / 10.0 ** log_cond, lam_max=L)
-        params = default_params(p) if name == "default" else PROFILES[name]
+        params = default_params(p) if name == "default" else PARAMETER_SETS[name]
         x0 = x0_scale * np.random.default_rng(seed).standard_normal(dim)
         s0 = run_adaagm(p, params, StopCriteria(max_iters=1), x0=x0).records[0].s
         # No cap: the bound is the one f's rounding leaves.  On a quadratic,
@@ -98,7 +97,7 @@ class TestStepResolution:
         # the demo's own cell start points, seeds 0..7
         starts = [start_point(config, p_idx, s_idx, seed, problem.dimension)
                   for s_idx in range(len(config.solvers)) for seed in range(8)]
-        for params in [*PROFILES.values(), default_params(problem)]:
+        for params in [*PARAMETER_SETS.values(), default_params(problem)]:
             for x0 in starts:
                 s0 = run_adaagm(problem, params, StopCriteria(max_iters=1), x0=x0).records[0].s
                 assert s0 >= floor_q(params) / problem.L_known * (1.0 - 1e-12)
@@ -151,26 +150,6 @@ class TestStopping:
         assert trace.records[-1].grad_norm <= 1e-6
         assert trace.records[-2].grad_norm > 1e-6
 
-    def test_gap_tol(self, diag_problem):
-        stop = StopCriteria(max_iters=10 ** 6, grad_tol=0.0, gap_tol=1e-8)
-        trace = run_adaagm(diag_problem, stop=stop, x0=X0)
-        assert trace.records[-1].gap <= 1e-8
-
-    @pytest.mark.parametrize("run", [
-        run_adaagm,
-        lambda problem, stop: run_nesterov(problem, 0.1, stop),
-    ], ids=["adaagm", "nesterov"])
-    def test_gap_tol_without_known_f_star_raises(self, run):
-        # no f* to measure the gap against: the tolerance could never fire,
-        # and the run would go on to max_iters
-        lse = make_log_sum_exp([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 0.0, 0.0], 0.5,
-                               name="lse")
-        with pytest.raises(ValueError, match="gap_tol = 1e-06 needs the optimal value: "
-                                             "problem lse has no known f"):
-            run(lse, stop=StopCriteria(max_iters=10, gap_tol=1e-6))
-        # a zero tolerance never fires, with or without f*
-        assert len(run(lse, stop=StopCriteria(max_iters=10, gap_tol=0.0))) == 11
-
     def test_zero_grad_tol_never_fires(self, diag_problem):
         stop = StopCriteria(max_iters=50, grad_tol=0.0)
         trace = run_adaagm(diag_problem, stop=stop, x0=X0)
@@ -186,10 +165,7 @@ class TestStopping:
         ("max_iters", -5, "max_iters must be positive"),
         ("grad_tol", -1.0, "grad_tol must be a non-negative number"),
         ("grad_tol", float("nan"), "grad_tol must be a non-negative number"),
-        ("gap_tol", -1e-3, "gap_tol must be a non-negative number"),
-        ("gap_tol", float("nan"), "gap_tol must be a non-negative number"),
         ("grad_tol", math.inf, "grad_tol must be a non-negative number and finite"),
-        ("gap_tol", math.inf, "gap_tol must be a non-negative number and finite"),
     ])
     def test_invalid_criteria_rejected(self, field, value, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -266,7 +242,7 @@ class TestConvergence:
     @settings(max_examples=15, deadline=None)
     def test_step_floor_property(self, seed, profile):
         p = random_quadratic(6, seed=seed, lam_min=0.05)
-        params = PROFILES[profile]
+        params = PARAMETER_SETS[profile]
         stop = StopCriteria(max_iters=300, grad_tol=1e-11)
         rng = np.random.default_rng(seed)
         trace = run_adaagm(p, params, stop=stop, x0=rng.normal(size=6))
@@ -358,7 +334,7 @@ class TestBaselines:
         stop = StopCriteria(max_iters=200, grad_tol=0.0)
         trace, xs, _ = run_with_iterates(run_gd, diag_problem, step, stop, x0=X0)
         assert len(xs) == 201
-        assert all(r.t is None and r.L_est is None for r in trace.records)
+        assert all(r.t == 1.0 and r.L_est is None for r in trace.records)
         x = X0.copy()
         for xk in xs:
             assert np.array_equal(xk, x)
@@ -375,7 +351,7 @@ class TestRecordedIterates:
     """The test helper's iterates, rebuilt from the oracle calls of a run."""
 
     @pytest.mark.parametrize("run, args, gamma", [
-        (run_adaagm, (PROFILES["sc-1"],), 0.5),
+        (run_adaagm, (SC_1,), 0.5),
         (run_nesterov, (0.01,), 1.0),
         (run_gd, (0.01,), 1.0),
     ], ids=["adaagm-sc-1", "nesterov", "gd"])
@@ -386,7 +362,7 @@ class TestRecordedIterates:
         assert len(xs) == len(ys) == trace.records[-1].k + 1
         assert np.array_equal(xs[-1], trace.x_final)
         # t_{k+1}(x_{k+1}-y_{k+1}) = t_k(x_k-y_k) + gamma*t_k(y_{k+1}-x_k) - (y_{k+1}-y_k)
-        ts = [1.0 if r.t is None else r.t for r in trace.records]
+        ts = [r.t for r in trace.records]
         for k in range(len(xs) - 1):
             lhs = ts[k + 1] * (xs[k + 1] - ys[k + 1])
             rhs = (ts[k] * (xs[k] - ys[k]) + gamma * ts[k] * (ys[k + 1] - xs[k])
@@ -427,6 +403,14 @@ class TestCsv:
         assert back.algorithm == "adaagm"
         assert np.array_equal(back.x0, trace.x0)
         assert list(back.records) == list(trace.records)  # every field, exactly
+
+    def test_traces_compare_by_identity(self, diag_problem):
+        # a generated == would compare the x0 arrays and raise
+        stop = StopCriteria(max_iters=3, grad_tol=0.0)
+        trace = run_adaagm(diag_problem, stop=stop, x0=X0)
+        again = run_adaagm(diag_problem, stop=stop, x0=X0)
+        assert trace == trace
+        assert (trace == again) is False and (trace != again) is True
 
     @pytest.mark.parametrize("name", ["quad", "lse", "logit"])
     def test_committed_trace_rewrites_to_its_own_bytes(self, tmp_path, name):
@@ -710,7 +694,7 @@ class TestRestart:
 
     def test_only_default_restarts_and_on_the_gradient_test(self, diag_problem):
         stop = StopCriteria(max_iters=300, grad_tol=0.0)
-        for params in PROFILES.values():
+        for params in PARAMETER_SETS.values():
             trace = run_adaagm(diag_problem, params, stop, X0)
             assert [r.k for r in trace.records if r.t == params.t0] == [0]
         params = default_params(diag_problem)
