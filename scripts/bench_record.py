@@ -20,11 +20,14 @@ order (so the repeats of two labels pair up), the failure shares, how many runs
 passed their correctness checks, the repetitions per run, the
 environment and commit the runs reported, whether the checkout's
 tracked files differed from that commit, and the sum of ``iterations`` per
-solver section (``agm``, ``agm-convex``, ``nesterov``).  Iteration counts
-are exact, so a count that differs between repeats stops the script.
-``rises`` lists, per later label and ``<workload>/seed<n>``, every cell
-whose count is higher than under the first label.  Checkout paths stay out
-of the output; the labels name them.
+solver section (``agm``, ``agm-convex``, ``nesterov``), and how many
+output files ``result.json`` digests.  Iteration counts and digests are
+exact, so a count or a digest that differs between one checkout's repeats
+stops the script.  Per later label and ``<workload>/seed<n>``, ``rises``
+lists every cell whose count is higher than under the first label, and
+``digests_differ`` the sorted names of the files whose digest differs from
+the first label's.  Checkout paths stay out of the output; the labels name
+them.
 """
 
 from __future__ import annotations
@@ -103,13 +106,13 @@ def section_sums(counts: dict[tuple[str, str, str], int]) -> dict[str, int]:
     return sums
 
 
-def keep_counts(store: dict, label: str, cell: str,
-                counts: dict[tuple[str, str, str], int]) -> None:
-    """Store a run's counts under (label, cell), or check them against the
-    stored ones: the runs are deterministic, so counts that differ stop the
-    script."""
+def keep_counts(store: dict, label: str, cell: str, counts: dict,
+                what: str = "iteration counts") -> None:
+    """Store a run's counts (or digests, named by ``what``) under (label, cell),
+    or check them against the stored ones: the runs are deterministic, so
+    values that differ stop the script."""
     if store.setdefault((label, cell), counts) != counts:
-        raise RuntimeError(f"{label} {cell}: iteration counts differ between repeats")
+        raise RuntimeError(f"{label} {cell}: {what} differ between repeats")
 
 
 def rises(base: dict[tuple[str, str, str], int],
@@ -117,6 +120,13 @@ def rises(base: dict[tuple[str, str, str], int],
     """The cells of ``other`` whose count is higher than in ``base``."""
     return [{"problem": key[0], "solver": key[1], "seed": key[2], "from": base[key], "to": n}
             for key, n in sorted(other.items()) if key in base and n > base[key]]
+
+
+def digests_differ(base: dict[str, str], other: dict[str, str]) -> list[str]:
+    """The sorted names of the files whose digest in ``other`` differs from
+    ``base``'s, a file that only one of them digests included."""
+    return sorted(name for name in base.keys() | other.keys()
+                  if base.get(name) != other.get(name))
 
 
 def tree_state(root: str) -> str:
@@ -157,6 +167,7 @@ def main(argv=None) -> int:
     labels = list(args.checkouts)
     runs: dict = {label: {} for label in labels}
     counts: dict = {}
+    digests: dict = {}
     environment: dict = {}
     for rep in range(args.repeats):
         order = labels if rep % 2 == 0 else labels[::-1]
@@ -170,6 +181,7 @@ def main(argv=None) -> int:
                     summary = os.path.join(root, ".bench_out", f"{workload}-seed{seed}-trace0",
                                            "runs", "summary.csv")
                     keep_counts(counts, label, cell, read_iterations(summary))
+                    keep_counts(digests, label, cell, result["digests"], "digests")
                     environment.setdefault(label, result["environment"])
                     print(f"repeat {rep + 1}/{args.repeats} {label} {workload} seed {seed}: "
                           f"wall_s {result['metrics']['wall_s']['value']:.3f}", flush=True)
@@ -181,13 +193,18 @@ def main(argv=None) -> int:
             label: {"environment": environment[label],
                     "tree": tree_state(args.checkouts[label]),
                     "cells": {cell: {**summarize(rs),
-                                     "iterations": section_sums(counts[label, cell])}
+                                     "iterations": section_sums(counts[label, cell]),
+                                     "digest_files": len(digests[label, cell])}
                               for cell, rs in runs[label].items()}}
             for label in labels
         },
         "rises": {label: {cell: rises(counts[labels[0], cell], counts[label, cell])
                           for cell in runs[label]}
                   for label in labels[1:]},
+        "digests_differ": {label: {cell: digests_differ(digests[labels[0], cell],
+                                                        digests[label, cell])
+                                   for cell in runs[label]}
+                           for label in labels[1:]},
     }
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=False)

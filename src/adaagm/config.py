@@ -34,9 +34,9 @@ solver would ignore is an error, as is a ``step`` that is not positive and
 finite or a ``grad_tol`` that is negative, infinite or NaN; so are
 non-finite inputs and two cells (say, a repeated seed) that would write
 the same trace file.  Sections are ``[experiment]``, ``[problem <name>]``
-and ``[solver <name>]``, with an unnamed ``[problem]`` or ``[solver]``
-numbered by position; a name has only letters, digits, ``_``, ``-`` and
-``.``, since it becomes part of a trace file name and of ``summary.csv``.
+and ``[solver <name>]``; every problem and solver section is named, and a
+name has only letters, digits, ``_``, ``-`` and ``.``, since it becomes part
+of a trace file name and of ``summary.csv``.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ _PROBLEM_KEYS = {
     "log_sum_exp": {"kind", "rows", "rows_csv", "shifts", "temperature", "symmetric"},
     "logistic": {"kind", "features", "features_csv", "labels", "ridge"},
 }
-_SECTION = re.compile(r"experiment|(problem|solver)(?: ([A-Za-z0-9_.-]+))?")
+_SECTION = re.compile(r"experiment|(problem|solver) ([A-Za-z0-9_.-]+)")
 _STOP_KEYS = {"algorithm", "max_iters", "grad_tol"}
 _SOLVER_KEYS = {
     "adaagm": _STOP_KEYS | {"profile"},
@@ -145,7 +145,7 @@ def load_config(path) -> ExperimentConfig:
         match = _SECTION.fullmatch(section)
         if match is None:
             raise ConfigError(f"unknown section [{section}]: sections are [experiment], "
-                              "[problem], [problem <name>], [solver] and [solver <name>], "
+                              "[problem <name>] and [solver <name>], "
                               "a name made of letters, digits, '_', '-' and '.'")
         head, name = match.groups()
         items = dict(parser.items(section))
@@ -166,7 +166,6 @@ def load_config(path) -> ExperimentConfig:
                 if not math.isfinite(x0_scale):
                     raise ValueError("x0_scale must be finite")
             elif head == "problem":
-                name = name or f"problem{len(problems)}"
                 kind = items.get("kind")
                 if kind not in _PROBLEM_KEYS:
                     raise ConfigError(f"[{section}]: unknown or missing kind {kind!r}")
@@ -175,7 +174,7 @@ def load_config(path) -> ExperimentConfig:
                     raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
                 problems.append(ProblemSpec(name=name, kind=kind, options=items))
             else:
-                solvers.append(_parse_solver(name or f"solver{len(solvers)}", items, section))
+                solvers.append(_parse_solver(name, items, section))
         except ConfigError:
             raise
         except ValueError as exc:
@@ -205,10 +204,8 @@ def _parse_solver(name: str, items: dict[str, str], section: str) -> SolverSpec:
     if unknown:
         raise ConfigError(f"unknown keys in [{section}] for algorithm {algorithm!r}: "
                           f"{sorted(unknown)}")
-    stop = StopCriteria(
-        max_iters=int(items.get("max_iters", 100_000)),
-        grad_tol=float(items["grad_tol"]) if "grad_tol" in items else None,
-    )
+    stop = StopCriteria(**{key: parse(items[key]) for key, parse
+                           in (("max_iters", int), ("grad_tol", float)) if key in items})
     step = float(items["step"]) if "step" in items else None
     if step is not None:
         check_step(step)

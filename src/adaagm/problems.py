@@ -6,7 +6,9 @@ matrix product.  The ground-truth constants (smoothness L,
 strong-convexity modulus mu, minimizer, minimum value) are filled in
 whenever they are available analytically or by a reference solve that uses
 none of the solvers they grade (damped Newton for ridge logistic).  These
-constants are what the diagnostics layer checks solver runs against.
+constants are what the diagnostics layer checks solver runs against.  An
+unknown constant is ``None``, except mu: its unknown value is ``0.0``, a true
+modulus of every convex f.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class SmoothProblem:
     # (f(x), grad f(x)) as a Python float and a float array
     value_and_grad: Callable[[Array], tuple[float, Array]]
     L_known: Optional[float] = None
-    mu_known: Optional[float] = None
+    mu_known: float = 0.0  # 0: no strong convexity known
     x_star: Optional[Array] = None
     f_star: Optional[float] = None
     name: str = "problem"
@@ -98,9 +100,7 @@ def make_log_sum_exp(rows, shifts, temperature: float,
     is recorded at construction; it may not exist (e.g. a single affine row
     is unbounded below).
     """
-    A = np.asarray(rows, dtype=float)
-    if A.ndim == 1:
-        A = A.reshape(1, -1)
+    A = np.atleast_2d(np.asarray(rows, dtype=float))
     if A.size == 0:
         raise ValueError("rows must be nonempty")
     if not 0 < temperature < math.inf:  # also false for NaN
@@ -134,9 +134,7 @@ def make_symmetric_log_sum_exp(rows, temperature: float,
     By symmetry the origin is a minimizer, so the problem ships with an
     exact x_star and f_star = t*log(2n).
     """
-    A = np.asarray(rows, dtype=float)
-    if A.ndim == 1:
-        A = A.reshape(1, -1)
+    A = np.atleast_2d(np.asarray(rows, dtype=float))
     full = np.vstack([A, -A])
     prob = make_log_sum_exp(full, np.zeros(full.shape[0]), temperature, name=name)
     return replace(prob, x_star=np.zeros(prob.dimension),
@@ -153,9 +151,7 @@ def make_logistic(features, labels, ridge: float,
     ||grad f|| <= 1e-12 or the rounding floor above it, and frozen into the
     problem.
     """
-    A = np.asarray(features, dtype=float)
-    if A.ndim == 1:
-        A = A.reshape(1, -1)
+    A = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels, dtype=float)
     if y.shape != (A.shape[0],):
         raise ValueError("labels length must match the number of feature rows")

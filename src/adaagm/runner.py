@@ -74,7 +74,7 @@ def certify_cell(trace: Trace, problem: SmoothProblem,
     kinds = ["step_floor", "step_cap"]
     if problem.x_star is not None and problem.f_star is not None:
         kinds += ["sublinear", "energy_monotone"]
-        if problem.mu_known is not None and problem.mu_known > 0 and params.linear_rate:
+        if problem.mu_known > 0 and params.linear_rate:
             kinds += ["linear", "grad_summable"]
     return [certify(trace, problem, params, kind) for kind in kinds]
 

@@ -86,8 +86,7 @@ def default_params(problem) -> AlgoParams:
     s0.  It needs no mu.  Each restart epoch is a run the paper's theorems
     cover, so the certificates re-anchor per epoch.
     """
-    strongly = problem.mu_known is not None and problem.mu_known > 0
-    return replace(PROFILES["sc-2" if strongly else "cor-4.4"], m=0.5, restart=True)
+    return replace(PROFILES["sc-2" if problem.mu_known > 0 else "cor-4.4"], m=0.5, restart=True)
 
 
 def next_t(t_curr: float, m: float) -> float:

@@ -204,16 +204,16 @@ def _evaluate(problem: SmoothProblem, x: Array, k: int) -> tuple[float, Array, f
 
 
 def _probe_s0(problem: SmoothProblem, x0: Array, g0: Array, f0: float,
-              params: AlgoParams) -> float:
+              params: AlgoParams, gg0: float) -> float:
     """Initial step q/L_hat(x0) from one short trial step along -g0.
 
     L_hat(x0) is :func:`local_smoothness` of the pair (x0, x1), as in the
     loop: the local curvature at the start point, not a global bound, sets
     the first step.  A probe that sees no curvature (L_hat = 0) starts from
-    1.
+    1.  ``gg0`` is g0.g0, as the loop computed it.
     """
     q = floor_q(params)
-    g_norm = float(np.linalg.norm(g0))
+    g_norm = math.sqrt(gg0)
     if g_norm == 0.0:
         return 1.0
     eps = 1e-4 * (1.0 + float(np.linalg.norm(x0)))
@@ -250,8 +250,8 @@ def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
     f_x, g_x, gg_x = _evaluate(problem, x, 0)
     grad_tol = stop.grad_tol
     if grad_tol is None:  # StopCriteria's scale-free default
-        grad_tol = 1e-10 * (1.0 + float(np.linalg.norm(g_x)))
-    s = _probe_s0(problem, x0, g_x, f_x, params) if s0 is None else s0
+        grad_tol = 1e-10 * (1.0 + math.sqrt(gg_x))
+    s = _probe_s0(problem, x0, g_x, f_x, params, gg_x) if s0 is None else s0
     t, t_next = t0, next_t(t0, m)
     t1 = t_next
 

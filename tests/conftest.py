@@ -176,8 +176,7 @@ def certify_rows(trace, problem, params, kind):
 
     elif kind == "linear":
         _require(problem, kind, "x_star", "f_star", "L_known")
-        if problem.mu_known is None or problem.mu_known <= 0:
-            raise ValueError("the linear certificate needs mu_known > 0")
+        _require(problem, kind, "mu_known")
         rho_val = rho(params, problem.mu_known, problem.L_known)
         cert.constant_rho = rho_val
         L = problem.L_known
@@ -205,8 +204,7 @@ def certify_rows(trace, problem, params, kind):
         _require(problem, kind, "x_star", "f_star")
         factor = 1.0
         if (params.omega == 0.5 and params.delta == 0.5
-                and problem.mu_known is not None and problem.mu_known > 0
-                and problem.L_known is not None):
+                and problem.mu_known > 0 and problem.L_known is not None):
             factor = 1.0 - rho(params, problem.mu_known, problem.L_known)
             cert.constant_rho = 1.0 - factor
         prev = None
@@ -224,11 +222,7 @@ def certify_rows(trace, problem, params, kind):
             partials.append(total)
         if total > 0.0:
             half = partials[len(partials) // 2]
-            increment = (total - half) / total
-            cert.checks = 1
-            if increment > 0.01:
-                cert.violations.append((recs[-1].k, increment, 0.01))
-            cert.max_violation_rel = increment - 0.01
+            check(recs[-1].k, (total - half) / total, 0.01)
 
     return cert
 

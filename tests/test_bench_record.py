@@ -1,9 +1,11 @@
 """The per-cell iteration counts ``scripts/bench_record.py`` reads from a
-benchmark run's ``summary.csv``, and its per-metric summary of the runs; no
-benchmark is run."""
+benchmark run's ``summary.csv``, its per-metric summary of the runs and its
+digest comparison; no benchmark is run."""
 
 import importlib.util
+import json
 import os
+import pathlib
 
 import pytest
 
@@ -77,3 +79,55 @@ def test_summary_keeps_every_run_value_in_run_order():
     metric = bench_record.summarize(runs)["metrics"]["peak_rss_mb"]
     assert metric["values"] == [52.5, 50.25, 51.0]
     assert (metric["median"], metric["n"]) == (51.0, 3)
+
+
+def test_digests_differ_names_changed_and_one_sided_files():
+    base = {"summary.csv": "aa", "q_agm_0.csv": "bb", "q_agm_1.csv": "cc"}
+    other = {"summary.csv": "aa", "q_agm_0.csv": "bX", "q_new_0.csv": "dd"}
+    assert bench_record.digests_differ(base, other) == ["q_agm_0.csv", "q_agm_1.csv",
+                                                         "q_new_0.csv"]
+    assert bench_record.digests_differ(base, dict(base)) == []
+
+
+def _fake_checkouts(tmp_path, monkeypatch, digests):
+    """Two checkouts whose ``bench/run.py`` is replaced by fake results:
+    ``digests[label]`` lists the digests of each of that label's runs in turn."""
+    args = []
+    for label in digests:
+        root = tmp_path / label
+        root.mkdir()
+        (root / "BENCHMARK.json").write_text(
+            json.dumps({"run_seconds": 1, "workloads": [{"name": "w"}]}))
+        args += ["--checkout", f"{label}={root}"]
+    runs = {str(tmp_path / label): iter(values) for label, values in digests.items()}
+
+    def run_once(root, workload, seed, seconds):
+        out = os.path.join(root, ".bench_out", f"{workload}-seed{seed}-trace0", "runs")
+        os.makedirs(out, exist_ok=True)
+        _summary(pathlib.Path(out) / "summary.csv", [("quad", "agm", seed, 193)])
+        return {"metrics": {"wall_s": {"value": 1.0, "unit": "s"}}, "shares": {},
+                "correct": True, "repetitions": 1, "environment": {},
+                "digests": next(runs[root])}
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    return args + ["--seed", "17", "--repeats", "2", "--out", str(tmp_path / "out.json")]
+
+
+def test_record_names_the_files_whose_digest_differs(tmp_path, monkeypatch):
+    same, changed = {"summary.csv": "aa", "t.csv": "bb"}, {"summary.csv": "aa", "t.csv": "bX"}
+    argv = _fake_checkouts(tmp_path, monkeypatch, {"parent": [same, same],
+                                                  "change": [changed, changed],
+                                                  "twin": [same, same]})
+    assert bench_record.main(argv) == 0
+    out = json.loads((tmp_path / "out.json").read_text())
+    assert out["digests_differ"] == {"change": {"w/seed17": ["t.csv"]},
+                                     "twin": {"w/seed17": []}}
+    assert out["checkouts"]["parent"]["cells"]["w/seed17"]["digest_files"] == 2
+
+
+def test_digests_that_differ_between_repeats_stop_the_record(tmp_path, monkeypatch):
+    a, b = {"summary.csv": "aa"}, {"summary.csv": "ab"}
+    argv = _fake_checkouts(tmp_path, monkeypatch, {"parent": [a, b], "change": [a, a]})
+    with pytest.raises(RuntimeError, match="^parent w/seed17: digests differ between repeats$"):
+        bench_record.main(argv)
+    assert not (tmp_path / "out.json").exists()

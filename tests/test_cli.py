@@ -206,6 +206,15 @@ def test_section_header_outside_the_grammar_exit_one(tmp_path, capsys, verb, old
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("old,header", [("[problem quad]", "problem"), ("[solver agm]", "solver")])
+def test_unnamed_section_exit_one(tmp_path, capsys, old, header):
+    # a problem or solver section is named: its name goes into trace file names
+    code, err = _exit_and_error(tmp_path, capsys, "validate", CONFIG.replace(old, f"[{header}]"))
+    assert (code, err) == (1, f"config error: unknown section [{header}]: sections are "
+                              "[experiment], [problem <name>] and [solver <name>], a name "
+                              "made of letters, digits, '_', '-' and '.'\n")
+
+
 def test_run_whose_problem_fails_to_build_leaves_no_output_directory(tmp_path, capsys):
     text = "[problem p]\nkind = quadratic\ndiag = 1 -1\n[solver s]\nalgorithm = adaagm\n"
     code, err = _exit_and_error(tmp_path, capsys, "run", text)

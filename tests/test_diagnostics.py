@@ -26,6 +26,8 @@ from adaagm import (
     write_violations_csv,
 )
 from adaagm.config import build_problem, load_config
+from adaagm.rng import XorShift64Star, cell_seed
+from adaagm.runner import certify_cell
 from adaagm.solver import TraceRows, read_trace_csv
 
 from conftest import (
@@ -240,6 +242,24 @@ class TestCertify:
         with pytest.raises(ValueError, match="mu_known"):
             certify(trace, p0, params, "linear")
 
+    def test_zero_mu_is_a_missing_constant(self, convex_run):
+        # mu_known = 0 encodes "no mu known", so linear refuses it the way
+        # every kind refuses a constant it reads and the problem lacks
+        _, params, trace = convex_run
+        p0 = make_quadratic(np.diag([1.0] * 19 + [0.0]), np.zeros(20))
+        with pytest.raises(ValueError, match=r"^certificate 'linear' needs problem\.mu_known$"):
+            certify(trace, p0, params, "linear")
+
+    @pytest.mark.parametrize("kind", ["step_floor", "sublinear"])
+    def test_zero_L_is_a_missing_constant(self, kind):
+        # once a ZeroDivisionError in step_floor's q/L
+        p = make_quadratic(np.zeros((2, 2)), np.zeros(2))
+        assert p.L_known == 0.0
+        params = PROFILES["cor-4.4"]
+        trace = run_adaagm(p, params, StopCriteria(max_iters=1), x0=np.ones(2))
+        with pytest.raises(ValueError, match=rf"^certificate '{kind}' needs problem\.L_known$"):
+            certify(trace, p, params, kind)
+
     def test_violations_recorded(self, convex_run):
         p, params, trace = convex_run
         # shrink a step below the floor on a copied trace
@@ -440,6 +460,22 @@ class TestArrayCertifyMatchesRows:
         energy = assert_matches_rows(bad, p, params, "energy_monotone")
         assert energy.passed and energy.epochs == len(starts)
 
+    def test_corrupted_grad_summable_reports_its_slack(self, array_traces):
+        # the one check goes through the shared rule: violation (k, increment,
+        # 0.01) and slack (increment - 0.01)/(1 + 0.01), like every other kind
+        p, params, trace = array_traces["quad-sc-2-thin1"]
+        bad = copy.deepcopy(trace)
+        grad_norm = bad.column("grad_norm")
+        grad_norm[-1] = 1e3 * grad_norm[0]
+        k = bad.column("k")
+        partials = np.cumsum(k ** 2 * grad_norm ** 2)
+        inc = float((partials[-1] - partials[len(partials) // 2]) / partials[-1])
+        assert inc > 0.5
+        cert = assert_matches_rows(bad, p, params, "grad_summable")
+        assert cert.checks == 1
+        assert cert.violations == [(int(k[-1]), inc, 0.01)]
+        assert cert.max_violation_rel == (inc - 0.01) / 1.01
+
     def test_restart_epoch_without_dist_sq(self, array_traces):
         # a later epoch's D needs ||x - x*||^2 at its first row, which only
         # the trace's dist_sq column carries
@@ -460,6 +496,31 @@ class TestArrayCertifyMatchesRows:
         # no energy pair to compare: nothing is checked, nothing fails
         cert = assert_matches_rows(stripped, p, params, "energy_monotone")
         assert cert.passed and cert.checks == 0
+
+
+def _short_default_run(max_iters):
+    """The default run of a 2-d quadratic from the start point of cell (0, 0, 0)."""
+    p = make_quadratic(np.diag([1.0, 10.0]), np.array([1.0, 10.0]))
+    params = default_params(p)
+    x0 = XorShift64Star(cell_seed(0, 0, 0)).normal_vector(2)
+    trace = run_adaagm(p, params, StopCriteria(max_iters=max_iters, grad_tol=0.0), x0=x0)
+    return {c.kind: c for c in certify_cell(trace, p, params)}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="grad_summable is not the paper's inequality and fails short runs "
+                          "that pass every other kind (ROADMAP item 8)")
+def test_grad_summable_passes_a_short_default_run():
+    cert = _short_default_run(43)["grad_summable"]
+    assert cert.passed, f"checks={cert.checks} worst_rel={cert.max_violation_rel:.3e}"
+
+
+@pytest.mark.parametrize("max_iters", [43, 60, 100])
+def test_every_other_kind_passes_the_short_default_run(max_iters):
+    certs = _short_default_run(max_iters)
+    assert len(certs) == 6
+    failing = [kind for kind, c in certs.items() if not c.passed]
+    assert failing == ([] if max_iters > 43 else ["grad_summable"])
 
 
 class TestTrajectoryInvariants:

@@ -6,6 +6,7 @@ import pytest
 import adaagm.solver
 from adaagm import (
     PROFILES,
+    SmoothProblem,
     StopCriteria,
     load_matrix_csv,
     make_log_sum_exp,
@@ -166,6 +167,14 @@ class TestLogistic:
 def test_shape_mismatch_rejected(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()
+
+
+def test_unknown_mu_is_zero():
+    # 0 is a strong-convexity modulus of every convex f, so it is the one
+    # encoding of "no mu known"
+    p = SmoothProblem(dimension=1, value_and_grad=lambda x: (0.0, 0.0 * x))
+    assert p.mu_known == 0.0 and type(p.mu_known) is float
+    assert p.L_known is None
 
 
 def test_one_dimensional_rows_and_features_are_one_row():

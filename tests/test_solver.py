@@ -61,7 +61,7 @@ class TestStepResolution:
         assert s0 == pytest.approx(floor_q(params) * 16.16 / 32.0, rel=1e-6)
         assert s0 > 40.0 * floor_q(params) / diag_problem.L_known
         # the same probe as with L unknown, since L_hat(x0) < L leaves the cap idle
-        blind = dataclasses.replace(diag_problem, L_known=None, mu_known=None)
+        blind = dataclasses.replace(diag_problem, L_known=None, mu_known=0.0)
         assert run_adaagm(blind, params, StopCriteria(max_iters=1), x0=x0).records[0].s == s0
 
     @settings(max_examples=60, deadline=None)
@@ -120,7 +120,7 @@ class TestStepResolution:
         assert trace.records[0].s == 1e-3
 
     def test_s0_probe_when_L_unknown(self, diag_problem):
-        blind = dataclasses.replace(diag_problem, L_known=None, mu_known=None)
+        blind = dataclasses.replace(diag_problem, L_known=None, mu_known=0.0)
         params = PROFILES["cor-4.4"]
         trace = run_adaagm(blind, params, StopCriteria(max_iters=1), x0=X0)
         # the probe's estimate never exceeds the true L, so s0 >= q/L
