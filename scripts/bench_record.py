@@ -19,7 +19,8 @@ metric's median, quartiles, run count and the value of every run in run
 order (so the repeats of two labels pair up), the failure shares, how many runs
 passed their correctness checks, the repetitions per run, the
 environment and commit the runs reported, whether the checkout's
-tracked files differed from that commit, and the sum of ``iterations`` per
+tracked files differed from that commit, its ``src_lines`` (the summed
+line count of ``src/adaagm/*.py``), and the sum of ``iterations`` per
 solver section (``agm``, ``agm-convex``, ``nesterov``), and how many
 output files ``result.json`` digests.  Iteration counts and digests are
 exact, so a count or a digest that differs between one checkout's repeats
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import glob
 import json
 import os
 import subprocess
@@ -141,6 +143,15 @@ def tree_state(root: str) -> str:
     return "modified: uncommitted changes on top of git_commit" if proc.stdout else "clean"
 
 
+def src_lines(root: str) -> int:
+    """The summed line count of the checkout's ``src/adaagm/*.py``, as ``wc -l``."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "adaagm", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def summarize(runs: list[dict]) -> dict:
     """Median, quartiles, count and the values in run order of every metric
     over the runs of one cell."""
@@ -192,6 +203,7 @@ def main(argv=None) -> int:
         "checkouts": {
             label: {"environment": environment[label],
                     "tree": tree_state(args.checkouts[label]),
+                    "src_lines": src_lines(args.checkouts[label]),
                     "cells": {cell: {**summarize(rs),
                                      "iterations": section_sums(counts[label, cell]),
                                      "digest_files": len(digests[label, cell])}

@@ -29,12 +29,13 @@ literally (no ``%`` interpolation).  A solver's parameters come from its
 :func:`~adaagm.schedule.default_params` resolves per problem; only
 ``default`` restarts.  Other parameter sets come from the Python API.
 Every solver takes ``max_iters`` and ``grad_tol``; ``adaagm`` also takes
-``profile``, while ``gd`` and ``nesterov`` take ``step``.  A key the
-solver would ignore is an error, as is a ``step`` that is not positive and
-finite or a ``grad_tol`` that is negative, infinite or NaN; so are
-non-finite inputs and two cells (say, a repeated seed) that would write
-the same trace file.  Sections are ``[experiment]``, ``[problem <name>]``
-and ``[solver <name>]``; every problem and solver section is named, and a
+``profile``, while ``gd`` and ``nesterov`` run at the step 1/L (any other
+step comes from the Python API).  ``symmetric`` is 1/yes/true/on or
+0/no/false/off, in any case.  A key the solver would ignore is an error,
+as is a ``grad_tol`` that is negative, infinite or NaN; so are non-finite
+inputs and two cells (say, a repeated seed) that would write the same
+trace file.  Sections are ``[experiment]``, ``[problem <name>]`` and
+``[solver <name>]``; every problem and solver section is named, and a
 name has only letters, digits, ``_``, ``-`` and ``.``, since it becomes part
 of a trace file name and of ``summary.csv``.
 """
@@ -61,7 +62,7 @@ from .problems import (
     make_symmetric_log_sum_exp,
 )
 from .schedule import PROFILES, AlgoParams
-from .solver import StopCriteria, check_step
+from .solver import StopCriteria
 
 _EXPERIMENT_KEYS = {"output_dir", "seeds", "thinning", "x0_scale"}
 _PROBLEM_KEYS = {
@@ -69,12 +70,13 @@ _PROBLEM_KEYS = {
     "log_sum_exp": {"kind", "rows", "rows_csv", "shifts", "temperature", "symmetric"},
     "logistic": {"kind", "features", "features_csv", "labels", "ridge"},
 }
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES  # lower-case word -> bool
 _SECTION = re.compile(r"experiment|(problem|solver) ([A-Za-z0-9_.-]+)")
 _STOP_KEYS = {"algorithm", "max_iters", "grad_tol"}
 _SOLVER_KEYS = {
     "adaagm": _STOP_KEYS | {"profile"},
-    "gd": _STOP_KEYS | {"step"},
-    "nesterov": _STOP_KEYS | {"step"},
+    "gd": _STOP_KEYS,
+    "nesterov": _STOP_KEYS,
 }
 
 
@@ -94,7 +96,6 @@ class SolverSpec:
     name: str
     algorithm: str
     params: Optional[AlgoParams] = None
-    step: Optional[float] = None  # None: 1/L at run time when L is known
     stop: StopCriteria = field(default_factory=StopCriteria)
 
 
@@ -206,15 +207,10 @@ def _parse_solver(name: str, items: dict[str, str], section: str) -> SolverSpec:
                           f"{sorted(unknown)}")
     stop = StopCriteria(**{key: parse(items[key]) for key, parse
                            in (("max_iters", int), ("grad_tol", float)) if key in items})
-    step = float(items["step"]) if "step" in items else None
-    if step is not None:
-        check_step(step)
-
     profile = items.get("profile", "default")  # default: resolved per problem at run time
     if profile != "default" and profile not in PROFILES:
         raise ConfigError(f"[{section}]: unknown profile {profile!r}")
-    return SolverSpec(name=name, algorithm=algorithm, params=PROFILES.get(profile),
-                      step=step, stop=stop)
+    return SolverSpec(name=name, algorithm=algorithm, params=PROFILES.get(profile), stop=stop)
 
 
 def build_problem(spec: ProblemSpec, base_dir: str = ".") -> SmoothProblem:
@@ -246,7 +242,11 @@ def build_problem(spec: ProblemSpec, base_dir: str = ".") -> SmoothProblem:
         if spec.kind == "log_sum_exp":
             rows = matrix("rows", "rows_csv", _parse_matrix)
             temperature = float(opts.get("temperature", 1.0))
-            if opts.get("symmetric", "").lower() in ("1", "true", "yes"):
+            symmetric = opts.get("symmetric", "false").lower()
+            if symmetric not in _BOOLEANS:
+                raise ValueError(f"symmetric must be one of {'/'.join(_BOOLEANS)}, "
+                                 f"not {opts['symmetric']!r}")
+            if _BOOLEANS[symmetric]:
                 return make_symmetric_log_sum_exp(rows, temperature, name=spec.name)
             shifts = _parse_vector(opts.get("shifts", " ".join(["0"] * rows.shape[0])))
             return make_log_sum_exp(rows, shifts, temperature, name=spec.name)

@@ -245,13 +245,9 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
     elif kind == "step_cap":
         growth = 2.0 * (1.0 - params.m) / params.m
         s = trace.column("s")
-        try:
-            lead = s[first] * math.exp(growth)
-        except OverflowError:  # m below about 0.0028
-            lead = np.full(len(first), math.inf)
         later = k_rel >= 1
-        with np.errstate(over="ignore"):
-            cap = lead[epoch[later]] * k_rel[later] ** growth
+        with np.errstate(over="ignore"):  # the cap overflows for m below about 0.0028
+            cap = s[first][epoch[later]] * np.exp(growth) * k_rel[later] ** growth
         cap[cap == math.inf] = math.nan  # an infinite cap bounds nothing
         check(k[later], s[later], cap)
 

@@ -68,7 +68,7 @@ def make_quadratic(matrix, offset, name: str = "quadratic") -> SmoothProblem:
         raise ValueError("offset length must match matrix size")
     _require_finite(matrix=A, offset=b)
     scale = 1.0 + float(np.abs(A).max(initial=0.0))
-    if not np.allclose(A, A.T, atol=1e-12 * scale):
+    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * scale):
         raise ValueError("matrix must be symmetric")
     eigs, vecs = np.linalg.eigh(A)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])

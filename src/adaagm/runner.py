@@ -2,8 +2,8 @@
 
 Cells run one after another; the summary file is written once after all
 cells complete.  A cell that diverges, or that fails on its inputs (a
-non-convex curvature, a missing step), is recorded in the summary and never
-aborts the matrix.
+non-convex curvature, or no known L for the 1/L step of ``gd`` and
+``nesterov``), is recorded in the summary and never aborts the matrix.
 """
 
 from __future__ import annotations
@@ -95,22 +95,19 @@ def _run_cell(config: ExperimentConfig, p_idx: int, problem: SmoothProblem,
                 result.certificates = ";".join(
                     f"{c.kind}:{'pass' if c.passed else 'fail'}" for c in certs)
         else:
-            step = solver.step
-            if step is None:
-                if problem.L_known is None or problem.L_known <= 0:
-                    raise ValueError(
-                        f"solver {solver.name} needs an explicit step: "
-                        f"problem {problem.name} has no known L")
-                step = 1.0 / problem.L_known
+            if problem.L_known is None or problem.L_known <= 0:
+                raise ValueError(f"solver {solver.name} runs at 1/L: "
+                                 f"problem {problem.name} has no known L")
             runner = run_gd if solver.algorithm == "gd" else run_nesterov
-            trace = runner(problem, step, solver.stop, x0, thin=config.thinning)
+            trace = runner(problem, 1.0 / problem.L_known, solver.stop, x0,
+                           thin=config.thinning)
     except DivergenceError as exc:
         result.status = "diverged"
         result.iterations = exc.k
         result.reason = str(exc)
         return result, None
     except ValueError as exc:
-        # non-convex curvature, a missing step or parameters unfit for this problem
+        # non-convex curvature, no known L for 1/L or parameters unfit for this problem
         result.status = "failed"
         result.reason = str(exc)
         return result, None

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import adaagm.runner
 from adaagm import (
     CERTIFICATE_KINDS,
     PROFILES,
@@ -25,6 +26,19 @@ SC_1 = AlgoParams(m=0.99, t0=2.0, gamma=0.5, beta=1.0, omega=0.5, delta=0.5)
 #: The named profiles and the two sets above, convex ones first.
 PARAMETER_SETS = {"cor-4.3": COR_4_3, "cor-4.4": PROFILES["cor-4.4"],
                   "sc-1": SC_1, "sc-2": PROFILES["sc-2"]}
+
+
+@pytest.fixture()
+def understated_L(monkeypatch):
+    """``runner.run_experiment`` builds problem ``quad`` with an ``L_known`` of 1:
+    on ``diag = 1 100`` the fixed-step solvers' 1/L is then 50 times too long."""
+    real_build = adaagm.runner.build_problem
+
+    def build(spec, base_dir="."):
+        problem = real_build(spec, base_dir)
+        return dataclasses.replace(problem, L_known=1.0) if spec.name == "quad" else problem
+
+    monkeypatch.setattr(adaagm.runner, "build_problem", build)
 
 
 def random_quadratic(dim, seed, lam_min=1e-3, lam_max=1.0, name="quad"):

@@ -131,3 +131,19 @@ def test_digests_that_differ_between_repeats_stop_the_record(tmp_path, monkeypat
     with pytest.raises(RuntimeError, match="^parent w/seed17: digests differ between repeats$"):
         bench_record.main(argv)
     assert not (tmp_path / "out.json").exists()
+
+
+def test_record_counts_each_checkouts_src_lines(tmp_path, monkeypatch):
+    same = {"summary.csv": "aa"}
+    argv = _fake_checkouts(tmp_path, monkeypatch, {"parent": [same, same],
+                                                  "change": [same, same]})
+    for label, files in {"parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"},
+                         "change": {"a.py": "x = 1\n", "notes.txt": "not\ncounted\n"}}.items():
+        src = tmp_path / label / "src" / "adaagm"
+        src.mkdir(parents=True)
+        for name, text in files.items():
+            (src / name).write_text(text)
+    assert bench_record.main(argv) == 0
+    out = json.loads((tmp_path / "out.json").read_text())
+    assert {label: c["src_lines"] for label, c in out["checkouts"].items()} == {
+        "parent": 3, "change": 1}

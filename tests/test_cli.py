@@ -2,6 +2,7 @@ import csv
 import itertools
 import math
 import os
+import re
 import shutil
 from dataclasses import replace
 
@@ -104,9 +105,11 @@ LOGIT = "kind = logistic\nfeatures = 1 0; 0 1\nlabels = 1 -1"
     pytest.param("kind = quadratic\ndiag = 1 100\noffset = 1 100",
                  "kind = logistic\nfeatures = 1 0; 0 1", "problem quad", "needs labels",
                  id="logistic-without-labels"),
+    # gd and nesterov run at 1/L: a step, good or bad, is a key no solver takes
     *[pytest.param("algorithm = adaagm\nprofile = cor-4.4", f"algorithm = nesterov\nstep = {step}",
-                   "[solver agm]", "step must be a positive finite number", id=f"step-{step}")
-      for step in ("-0.5", "0", "inf", "nan")],
+                   "unknown keys in [solver agm] for algorithm 'nesterov'", "['step']",
+                   id=f"step-{step}")
+      for step in ("0.01", "-0.5", "0", "inf", "nan")],
     # run names the problem that fails to build, as validate does
     pytest.param("diag = 1 100", "diag = 1 -100", "problem quad",
                  "matrix must be positive semidefinite", id="indefinite"),
@@ -139,6 +142,10 @@ LOGIT = "kind = logistic\nfeatures = 1 0; 0 1\nlabels = 1 -1"
                  id="missing-kind"),
     pytest.param(QUAD, "kind = cubic\ndiag = 1 100", "[problem quad]",
                  "unknown or missing kind 'cubic'", id="unknown-kind"),
+    # a misspelled true must not quietly build the non-symmetric problem, which has no x*
+    pytest.param(QUAD, f"{LSE}\nsymmetric = ture", "problem quad",
+                 "symmetric must be one of 1/yes/true/on/0/no/false/off, not 'ture'",
+                 id="symmetric-typo"),
 ])
 def test_malformed_value_exit_one(tmp_path, capsys, verb, old, new, section, fragment):
     path = tmp_path / "bad.ini"
@@ -298,15 +305,16 @@ class TestRun:
         assert "step_cap:pass" in summary[1]
 
     @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:step")
-    def test_divergence_exit_two(self, tmp_path):
+    def test_divergence_exit_two(self, tmp_path, capsys, understated_L):
         path = tmp_path / "exp.ini"
-        path.write_text(CONFIG + "\n[solver bad]\nalgorithm = gd\nstep = 10\n"
-                        "max_iters = 300\n")
+        path.write_text(CONFIG + "\n[solver bad]\nalgorithm = gd\nmax_iters = 300\n")
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        out = capsys.readouterr().out
+        assert "quad x agm seed=0: ok " in out
+        assert re.search(r"^quad x bad seed=0: diverged iters=[1-9]", out, re.M)
 
 
-#: L = 0: no certificate applies, and nesterov has no 1/L step to default to
+#: L = 0: no certificate applies, and nesterov has no 1/L step to run at
 ZERO_L = """
 [experiment]
 seeds = 0
@@ -328,7 +336,7 @@ def test_failed_cell_prints_its_reason(tmp_path, capsys):
     path = tmp_path / "zero.ini"
     path.write_text(ZERO_L)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert ("z x nest seed=0: failed iters=0 certs=- (solver nest needs an explicit step: "
+    assert ("z x nest seed=0: failed iters=0 certs=- (solver nest runs at 1/L: "
             "problem z has no known L)\n") in capsys.readouterr().out
     # the reason stays out of summary.csv, which has no column for it
     assert (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:] == [

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import adaagm.runner
-from adaagm.config import ConfigError, build_problem, load_config, start_point
+from adaagm.config import ConfigError, ProblemSpec, build_problem, load_config, start_point
 from adaagm.problems import SmoothProblem
 from adaagm.runner import run_experiment, validate_config
 from adaagm.schedule import PROFILES, default_params
@@ -69,7 +69,7 @@ class TestLoadConfig:
             load_config(write(tmp_path, BASIC + "\n[extras]\nfoo = 1\n"))
 
     def test_no_problems(self, tmp_path):
-        text = "[solver s]\nalgorithm = gd\nstep = 0.1\n"
+        text = "[solver s]\nalgorithm = gd\n"
         with pytest.raises(ConfigError, match="no problems"):
             load_config(write(tmp_path, text))
 
@@ -189,6 +189,16 @@ algorithm = adaagm
             p = build_problem(config.problems[0], config.base_dir)
             assert np.allclose(p.x_star, [1.0, 1.0], rtol=0.0, atol=1e-15)
             assert p.f_star == pytest.approx(-5.0, abs=1e-14)
+
+    @pytest.mark.parametrize("word,symmetric", [
+        ("true", True), ("On", True), ("YES", True), ("1", True),
+        ("false", False), ("off", False), ("No", False), ("0", False),
+    ])
+    def test_symmetric_takes_configparser_booleans(self, word, symmetric):
+        spec = ProblemSpec("lse", "log_sum_exp",
+                           {"kind": "log_sum_exp", "rows": "1 0; 0 1", "symmetric": word})
+        # the symmetric form is minimised at the origin; the plain one has no minimiser
+        assert (build_problem(spec).x_star is not None) == symmetric
 
     def test_symmetric_log_sum_exp(self, tmp_path):
         text = """
@@ -324,16 +334,27 @@ class TestRunner:
             assert all(v.endswith(":pass") for v in verdicts), (r.problem, r.seed, verdicts)
 
     @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:step")
-    def test_divergent_cell_recorded(self, tmp_path):
-        text = BASIC + "\n[solver bad]\nalgorithm = gd\nstep = 10.0\nmax_iters = 500\n"
+    def test_divergent_cell_recorded(self, tmp_path, understated_L):
+        text = BASIC + "\n[solver bad]\nalgorithm = gd\nmax_iters = 500\n"
         config = load_config(write(tmp_path, text))
         config.output_dir = str(tmp_path / "out")
         results = run_experiment(config)
-        assert any(r.status == "diverged" for r in results)
-        statuses = {(r.solver, r.status) for r in results}
-        assert ("bad", "diverged") in statuses
-        assert ("agm", "ok") in statuses
+        # 1/L = 1 is far beyond gd's 2/100: it diverges, but after k = 0
+        assert {(r.solver, r.seed): r.status for r in results} == {
+            ("agm", 0): "ok", ("agm", 1): "ok", ("bad", 0): "diverged", ("bad", 1): "diverged"}
+        assert all(r.iterations > 0 for r in results if r.solver == "bad")
+
+    @pytest.mark.parametrize("algorithm", ["gd", "nesterov"])
+    def test_fixed_step_cells_run_at_one_over_L(self, tmp_path, algorithm):
+        text = BASIC + f"\n[solver fixed]\nalgorithm = {algorithm}\nmax_iters = 300\n"
+        config = load_config(write(tmp_path, text))
+        config.output_dir = str(tmp_path / "out")
+        assert all(r.status == "ok" for r in run_experiment(config))
+        step = 1.0 / build_problem(config.problems[0]).L_known
+        for seed in config.seeds:
+            trace = read_trace_csv(tmp_path / "out" / f"quad_fixed_{seed}.csv")
+            assert trace.algorithm == algorithm and len(trace) > 100
+            assert (trace.column("s") == step).all()
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")

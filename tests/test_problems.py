@@ -44,6 +44,13 @@ class TestQuadratic:
         with pytest.raises(ValueError, match="symmetric"):
             make_quadratic(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
 
+    @pytest.mark.parametrize("upset", [5e-6, 1e-9])
+    def test_rejects_asymmetry_a_relative_tolerance_would_pass(self, upset):
+        # the tolerance is absolute, 1e-12 * (1 + max|A_ij|): a relative one of
+        # 1e-5 passed 1 + 1e-9, whose oracle Ax - b is not the gradient of f
+        with pytest.raises(ValueError, match="^matrix must be symmetric$"):
+            make_quadratic(np.array([[2.0, 1.0], [1.0 + upset, 3.0]]), np.ones(2))
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             make_quadratic(np.diag([1.0, -1.0]), np.zeros(2))

@@ -13,16 +13,10 @@ _SPEC = importlib.util.spec_from_file_location(
 rewrite_traces = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(rewrite_traces)
 
-#: a gradient descent section and a second Nesterov one, with its own step
+#: a gradient descent section
 EXTRA_SOLVERS = """
 [solver gd]
 algorithm = gd
-max_iters = 500
-grad_tol = 1e-9
-
-[solver nesterov-step]
-algorithm = nesterov
-step = 0.005
 max_iters = 500
 grad_tol = 1e-9
 """
@@ -36,7 +30,7 @@ def test_every_demo_trace_rewrites_to_its_own_bytes(tmp_path):
     runs = tmp_path / "runs"
     assert main(["run", str(config), "--out", str(runs), "--thin", "1"]) == 0
     traces = sorted(p for p in runs.glob("*.csv") if p.name != "summary.csv")
-    assert len(traces) == 3 * 5 * 2  # problems x solvers x seeds
+    assert len(traces) == 3 * 4 * 2  # problems x solvers x seeds
     algorithms = {p.read_text().splitlines()[1] for p in traces}
     assert algorithms == {f"# algorithm = {a}" for a in ("adaagm", "gd", "nesterov")}
     # gradient descent is the t-recursion at m = 0, where t stays 1
