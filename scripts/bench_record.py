@@ -20,15 +20,15 @@ order (so the repeats of two labels pair up), the failure shares, how many runs
 passed their correctness checks, the repetitions per run, the
 environment and commit the runs reported, whether the checkout's
 tracked files differed from that commit, its ``src_lines`` (the summed
-line count of ``src/adaagm/*.py``), and the sum of ``iterations`` per
-solver section (``agm``, ``agm-convex``, ``nesterov``), and how many
-output files ``result.json`` digests.  Iteration counts and digests are
-exact, so a count or a digest that differs between one checkout's repeats
-stops the script.  Per later label and ``<workload>/seed<n>``, ``rises``
-lists every cell whose count is higher than under the first label, and
-``digests_differ`` the sorted names of the files whose digest differs from
-the first label's.  Checkout paths stay out of the output; the labels name
-them.
+line count of ``src/adaagm/*.py``), the sum of ``iterations`` per
+solver section (``agm``, ``agm-convex``, ``nesterov``) and per problem and
+section (``lse/nesterov``, ...), and how many output files ``result.json``
+digests.  Iteration counts and digests are exact, so a count or a digest
+that differs between one checkout's repeats stops the script.  Per later
+label and ``<workload>/seed<n>``, ``rises`` lists every cell whose count is
+higher than under the first label, and ``digests_differ`` the sorted
+names of the files whose digest differs from the first label's.  Checkout
+paths stay out of the output; the labels name them.
 """
 
 from __future__ import annotations
@@ -105,6 +105,16 @@ def section_sums(counts: dict[tuple[str, str, str], int]) -> dict[str, int]:
     sums: dict[str, int] = {}
     for (_, solver, _), n in counts.items():
         sums[solver] = sums.get(solver, 0) + n
+    return sums
+
+
+def problem_section_sums(counts: dict[tuple[str, str, str], int]) -> dict[str, int]:
+    """The sum of iterations per problem and solver section, keyed
+    ``problem/solver`` in sorted order."""
+    sums: dict[str, int] = {}
+    for (problem, solver, _), n in sorted(counts.items()):
+        key = f"{problem}/{solver}"
+        sums[key] = sums.get(key, 0) + n
     return sums
 
 
@@ -206,6 +216,8 @@ def main(argv=None) -> int:
                     "src_lines": src_lines(args.checkouts[label]),
                     "cells": {cell: {**summarize(rs),
                                      "iterations": section_sums(counts[label, cell]),
+                                     "iterations_by_problem":
+                                         problem_section_sums(counts[label, cell]),
                                      "digest_files": len(digests[label, cell])}
                               for cell, rs in runs[label].items()}}
             for label in labels

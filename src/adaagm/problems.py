@@ -96,9 +96,11 @@ def make_log_sum_exp(rows, shifts, temperature: float,
                      name: str = "log_sum_exp") -> SmoothProblem:
     """Smoothed max f(x) = t * log sum_i exp((a_i'x + b_i) / t).
 
-    The smoothness constant is bounded by sigma_max(A)^2 / t.  No minimizer
-    is recorded at construction; it may not exist (e.g. a single affine row
-    is unbounded below).
+    L = sigma_max(A)^2 / (2t): the Hessian is (1/t) A'(diag(p) - pp')A with
+    p the softmax, and v'(diag(p) - pp')v is the variance under p of values
+    in [min v, max v], at most (max v - min v)^2 / 4 <= ||v||^2 / 2.  No
+    minimizer is recorded at construction; it may not exist (e.g. a single
+    affine row is unbounded below).
     """
     A = np.atleast_2d(np.asarray(rows, dtype=float))
     if A.size == 0:
@@ -123,7 +125,7 @@ def make_log_sum_exp(rows, shifts, temperature: float,
 
     return SmoothProblem(
         dimension=A.shape[1], value_and_grad=value_and_grad,
-        L_known=sigma_max ** 2 / t, mu_known=0.0, name=name,
+        L_known=0.5 * sigma_max ** 2 / t, mu_known=0.0, name=name,
     )
 
 
@@ -132,7 +134,8 @@ def make_symmetric_log_sum_exp(rows, temperature: float,
     """Log-sum-exp over the rows and their negations, zero shifts.
 
     By symmetry the origin is a minimizer, so the problem ships with an
-    exact x_star and f_star = t*log(2n).
+    exact x_star and f_star = t*log(2n).  The log-sum-exp bound over
+    [A; -A] gives L = sigma_max(A)^2 / t, which one row attains at the origin.
     """
     A = np.atleast_2d(np.asarray(rows, dtype=float))
     full = np.vstack([A, -A])

@@ -52,6 +52,15 @@ def test_sections_sum_their_cells(two_runs):
                                                  "nesterov": 900}
 
 
+def test_problem_sections_sum_their_cells_over_seeds(tmp_path):
+    counts = bench_record.read_iterations(_summary(tmp_path / "s.csv", [
+        ("lse", "nesterov", 136, 3000), ("lse", "nesterov", 137, 102),
+        ("lse", "agm", 136, 40), ("quad", "nesterov", 136, 900)]))
+    sums = bench_record.problem_section_sums(counts)
+    assert sums == {"lse/agm": 40, "lse/nesterov": 3102, "quad/nesterov": 900}
+    assert list(sums) == sorted(sums)
+
+
 def test_rises_name_only_the_cells_that_rose(two_runs):
     parent, change = two_runs
     assert bench_record.rises(parent, change) == [
@@ -147,3 +156,13 @@ def test_record_counts_each_checkouts_src_lines(tmp_path, monkeypatch):
     out = json.loads((tmp_path / "out.json").read_text())
     assert {label: c["src_lines"] for label, c in out["checkouts"].items()} == {
         "parent": 3, "change": 1}
+
+
+def test_record_sums_iterations_per_problem_and_section(tmp_path, monkeypatch):
+    same = {"summary.csv": "aa"}
+    argv = _fake_checkouts(tmp_path, monkeypatch, {"parent": [same, same],
+                                                  "change": [same, same]})
+    assert bench_record.main(argv) == 0
+    out = json.loads((tmp_path / "out.json").read_text())
+    assert out["checkouts"]["change"]["cells"]["w/seed17"]["iterations_by_problem"] == {
+        "quad/agm": 193}

@@ -90,6 +90,62 @@ class TestLogSumExp:
             x = rng.normal(size=4)
             assert check_grad_fd(p, x, 1e-5) <= 1e-6
 
+    def test_hessian_is_the_jacobian_of_the_gradient(self):
+        # central differences of the oracle's gradient against the closed form
+        # the smoothness tests below take as the Hessian
+        rng = np.random.default_rng(5)
+        for rows, shifts, t in _lse_instances(rng, 8):
+            p = make_log_sum_exp(rows, shifts, t)
+            x = rng.normal(size=p.dimension)
+            h = 1e-6 * (1.0 + np.linalg.norm(x))
+            jac = np.column_stack([
+                (p.value_and_grad(x + h * e)[1] - p.value_and_grad(x - h * e)[1]) / (2 * h)
+                for e in np.eye(p.dimension)])
+            hess = _lse_hessian(rows, shifts, t, x)
+            assert np.linalg.norm(jac - hess) <= 1e-5 * (1.0 + np.linalg.norm(hess))
+
+    def test_smoothness_constant_bounds_the_hessian(self):
+        # lambda_max((1/t) A'(diag(p) - pp')A) <= sigma_max(A)^2 / (2t) at
+        # every x, for shifted rows and for symmetric ones
+        rng = np.random.default_rng(6)
+        for i, (rows, shifts, t) in enumerate(_lse_instances(rng, 40)):
+            if i % 2:
+                p = make_symmetric_log_sum_exp(rows, t)
+                rows, shifts = np.vstack([rows, -rows]), np.zeros(2 * len(rows))
+            else:
+                p = make_log_sum_exp(rows, shifts, t)
+            for _ in range(5):
+                x = rng.normal(size=p.dimension) * 10.0 ** rng.uniform(-3, 0)
+                lam = np.linalg.eigvalsh(_lse_hessian(rows, shifts, t, x))[-1]
+                assert lam <= p.L_known * (1 + 1e-12), (i, lam / p.L_known)
+
+    def test_smoothness_constant_is_attained(self):
+        # one row a and its negation at x* = 0: p = (1/2, 1/2), so the
+        # Hessian is aa'/t with lambda_max = ||a||^2/t = L; no smaller
+        # constant holds for every log-sum-exp
+        a = np.array([[0.6, -1.7, 2.3]])
+        p = make_symmetric_log_sum_exp(a, 0.35)
+        full = np.vstack([a, -a])
+        lam = np.linalg.eigvalsh(_lse_hessian(full, np.zeros(2), 0.35, p.x_star))[-1]
+        assert lam == pytest.approx(p.L_known, rel=1e-14)
+
+
+def _lse_instances(rng, count):
+    """Random (rows, shifts, temperature) triples: 1-12 rows of 1-6 columns
+    scaled by 10^U(-1,1), normal shifts and temperature 10^U(-1,1)."""
+    for _ in range(count):
+        m, n = rng.integers(1, 13), rng.integers(1, 7)
+        rows = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-1, 1)
+        yield rows, rng.normal(size=m), 10.0 ** rng.uniform(-1, 1)
+
+
+def _lse_hessian(rows, shifts, t, x):
+    """(1/t) A'(diag(p) - pp')A, p the softmax of (Ax + b)/t."""
+    z = (rows @ x + shifts) / t
+    p = np.exp(z - z.max())
+    p /= p.sum()
+    return rows.T @ (np.diag(p) - np.outer(p, p)) @ rows / t
+
 
 @pytest.fixture(scope="module")
 def benchmark_logistic():
