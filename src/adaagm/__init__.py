@@ -3,6 +3,7 @@
 from .diagnostics import (
     CERTIFICATE_KINDS,
     RateCertificate,
+    certificate_kinds,
     certify,
     energy,
     format_certificates,

@@ -71,7 +71,7 @@ def _cmd_certify(args) -> int:
     certs = certify_cell(trace, problem, solver.params or default_params(problem))
     if certs:
         print(format_certificates(certs))
-    else:  # certify_cell's condition, and the "-" of the cell's summary row
+    else:  # certificate_kinds grades no kind without L: the "-" of the cell's summary row
         print(f"no certificate applies: problem {spec.name} has no known L > 0")
     if args.out:
         os.makedirs(args.out, exist_ok=True)

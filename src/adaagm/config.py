@@ -64,7 +64,8 @@ from .problems import (
 from .schedule import PROFILES, AlgoParams
 from .solver import StopCriteria
 
-_EXPERIMENT_KEYS = {"output_dir", "seeds", "thinning", "x0_scale"}
+_EXPERIMENT_KEYS = {"output_dir": str, "thinning": int, "x0_scale": float,  # key: parser
+                    "seeds": lambda text: [int(v) for v in text.replace(",", " ").split()]}
 _PROBLEM_KEYS = {
     "quadratic": {"kind", "diag", "matrix_csv", "offset", "offset_csv"},
     "log_sum_exp": {"kind", "rows", "rows_csv", "shifts", "temperature", "symmetric"},
@@ -103,7 +104,7 @@ class SolverSpec:
 class ExperimentConfig:
     problems: list[ProblemSpec]
     solvers: list[SolverSpec]
-    seeds: list[int]
+    seeds: list[int] = field(default_factory=lambda: [0])
     output_dir: str = "runs"
     thinning: int = 1
     x0_scale: float = 1.0
@@ -134,13 +135,9 @@ def load_config(path) -> ExperimentConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
-    base_dir = os.path.dirname(os.path.abspath(path))
-    problems: list[ProblemSpec] = []
-    solvers: list[SolverSpec] = []
-    output_dir = "runs"
-    seeds = [0]
-    thinning = 1
-    x0_scale = 1.0
+    # ExperimentConfig's defaults stand for every [experiment] key the file leaves out
+    config = ExperimentConfig(problems=[], solvers=[],
+                              base_dir=os.path.dirname(os.path.abspath(path)))
 
     for section in parser.sections():
         match = _SECTION.fullmatch(section)
@@ -152,19 +149,16 @@ def load_config(path) -> ExperimentConfig:
         items = dict(parser.items(section))
         try:
             if section == "experiment":
-                unknown = set(items) - _EXPERIMENT_KEYS
+                unknown = set(items) - _EXPERIMENT_KEYS.keys()
                 if unknown:
                     raise ConfigError(f"unknown keys in [experiment]: {sorted(unknown)}")
-                output_dir = items.get("output_dir", output_dir)
-                if "seeds" in items:
-                    seeds = [int(v) for v in items["seeds"].replace(",", " ").split()]
-                    if not seeds:
-                        raise ValueError("seeds must list at least one seed")
-                thinning = int(items.get("thinning", thinning))
-                if thinning < 1:
+                for key, value in items.items():
+                    setattr(config, key, _EXPERIMENT_KEYS[key](value))
+                if not config.seeds:
+                    raise ValueError("seeds must list at least one seed")
+                if config.thinning < 1:
                     raise ConfigError("thinning must be a positive integer")
-                x0_scale = float(items.get("x0_scale", x0_scale))
-                if not math.isfinite(x0_scale):
+                if not math.isfinite(config.x0_scale):
                     raise ValueError("x0_scale must be finite")
             elif head == "problem":
                 kind = items.get("kind")
@@ -173,28 +167,26 @@ def load_config(path) -> ExperimentConfig:
                 unknown = set(items) - _PROBLEM_KEYS[kind]
                 if unknown:
                     raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-                problems.append(ProblemSpec(name=name, kind=kind, options=items))
+                config.problems.append(ProblemSpec(name=name, kind=kind, options=items))
             else:
-                solvers.append(_parse_solver(name, items, section))
+                config.solvers.append(_parse_solver(name, items, section))
         except ConfigError:
             raise
         except ValueError as exc:
             raise ConfigError(f"[{section}]: {exc}") from exc
 
-    if not problems:
+    if not config.problems:
         raise ConfigError("no problems defined")
-    if not solvers:
+    if not config.solvers:
         raise ConfigError("no solvers defined")
     written: dict[str, str] = {}  # trace file name -> the cell that writes it
-    for spec, solver, seed in itertools.product(problems, solvers, seeds):
+    for spec, solver, seed in itertools.product(config.problems, config.solvers, config.seeds):
         cell = f"{spec.name} x {solver.name} seed={seed}"
         name = trace_name(spec.name, solver.name, seed)
         if name in written:
             raise ConfigError(f"cells {written[name]} and {cell} would both write trace {name}")
         written[name] = cell
-    return ExperimentConfig(problems=problems, solvers=solvers, seeds=seeds,
-                            output_dir=output_dir, thinning=thinning,
-                            x0_scale=x0_scale, base_dir=base_dir)
+    return config
 
 
 def _parse_solver(name: str, items: dict[str, str], section: str) -> SolverSpec:

@@ -69,13 +69,17 @@ def energy(x_next: Array, y_next: Array, grad_sq: float, f_x: float, t: float,
 
 
 def initial_D(gap0: float, grad_sq0: float, dist_sq0: float, L: float,
-              params: AlgoParams, s0: float) -> tuple[float, float]:
-    """Closed-form rate constant D of a run from z with initial step s0, in two forms.
+              params: AlgoParams, s0: float) -> float:
+    """Closed-form rate constant D of a run from z with initial step s0.
 
     Takes f(z) - f*, ||grad f(z)||^2 and ||z - x*||^2, so it makes no
-    oracle call.  Returns the pair (full form, min-form bound); the
-    min-form upper bound on D avoids the raw gradient term.  The
-    certificates use the smaller of the two.
+    oracle call.  Returns the D the certificates grade with, the smaller of
+    the full form and the min-form, which drops the raw gradient term.
+    When (1 + beta)*gamma*s0*t0*L >= 1, ||grad||^2 <= 2L*gap and
+    <= L^2*dist_sq make the min-form an upper bound on the full form, so D
+    is the full form.  Below that threshold the same bounds make the
+    min-form at most the full form, and D is the min-form; that the rate
+    holds with it there is not derived here (ROADMAP item 6).
     """
     if not L > 0:
         raise ValueError("initial_D needs a positive smoothness constant L")
@@ -92,7 +96,7 @@ def initial_D(gap0: float, grad_sq0: float, dist_sq0: float, L: float,
     second = ((1.0 + gam * st * L * ((1.0 + bet) * gam * st * L - 1.0))
               / (2.0 * gam) * dist_sq0
               + st * (t0 - 1.0) * gap0)
-    return full, (1.0 / q) * min(first, second)
+    return min(full, (1.0 / q) * min(first, second))
 
 
 def rho(params: AlgoParams, mu: float, L: float) -> float:
@@ -137,9 +141,22 @@ class RateCertificate:
         return not self.violations
 
 
+def certificate_kinds(problem: SmoothProblem, params: AlgoParams) -> list[str]:
+    """The kinds a run of ``params`` on ``problem`` is graded with, in
+    ``summary.csv`` order; none without a known L."""
+    if not problem.L_known > 0:
+        return []
+    kinds = ["step_floor", "step_cap"]
+    if problem.x_star is not None and problem.f_star is not None:
+        kinds += ["sublinear", "energy_monotone"]
+        if problem.mu_known > 0 and params.linear_rate:
+            kinds += ["linear", "grad_summable"]
+    return kinds
+
+
 def _require(problem: SmoothProblem, kind: str, *fields: str) -> None:
-    """Raise unless the problem knows every named constant: ``None`` is
-    unknown, and so is an ``L_known`` or ``mu_known`` that is not positive."""
+    """Raise unless the problem knows every named constant: an x* or f* of
+    ``None`` is unknown, and so is an ``L_known`` or ``mu_known`` that is not positive."""
     for name in fields:
         value = getattr(problem, name)
         if value is None or (name in ("L_known", "mu_known") and not value > 0):
@@ -159,7 +176,7 @@ def epoch_starts(trace: Trace, params: AlgoParams) -> Array:
 
 def _epoch_D(trace: Trace, first: Array, problem: SmoothProblem,
              params: AlgoParams) -> Array:
-    """D of every epoch, the smaller form, from the epoch's first row.
+    """D of every epoch, from the epoch's first row.
 
     The first epoch takes ||x0 - x*||^2 from the trace's start point, later
     ones from the row's ``dist_sq``.  A start gap below 0 is f's rounding
@@ -172,8 +189,8 @@ def _epoch_D(trace: Trace, first: Array, problem: SmoothProblem,
     for i in range(len(first)):
         if dist_sq[i] != dist_sq[i]:  # NaN: no value
             raise ValueError(f"the restart epoch at k={int(k[i])} carries no dist_sq")
-        D.append(min(initial_D(max(gap[i], 0.0), grad_norm[i] ** 2, dist_sq[i],
-                               problem.L_known, params, s[i])))
+        D.append(initial_D(max(gap[i], 0.0), grad_norm[i] ** 2, dist_sq[i],
+                           problem.L_known, params, s[i]))
     return np.array(D)
 
 
@@ -192,8 +209,11 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
     s0, D and the energy baseline come from it, so each epoch is checked
     as the fresh run it is.
     ``energy_monotone`` compares pairs within an epoch only.
-    A kind that reads a constant the problem lacks (``None``, or an
-    ``L_known`` or ``mu_known`` that is not positive) raises ValueError.
+    A kind that reads a constant the problem lacks (an x* or f* of
+    ``None``, an ``L_known`` or ``mu_known`` that is not positive) raises
+    ValueError.
+    ``energy_monotone`` contracts by (1 - rho) on the cells that
+    :func:`certificate_kinds` grades with ``linear``.
     """
     if kind not in CERTIFICATE_KINDS:
         raise ValueError(f"unknown certificate kind {kind!r}")
@@ -254,7 +274,7 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
     elif kind == "energy_monotone":
         _require(problem, kind, "x_star", "f_star")
         factor = 1.0
-        if params.linear_rate and problem.mu_known > 0 and problem.L_known is not None:
+        if "linear" in certificate_kinds(problem, params):
             factor = 1.0 - rho(params, problem.mu_known, problem.L_known)
             cert.constant_rho = 1.0 - factor
         e = trace.column("energy")

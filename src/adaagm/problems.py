@@ -7,8 +7,8 @@ strong-convexity modulus mu, minimizer, minimum value) are filled in
 whenever they are available analytically or by a reference solve that uses
 none of the solvers they grade (damped Newton for ridge logistic).  These
 constants are what the diagnostics layer checks solver runs against.  An
-unknown constant is ``None``, except mu: its unknown value is ``0.0``, a true
-modulus of every convex f.
+unknown minimizer or minimum value is ``None``; an unknown L or mu is
+``0.0``, so a known one is one that is ``> 0``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class SmoothProblem:
     dimension: int
     # (f(x), grad f(x)) as a Python float and a float array
     value_and_grad: Callable[[Array], tuple[float, Array]]
-    L_known: Optional[float] = None
+    L_known: float = 0.0  # 0: no smoothness constant known
     mu_known: float = 0.0  # 0: no strong convexity known
     x_star: Optional[Array] = None
     f_star: Optional[float] = None

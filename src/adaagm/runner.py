@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .config import (ConfigError, ExperimentConfig, SolverSpec, build_problem, load_config,
                      start_point, trace_name)
-from .diagnostics import RateCertificate, certify, epoch_starts
+from .diagnostics import RateCertificate, certificate_kinds, certify, epoch_starts
 from .problems import SmoothProblem
 from .schedule import AlgoParams, default_params, floor_q
 from .solver import (
@@ -69,14 +69,7 @@ def validate_config(path) -> dict[tuple[str, str], float]:
 def certify_cell(trace: Trace, problem: SmoothProblem,
                  params: AlgoParams) -> list[RateCertificate]:
     """A cell's certificates in summary order, via ``certify`` here: bench/probes.py patches it."""
-    if problem.L_known is None or problem.L_known <= 0:
-        return []
-    kinds = ["step_floor", "step_cap"]
-    if problem.x_star is not None and problem.f_star is not None:
-        kinds += ["sublinear", "energy_monotone"]
-        if problem.mu_known > 0 and params.linear_rate:
-            kinds += ["linear", "grad_summable"]
-    return [certify(trace, problem, params, kind) for kind in kinds]
+    return [certify(trace, problem, params, kind) for kind in certificate_kinds(problem, params)]
 
 
 def _run_cell(config: ExperimentConfig, p_idx: int, problem: SmoothProblem,
@@ -95,7 +88,7 @@ def _run_cell(config: ExperimentConfig, p_idx: int, problem: SmoothProblem,
                 result.certificates = ";".join(
                     f"{c.kind}:{'pass' if c.passed else 'fail'}" for c in certs)
         else:
-            if problem.L_known is None or problem.L_known <= 0:
+            if not problem.L_known > 0:
                 raise ValueError(f"solver {solver.name} runs at 1/L: "
                                  f"problem {problem.name} has no known L")
             runner = run_gd if solver.algorithm == "gd" else run_nesterov

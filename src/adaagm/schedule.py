@@ -62,7 +62,7 @@ class AlgoParams:
 #: :func:`default_params` resolves to; other sets come from the Python API.
 PROFILES = {
     "cor-4.4": AlgoParams(),  # AlgoParams' defaults are this profile
-    "sc-2": AlgoParams(m=0.99, t0=3.0, gamma=1.0, beta=1.0 / 3.0, omega=0.5, delta=0.5),
+    "sc-2": AlgoParams(omega=0.5, delta=0.5),
 }
 
 

@@ -324,7 +324,7 @@ def run_gd(problem: SmoothProblem, step: float,
            stop: Optional[StopCriteria] = None, x0=None, *, thin: int = 1) -> Trace:
     """Fixed-step gradient descent baseline."""
     check_step(step)
-    if problem.L_known is not None and problem.L_known > 0 and step >= 2.0 / problem.L_known:
+    if problem.L_known > 0 and step >= 2.0 / problem.L_known:
         warnings.warn(f"step {step:.6g} >= 2/L = {2.0 / problem.L_known:.6g}; "
                       "gradient descent may diverge", stacklevel=2)
     return _iterate(problem, "gd", _GD, step, x0, stop, thin)
@@ -334,7 +334,7 @@ def run_nesterov(problem: SmoothProblem, step: float,
                  stop: Optional[StopCriteria] = None, x0=None, *, thin: int = 1) -> Trace:
     """Classical momentum baseline with the theta recursion from theta_0 = 1."""
     check_step(step)
-    if problem.L_known is not None and problem.L_known > 0 and step > 1.0 / problem.L_known:
+    if problem.L_known > 0 and step > 1.0 / problem.L_known:
         warnings.warn(f"step {step:.6g} > 1/L = {1.0 / problem.L_known:.6g}; "
                       "the accelerated rate is not guaranteed", stacklevel=2)
     return _iterate(problem, "nesterov", _NESTEROV, step, x0, stop, thin)

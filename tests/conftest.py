@@ -174,8 +174,8 @@ def certify_rows(trace, problem, params, kind):
             raise ValueError(f"the restart epoch at k={start.k} carries no dist_sq")
         else:
             dist_sq = start.dist_sq
-        return min(initial_D(max(start.gap, 0.0), start.grad_norm ** 2, dist_sq,
-                             problem.L_known, params, start.s))
+        return initial_D(max(start.gap, 0.0), start.grad_norm ** 2, dist_sq,
+                         problem.L_known, params, start.s)
 
     cert.epochs = sum(1 for _, _, _, same in epochs() if not same)
 
@@ -218,7 +218,7 @@ def certify_rows(trace, problem, params, kind):
         _require(problem, kind, "x_star", "f_star")
         factor = 1.0
         if (params.omega == 0.5 and params.delta == 0.5
-                and problem.mu_known > 0 and problem.L_known is not None):
+                and problem.mu_known > 0 and problem.L_known > 0):
             factor = 1.0 - rho(params, problem.mu_known, problem.L_known)
             cert.constant_rho = 1.0 - factor
         prev = None

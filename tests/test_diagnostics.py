@@ -138,7 +138,7 @@ class TestRateConstants:
         p = make_quadratic(np.diag([1.0, 100.0]), np.array([1.0, 100.0]))
         params = PROFILES["cor-4.4"]
         assert initial_D(*start_values(p.x_star, p), p.L_known, params, s0=1e-3) == \
-            pytest.approx((0.0, 0.0), abs=1e-12)
+            pytest.approx(0.0, abs=1e-12)
 
     def test_initial_D_requires_fields(self):
         p = make_quadratic(np.diag([1.0, 100.0]), np.array([1.0, 100.0]))
@@ -147,12 +147,22 @@ class TestRateConstants:
             initial_D(*values, 0.0, PROFILES["cor-4.4"], s0=1e-3)
 
     def test_min_form_is_used_when_smaller(self):
+        # D = min(full form, min-form): below (1 + beta)*gamma*s0*t0*L = 1 the
+        # min-form is at most the full form, above it an upper bound on it
         p = make_quadratic(np.diag([1.0, 100.0]), np.array([1.0, 100.0]))
-        params = PROFILES["cor-4.4"]
-        x0 = np.array([5.0, -3.0])
-        s0 = floor_q(params) / p.L_known
-        base, tightened = initial_D(*start_values(x0, p), p.L_known, params, s0)
-        assert base > 0 and tightened > 0
+        params = PROFILES["cor-4.4"]  # gamma = 1
+        q, t0, L = floor_q(params), params.t0, p.L_known
+        gap0, grad_sq0, dist_sq0 = start_values(np.array([5.0, -3.0]), p)
+        for s0, below in ((q / L, True), (1.0 / L, False)):
+            st = s0 * t0
+            assert ((1.0 + params.beta) * st * L < 1.0) == below
+            full = (dist_sq0 / 2.0 + st * ((1.0 + params.beta) * st * L - 1.0) / (2.0 * L)
+                    * grad_sq0 + st * (t0 - 1.0) * gap0) / q
+            D = initial_D(gap0, grad_sq0, dist_sq0, L, params, s0)
+            if below:
+                assert 0.0 < D < full * (1.0 - 1e-3)
+            else:
+                assert D == pytest.approx(full, rel=1e-14)
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +235,7 @@ class TestCertify:
         s0 = trace.records[0].s
         gap0, grad_sq0, dist_sq0 = start_values(trace.x0, p)
         assert cert.constant_D == pytest.approx(
-            min(initial_D(gap0, grad_sq0, dist_sq0, p.L_known, params, s0)), rel=1e-14)
+            initial_D(gap0, grad_sq0, dist_sq0, p.L_known, params, s0), rel=1e-14)
 
     @pytest.mark.parametrize("kind", CERTIFICATE_KINDS)
     def test_start_point_must_match_the_problem(self, convex_run, kind):

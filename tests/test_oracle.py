@@ -290,7 +290,7 @@ def test_one_oracle_call_per_iteration(demo_problems, L_known):
     for problem, _ in demo_problems:
         x0 = np.full(problem.dimension, 1.5)
         if not L_known:
-            problem = dataclasses.replace(problem, L_known=None)
+            problem = dataclasses.replace(problem, L_known=0.0)
         counted, calls = _counted(problem)
         trace = run_adaagm(counted, stop=stop, x0=x0)
         # plus the s0 probe, known L or not

@@ -234,10 +234,10 @@ def test_shape_mismatch_rejected(make, message):
 
 def test_unknown_mu_is_zero():
     # 0 is a strong-convexity modulus of every convex f, so it is the one
-    # encoding of "no mu known"
+    # encoding of "no mu known"; an unknown L is 0.0 as well
     p = SmoothProblem(dimension=1, value_and_grad=lambda x: (0.0, 0.0 * x))
     assert p.mu_known == 0.0 and type(p.mu_known) is float
-    assert p.L_known is None
+    assert p.L_known == 0.0 and type(p.L_known) is float
 
 
 def test_one_dimensional_rows_and_features_are_one_row():
