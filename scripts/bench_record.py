@@ -20,10 +20,11 @@ order (so the repeats of two labels pair up), the failure shares, how many runs
 passed their correctness checks, the repetitions per run, the
 environment and commit the runs reported, whether the checkout's
 tracked files differed from that commit, its ``src_lines`` (the summed
-line count of ``src/adaagm/*.py``), the sum of ``iterations`` per
-solver section (``agm``, ``agm-convex``, ``nesterov``) and per problem and
-section (``lse/nesterov``, ...), and how many output files ``result.json``
-digests.  Iteration counts and digests are exact, so a count or a digest
+line count of ``src/adaagm/*.py``) and ``code_lines`` (the lines of those
+files that hold a token: no comment, blank line or docstring), the sum of
+``iterations`` per solver section (``agm``, ``agm-convex``, ``nesterov``)
+and per problem and section (``lse/nesterov``, ...), and how many output
+files ``result.json`` digests.  Iteration counts and digests are exact, so a count or a digest
 that differs between one checkout's repeats stops the script.  Per later
 label and ``<workload>/seed<n>``, ``rises`` lists every cell whose count is
 higher than under the first label, and ``digests_differ`` the sorted
@@ -34,12 +35,15 @@ paths stay out of the output; the labels name them.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import glob
+import io
 import json
 import os
 import subprocess
 import sys
+import tokenize
 
 import numpy as np
 
@@ -162,6 +166,31 @@ def src_lines(root: str) -> int:
     return total
 
 
+def code_lines(root: str) -> int:
+    """The lines of the checkout's ``src/adaagm/*.py`` that hold a token: no
+    comment, blank line or docstring counts."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "adaagm", "*.py")):
+        with open(path, "rb") as fh:
+            source = fh.read()
+        docstrings = set()
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                doc = node.body[0]
+                docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+        lines = set()
+        for tok in tokenize.tokenize(io.BytesIO(source).readline):
+            if tok.type not in skip and not (tok.type == tokenize.STRING
+                                             and tok.start[0] in docstrings):
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(lines)
+    return total
+
+
 def summarize(runs: list[dict]) -> dict:
     """Median, quartiles, count and the values in run order of every metric
     over the runs of one cell."""
@@ -214,6 +243,7 @@ def main(argv=None) -> int:
             label: {"environment": environment[label],
                     "tree": tree_state(args.checkouts[label]),
                     "src_lines": src_lines(args.checkouts[label]),
+                    "code_lines": code_lines(args.checkouts[label]),
                     "cells": {cell: {**summarize(rs),
                                      "iterations": section_sums(counts[label, cell]),
                                      "iterations_by_problem":

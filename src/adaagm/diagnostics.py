@@ -7,7 +7,7 @@ strong convexity, which yields checkable per-iteration inequalities:
 
 * the optimality gap is bounded by D*L/t_k^2 (times (1-rho)^k when strongly
   convex), with D and rho in closed form from the start point;
-* the step size stays within [q/L, s0*exp(2(1-m)/m)*k^(2(1-m)/m)];
+* the step size stays within [min(s0, q/L), s0*exp(2(1-m)/m)*k^(2(1-m)/m)];
 * the partial sums of k^2*||grad||^2 stay bounded: their tail half adds at
   most 1%.
 
@@ -68,35 +68,28 @@ def energy(x_next: Array, y_next: Array, grad_sq: float, f_x: float, t: float,
             + params.gamma * t ** 2 * s * (f_x - f_star))
 
 
-def initial_D(gap0: float, grad_sq0: float, dist_sq0: float, L: float,
-              params: AlgoParams, s0: float) -> float:
+def initial_D(gap0: float | Array, grad_sq0: float | Array, dist_sq0: float | Array,
+              L: float, params: AlgoParams, s0: float | Array) -> float | Array:
     """Closed-form rate constant D of a run from z with initial step s0.
 
-    Takes f(z) - f*, ||grad f(z)||^2 and ||z - x*||^2, so it makes no
-    oracle call.  Returns the D the certificates grade with, the smaller of
-    the full form and the min-form, which drops the raw gradient term.
-    When (1 + beta)*gamma*s0*t0*L >= 1, ||grad||^2 <= 2L*gap and
-    <= L^2*dist_sq make the min-form an upper bound on the full form, so D
-    is the full form.  Below that threshold the same bounds make the
-    min-form at most the full form, and D is the min-form; that the rate
-    holds with it there is not derived here (ROADMAP item 6).
+    Takes f(z) - f*, ||grad f(z)||^2, ||z - x*||^2 and s0, as floats or as
+    arrays with one entry per start point, so it makes no oracle call.
+    With y0 = z, phi_0 = (z - x*) - gamma*s0*t0*grad f(z), and convexity
+    with L-smoothness, <grad f(z), z - x*> >= gap0 + ||grad||^2/(2L), gives
+    E_0 <= gamma*q*D for any gamma and either sign of the gradient term;
+    gamma*t_k^2*s_k*gap_k <= E_k <= E_0 and s_k >= q/L then give
+    gap_k <= D*L/t_k^2.
     """
     if not L > 0:
         raise ValueError("initial_D needs a positive smoothness constant L")
     q = floor_q(params)
     t0, gam, bet = params.t0, params.gamma, params.beta
     st = s0 * t0
-    full = (1.0 / q) * (
+    return (1.0 / q) * (
         dist_sq0 / (2.0 * gam)
         + st * ((1.0 + bet) * gam * st * L - 1.0) / (2.0 * L) * grad_sq0
         + st * (t0 - 1.0) * gap0
     )
-    first = (dist_sq0 / (2.0 * gam)
-             + st * (t0 * ((1.0 + bet) * gam * s0 * L + 1.0) - 2.0) * gap0)
-    second = ((1.0 + gam * st * L * ((1.0 + bet) * gam * st * L - 1.0))
-              / (2.0 * gam) * dist_sq0
-              + st * (t0 - 1.0) * gap0)
-    return min(full, (1.0 / q) * min(first, second))
 
 
 def rho(params: AlgoParams, mu: float, L: float) -> float:
@@ -182,16 +175,13 @@ def _epoch_D(trace: Trace, first: Array, problem: SmoothProblem,
     ones from the row's ``dist_sq``.  A start gap below 0 is f's rounding
     below f* and counts as 0, since the exact gap is not negative.
     """
-    k, gap, grad_norm, s, dist_sq = (trace.column(name)[first].tolist()
+    k, gap, grad_norm, s, dist_sq = (trace.column(name)[first]
                                      for name in ("k", "gap", "grad_norm", "s", "dist_sq"))
     dist_sq[0] = float(np.sum((trace.x0 - problem.x_star) ** 2))
-    D = []
-    for i in range(len(first)):
-        if dist_sq[i] != dist_sq[i]:  # NaN: no value
-            raise ValueError(f"the restart epoch at k={int(k[i])} carries no dist_sq")
-        D.append(initial_D(max(gap[i], 0.0), grad_norm[i] ** 2, dist_sq[i],
-                           problem.L_known, params, s[i]))
-    return np.array(D)
+    missing = np.flatnonzero(np.isnan(dist_sq))
+    if missing.size:
+        raise ValueError(f"the restart epoch at k={int(k[missing[0]])} carries no dist_sq")
+    return initial_D(np.maximum(gap, 0.0), grad_norm ** 2, dist_sq, problem.L_known, params, s)
 
 
 def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,

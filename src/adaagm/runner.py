@@ -9,7 +9,7 @@ non-convex curvature, or no known L for the 1/L step of ``gd`` and
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .config import (ConfigError, ExperimentConfig, SolverSpec, build_problem, load_config,
                      start_point, trace_name)
@@ -144,13 +144,13 @@ def run_experiment(config: ExperimentConfig) -> list[CellResult]:
 
 
 def _write_summary(results: list[CellResult], output_dir: str) -> None:
-    lines = ["problem,solver,seed,status,iterations,final_gap,final_grad_norm,q,certificates,"
-             "restarts,fallbacks"]
+    """One column per ``CellResult`` field but ``reason``, in field order:
+    floats and None through ``format_float``, other values through ``str``."""
+    names = [f.name for f in fields(CellResult) if f.name != "reason"]
+    lines = [",".join(names)]
     for r in results:
-        lines.append(",".join([
-            r.problem, r.solver, str(r.seed), r.status, str(r.iterations),
-            format_float(r.final_gap), format_float(r.final_grad_norm),
-            format_float(r.q), r.certificates, str(r.restarts), str(r.fallbacks),
-        ]))
+        values = [getattr(r, name) for name in names]
+        lines.append(",".join(format_float(v) if v is None or isinstance(v, float) else str(v)
+                              for v in values))
     with open(os.path.join(output_dir, "summary.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -156,6 +156,34 @@ def test_record_counts_each_checkouts_src_lines(tmp_path, monkeypatch):
     out = json.loads((tmp_path / "out.json").read_text())
     assert {label: c["src_lines"] for label, c in out["checkouts"].items()} == {
         "parent": 3, "change": 1}
+    assert {label: c["code_lines"] for label, c in out["checkouts"].items()} == {
+        "parent": 3, "change": 1}
+
+
+def test_code_lines_leave_out_comments_blank_lines_and_docstrings(tmp_path):
+    src = tmp_path / "src" / "adaagm"
+    src.mkdir(parents=True)
+    (src / "m.py").write_text('''"""Module docstring
+over two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+class C:
+    """One line."""
+
+    def f(self, x):
+        """Two
+        lines."""
+        text = """not a
+docstring"""
+        return (x +
+                len(text))
+''')
+    assert bench_record.src_lines(str(tmp_path)) == 17
+    # import, class, def, the two lines of text and the two of return
+    assert bench_record.code_lines(str(tmp_path)) == 7
 
 
 def test_record_sums_iterations_per_problem_and_section(tmp_path, monkeypatch):

@@ -6,13 +6,14 @@ import re
 import shutil
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from adaagm.cli import main
-from adaagm.config import build_problem, load_config
-from adaagm.diagnostics import CERTIFICATE_KINDS, certify
+from adaagm.config import build_problem, load_config, trace_name
+from adaagm.diagnostics import CERTIFICATE_KINDS, TOLERANCE, _epoch_D, certify, epoch_starts
 from adaagm.runner import run_experiment
-from adaagm.schedule import PROFILES, default_params
+from adaagm.schedule import PROFILES, default_params, floor_q
 from adaagm.solver import read_trace_csv
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.ini")
@@ -488,8 +489,30 @@ def test_certify_uses_the_constants_of_the_traces_own_problem(demo_runs, capsys,
     for kind, line in zip(kinds, out.splitlines()):
         assert (" PASS checks=" in line or " VACUOUS checks=0 " in line) and "FAIL" not in line
         assert f"q={float(row[7]):.12g} " in line
-        if kind == "sublinear" and problem == "lse":
-            assert "q=0.2 D=48.7323862457 " in line
+        if kind == "sublinear":
+            D = {"lse": "q=0.2 D=48.7323862457 ", "logit": "q=0.0625 D=22.3661151164 "}
+            assert D[problem] in line
+
+
+def test_D_bounds_the_energy_at_every_epoch_start(demo_runs):
+    # E_0/(gamma*q) <= D at the first row of every restart epoch, where the
+    # recorded energy is the epoch's E_0: thinning always records that row
+    config = load_config(DEMO)
+    for spec in config.problems:
+        problem = build_problem(spec, config.base_dir)
+        for solver in config.solvers:
+            if solver.algorithm != "adaagm":
+                continue
+            params = solver.params or default_params(problem)
+            for seed in config.seeds:
+                trace = read_trace_csv(demo_runs / trace_name(spec.name, solver.name, seed))
+                first = epoch_starts(trace, params)
+                D = _epoch_D(trace, first, problem, params)
+                e0 = trace.column("energy")[first]
+                assert not np.isnan(e0).any()
+                excess = e0 / (params.gamma * floor_q(params)) - D
+                assert (excess <= TOLERANCE * (1.0 + np.abs(D))).all(), \
+                    (spec.name, solver.name, seed, excess.max())
 
 
 def test_named_profile_cell_starts_from_the_local_probe(demo_runs):

@@ -11,7 +11,7 @@ import pytest
 import adaagm.runner
 from adaagm.config import ConfigError, ProblemSpec, build_problem, load_config, start_point
 from adaagm.problems import SmoothProblem
-from adaagm.runner import run_experiment, validate_config
+from adaagm.runner import CellResult, _write_summary, run_experiment, validate_config
 from adaagm.schedule import PROFILES, default_params
 from adaagm.solver import read_trace_csv
 
@@ -385,6 +385,23 @@ class TestRunner:
         assert len(rows) == 19
         assert rows[0] == ("problem,solver,seed,status,iterations,final_gap,"
                            "final_grad_norm,q,certificates,restarts,fallbacks")
+
+
+def test_summary_columns_are_the_cell_result_fields(tmp_path):
+    # every field but reason, in field order: floats and None through
+    # format_float, the rest through str
+    results = [CellResult("quad", "agm", 0, "ok", iterations=12, final_gap=0.1,
+                          final_grad_norm=2.5e-10, q=0.0625,
+                          certificates="step_floor:pass;step_cap:fail", restarts=3),
+               CellResult("lse", "nesterov", 1, "failed", reason="not written")]
+    _write_summary(results, str(tmp_path))
+    assert (tmp_path / "summary.csv").read_text().splitlines() == [
+        "problem,solver,seed,status,iterations,final_gap,final_grad_norm,q,certificates,"
+        "restarts,fallbacks",
+        "quad,agm,0,ok,12,0.10000000000000001,2.5000000000000002e-10,0.0625,"
+        "step_floor:pass;step_cap:fail,3,0",
+        "lse,nesterov,1,failed,0,,,,-,0,0",
+    ]
 
 
 def test_summary_counts_restarts_of_default_cells_only(tmp_path):

@@ -20,18 +20,21 @@ from adaagm import (
     format_certificates,
     initial_D,
     make_quadratic,
+    next_t,
     phi,
     rho,
     run_adaagm,
     write_violations_csv,
 )
 from adaagm.config import build_problem, load_config
+from adaagm.diagnostics import TOLERANCE
 from adaagm.rng import XorShift64Star, cell_seed
 from adaagm.runner import certify_cell
 from adaagm.solver import TraceRows, read_trace_csv
 
 from conftest import (
     COR_4_3,
+    PARAMETER_SETS,
     SC_1,
     certify_rows,
     fitted_energy_contraction,
@@ -68,7 +71,6 @@ class TestPhi:
     @settings(max_examples=100)
     def test_two_forms_agree(self, x, y, grad, x_star, t, s, gamma):
         params = dataclasses.replace(PROFILES["cor-4.4"], gamma=gamma)
-        from adaagm import next_t
         t_next = next_t(t, params.m)
         x_next, y_next = _update(x, y, t, t_next, s, grad, params.gamma)
         a = phi(x_next, y_next, t_next, x_star)
@@ -79,7 +81,6 @@ class TestPhi:
     def test_initial_phi_closed_form(self):
         # with x0 = y0: phi_0 = -gamma*s0*t0*grad(x0) + (x0 - x*)
         params = COR_4_3
-        from adaagm import next_t
         rng = np.random.default_rng(4)
         x0 = rng.normal(size=3)
         grad = rng.normal(size=3)
@@ -146,23 +147,45 @@ class TestRateConstants:
         with pytest.raises(ValueError, match="positive smoothness"):
             initial_D(*values, 0.0, PROFILES["cor-4.4"], s0=1e-3)
 
-    def test_min_form_is_used_when_smaller(self):
-        # D = min(full form, min-form): below (1 + beta)*gamma*s0*t0*L = 1 the
-        # min-form is at most the full form, above it an upper bound on it
+    def test_D_is_the_full_form_on_both_sides_of_the_threshold(self):
+        # one closed form whatever the sign of (1 + beta)*gamma*s0*t0*L - 1,
+        # the coefficient of the gradient term; an array of start points
+        # gives each one's D
         p = make_quadratic(np.diag([1.0, 100.0]), np.array([1.0, 100.0]))
         params = PROFILES["cor-4.4"]  # gamma = 1
         q, t0, L = floor_q(params), params.t0, p.L_known
         gap0, grad_sq0, dist_sq0 = start_values(np.array([5.0, -3.0]), p)
+        Ds = []
         for s0, below in ((q / L, True), (1.0 / L, False)):
             st = s0 * t0
             assert ((1.0 + params.beta) * st * L < 1.0) == below
             full = (dist_sq0 / 2.0 + st * ((1.0 + params.beta) * st * L - 1.0) / (2.0 * L)
                     * grad_sq0 + st * (t0 - 1.0) * gap0) / q
-            D = initial_D(gap0, grad_sq0, dist_sq0, L, params, s0)
-            if below:
-                assert 0.0 < D < full * (1.0 - 1e-3)
-            else:
-                assert D == pytest.approx(full, rel=1e-14)
+            Ds.append(initial_D(gap0, grad_sq0, dist_sq0, L, params, s0))
+            assert Ds[-1] == pytest.approx(full, rel=1e-14)
+        ones = np.ones(2)
+        assert initial_D(gap0 * ones, grad_sq0 * ones, dist_sq0 * ones, L, params,
+                         np.array([q / L, 1.0 / L])).tolist() == Ds
+
+    @pytest.mark.parametrize("name", PARAMETER_SETS)
+    def test_D_bounds_the_first_energy(self, name):
+        # E_0 <= gamma*q*D from start points and steps s0 on both sides of
+        # the threshold 1/((1 + beta)*gamma*t0*L), gamma = 1/2 included
+        params = PARAMETER_SETS[name]
+        p = random_quadratic(8, seed=3)
+        L, q, t0, gam = p.L_known, floor_q(params), params.t0, params.gamma
+        threshold = 1.0 / ((1.0 + params.beta) * gam * t0 * L)
+        t1 = next_t(t0, params.m)
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            x0 = p.x_star + 3.0 * rng.standard_normal(8)
+            s0 = threshold * 10.0 ** rng.uniform(-2.0, 1.0)
+            f0, g0 = p.value_and_grad(x0)
+            gap0, grad_sq0, dist_sq0 = start_values(x0, p)
+            x1, y1 = _update(x0, x0, t0, t1, s0, g0, gam)
+            e0 = energy(x1, y1, grad_sq0, f0, t0, t1, s0, p.x_star, p.f_star, params)
+            bound = gam * q * initial_D(gap0, grad_sq0, dist_sq0, L, params, s0)
+            assert e0 - bound <= TOLERANCE * (1.0 + abs(bound)), (s0 / threshold, e0 / bound)
 
 
 @pytest.fixture(scope="module")
@@ -450,6 +473,19 @@ class TestArrayCertifyMatchesRows:
         for kind, ks in expected.items():
             cert = assert_matches_rows(bad, p, params, kind)
             assert [k for k, _, _ in cert.violations] == ks
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="energy_monotone compares adjacent rows only, and a thinned "
+                              "trace has none to compare (ROADMAP item 8)")
+    def test_corrupted_energy_of_a_thinned_trace(self, array_traces):
+        p, params, trace = array_traces["quad-cor-4.4-thin10"]
+        k = trace.column("k")
+        assert not (k[1:] == k[:-1] + 1).any()
+        bad = copy.deepcopy(trace)
+        energy = bad.column("energy")
+        energy[5] = 3.0 * energy[5]  # E_k > E_{k-10}: the energy rose
+        assert energy[5] > energy[4]
+        assert not certify(bad, p, params, "energy_monotone").passed
 
     def test_corrupted_rows_of_a_restarted_trace(self, array_traces):
         # bounds re-anchored at an epoch start catch what the first epoch's miss
