@@ -28,8 +28,14 @@ files ``result.json`` digests.  Iteration counts and digests are exact, so a cou
 that differs between one checkout's repeats stops the script.  Per later
 label and ``<workload>/seed<n>``, ``rises`` lists every cell whose count is
 higher than under the first label, and ``digests_differ`` the sorted
-names of the files whose digest differs from the first label's.  Checkout
-paths stay out of the output; the labels name them.
+names of the files whose digest differs from the first label's, and
+``paired`` holds, per end-to-end metric of the first label's
+``BENCHMARK.json``, ``wins`` (the repeats in which the later label's run
+beats the first label's run of the same repeat in the metric's ``better``
+direction; a tie counts for neither), ``pairs`` and ``unresolved`` (true
+when the first label's quartile spread exceeds the metric's ``bound`` times
+its median, so the runs spread too widely to tell a change within the
+bound).  Checkout paths stay out of the output; the labels name them.
 """
 
 from __future__ import annotations
@@ -77,6 +83,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     args.seconds = {label: float(spec["run_seconds"]) for label, spec in specs.items()}
     first = specs[next(iter(specs))]
     args.workload = args.workload or [w["name"] for w in first["workloads"]]
+    args.end_to_end = first.get("end_to_end", [])
     return args
 
 
@@ -143,6 +150,25 @@ def digests_differ(base: dict[str, str], other: dict[str, str]) -> list[str]:
     ``base``'s, a file that only one of them digests included."""
     return sorted(name for name in base.keys() | other.keys()
                   if base.get(name) != other.get(name))
+
+
+def paired(base: list[dict], other: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
+    """Per end-to-end metric that the runs report: ``wins``, the repeats in
+    which ``other``'s run beats ``base``'s run of the same repeat (a tie
+    counts for neither), ``pairs``, and ``unresolved``, whether ``base``'s
+    quartile spread exceeds the metric's ``bound`` times its median."""
+    out = {}
+    for metric in end_to_end:
+        name = metric["name"]
+        if name not in base[0]["metrics"]:
+            continue
+        a, b = ([r["metrics"][name]["value"] for r in runs] for runs in (base, other))
+        sign = 1.0 if metric["better"] == "lower" else -1.0
+        q1, median, q3 = np.percentile(a, [25, 50, 75])
+        out[name] = {"wins": sum(sign * (y - x) < 0.0 for x, y in zip(a, b)),
+                     "pairs": min(len(a), len(b)),
+                     "unresolved": bool(q3 - q1 > metric["bound"] * abs(median))}
+    return out
 
 
 def tree_state(root: str) -> str:
@@ -259,6 +285,10 @@ def main(argv=None) -> int:
                                                         digests[label, cell])
                                    for cell in runs[label]}
                            for label in labels[1:]},
+        "paired": {label: {cell: paired(runs[labels[0]][cell], runs[label][cell],
+                                        args.end_to_end)
+                           for cell in runs[label]}
+                   for label in labels[1:]},
     }
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=False)

@@ -136,8 +136,8 @@ class RateCertificate:
 
 def certificate_kinds(problem: SmoothProblem, params: AlgoParams) -> list[str]:
     """The kinds a run of ``params`` on ``problem`` is graded with, in
-    ``summary.csv`` order; none without a known L."""
-    if not problem.L_known > 0:
+    ``summary.csv`` order; none without a known L in (0, inf)."""
+    if not 0.0 < problem.L_known < math.inf:  # also refuses NaN
         return []
     kinds = ["step_floor", "step_cap"]
     if problem.x_star is not None and problem.f_star is not None:
@@ -145,15 +145,6 @@ def certificate_kinds(problem: SmoothProblem, params: AlgoParams) -> list[str]:
         if problem.mu_known > 0 and params.linear_rate:
             kinds += ["linear", "grad_summable"]
     return kinds
-
-
-def _require(problem: SmoothProblem, kind: str, *fields: str) -> None:
-    """Raise unless the problem knows every named constant: an x* or f* of
-    ``None`` is unknown, and so is an ``L_known`` or ``mu_known`` that is not positive."""
-    for name in fields:
-        value = getattr(problem, name)
-        if value is None or (name in ("L_known", "mu_known") and not value > 0):
-            raise ValueError(f"certificate {kind!r} needs problem.{name}")
 
 
 def epoch_starts(trace: Trace, params: AlgoParams) -> Array:
@@ -199,11 +190,11 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
     s0, D and the energy baseline come from it, so each epoch is checked
     as the fresh run it is.
     ``energy_monotone`` compares pairs within an epoch only.
-    A kind that reads a constant the problem lacks (an x* or f* of
-    ``None``, an ``L_known`` or ``mu_known`` that is not positive) raises
-    ValueError.
-    ``energy_monotone`` contracts by (1 - rho) on the cells that
-    :func:`certificate_kinds` grades with ``linear``.
+    A kind that :func:`certificate_kinds` does not grade this problem and
+    these parameters with raises ValueError: that function alone decides
+    which constants a kind needs.
+    ``energy_monotone`` contracts by (1 - rho) on the cells that are
+    graded with ``linear``.
     """
     if kind not in CERTIFICATE_KINDS:
         raise ValueError(f"unknown certificate kind {kind!r}")
@@ -212,6 +203,10 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
     if len(trace.x0) != problem.dimension:
         raise ValueError(f"trace start point has {len(trace.x0)} entries, "
                          f"problem {problem.name} has dimension {problem.dimension}")
+    kinds = certificate_kinds(problem, params)
+    if kind not in kinds:
+        raise ValueError(f"certificate {kind!r} does not grade a run on problem {problem.name}; "
+                         f"it is graded with {', '.join(kinds) or 'no kind'}")
     q = floor_q(params)
     cert = RateCertificate(kind=kind, constant_q=q)
     k = trace.column("k")
@@ -235,10 +230,8 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
         cert.max_violation_rel = float(np.fmax.reduce(rel, initial=cert.max_violation_rel))
 
     if kind in ("sublinear", "linear"):
-        _require(problem, kind, "x_star", "f_star", "L_known")
         decay = 1.0  # linear: (1 - rho)^k, k counted from the epoch's start
         if kind == "linear":
-            _require(problem, kind, "mu_known")
             cert.constant_rho = rho(params, problem.mu_known, problem.L_known)
             decay = np.exp(k_rel * math.log1p(-cert.constant_rho))
         D = _epoch_D(trace, first, problem, params)
@@ -246,7 +239,6 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
         check(k, trace.column("gap"), D[epoch] * problem.L_known / t ** 2 * decay)
 
     elif kind == "step_floor":
-        _require(problem, kind, "L_known")
         s = trace.column("s")
         floor = np.minimum(s[first], q / problem.L_known)
         later = k_rel >= 1  # an epoch's first row meets its own floor by construction
@@ -262,9 +254,8 @@ def certify(trace: Trace, problem: SmoothProblem, params: AlgoParams,
         check(k[later], s[later], cap)
 
     elif kind == "energy_monotone":
-        _require(problem, kind, "x_star", "f_star")
         factor = 1.0
-        if "linear" in certificate_kinds(problem, params):
+        if "linear" in kinds:
             factor = 1.0 - rho(params, problem.mu_known, problem.L_known)
             cert.constant_rho = 1.0 - factor
         e = trace.column("energy")

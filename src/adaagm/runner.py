@@ -88,12 +88,8 @@ def _run_cell(config: ExperimentConfig, p_idx: int, problem: SmoothProblem,
                 result.certificates = ";".join(
                     f"{c.kind}:{'pass' if c.passed else 'fail'}" for c in certs)
         else:
-            if not problem.L_known > 0:
-                raise ValueError(f"solver {solver.name} runs at 1/L: "
-                                 f"problem {problem.name} has no known L")
             runner = run_gd if solver.algorithm == "gd" else run_nesterov
-            trace = runner(problem, 1.0 / problem.L_known, solver.stop, x0,
-                           thin=config.thinning)
+            trace = runner(problem, solver.stop, x0, thin=config.thinning)
     except DivergenceError as exc:
         result.status = "diverged"
         result.iterations = exc.k

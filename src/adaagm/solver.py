@@ -12,9 +12,11 @@ constants differ:
   smoothness at x_0 (:func:`_probe_s0`) unless the parameters fix it, then
   s from :func:`local_smoothness` and :func:`advance_step`, t from the
   profile's t_0 and m;
-* fixed: constant s, t from t_0 = 1 at m = 1, which is classical Nesterov
-  momentum (:func:`run_nesterov`), or at m = 0, where t stays 1 and the
-  momentum vanishes, which is gradient descent (:func:`run_gd`).
+* fixed: the constant step s = 1/L of the problem's known L, t from
+  t_0 = 1 at m = 1, which is classical Nesterov momentum
+  (:func:`run_nesterov`), or at m = 0, where t stays 1 and the momentum
+  vanishes, which is gradient descent (:func:`run_gd`).  An L_known
+  outside (0, inf) raises ``ValueError`` before any oracle call.
 
 With ``params.restart`` (set by :func:`default_params` only), an adaptive
 run restarts whenever g_k'(y_{k+1} - y_k) > 0: x_{k+1} = y_{k+1} without
@@ -184,12 +186,6 @@ _NESTEROV = AlgoParams(m=1.0, t0=1.0, gamma=1.0)
 _GD = AlgoParams(m=0.0, t0=1.0, gamma=1.0)
 
 
-def check_step(step: float) -> None:
-    """Reject a fixed step that is not positive and finite."""
-    if not 0.0 < step < math.inf:  # also rejects NaN
-        raise ValueError("step must be a positive finite number")
-
-
 def _evaluate(problem: SmoothProblem, x: Array, k: int) -> tuple[float, Array, float]:
     """f, g and g.g at x; a non-finite f or g raises DivergenceError.
 
@@ -224,21 +220,26 @@ def _probe_s0(problem: SmoothProblem, x0: Array, g0: Array, f0: float,
 
 
 def _iterate(problem: SmoothProblem, algorithm: str, params: AlgoParams,
-             s0: Optional[float], x0, stop: Optional[StopCriteria],
-             thin: int) -> Trace:
+             x0, stop: Optional[StopCriteria], thin: int) -> Trace:
     """The iteration loop of all three methods, from x0 = y0.
 
-    ``algorithm == "adaagm"`` selects the adaptive rule, anything else the
-    fixed rule with the constant step ``s0`` and ``params.m``.  The driver
-    owns stopping, recording every ``thin``-th iteration plus the last, and
-    the finite checks.  ``s0=None`` resolves by :func:`_probe_s0` at the
-    start point.
+    ``algorithm == "adaagm"`` selects the adaptive rule, which starts from
+    ``params.s0`` or, when that is None, from :func:`_probe_s0` at the start
+    point; anything else selects the fixed rule with the constant step
+    1/``problem.L_known`` and ``params.m``.  The driver owns stopping,
+    recording every ``thin``-th iteration plus the last, and the finite
+    checks.
     """
     if thin < 1:
         raise ValueError(f"thin must be a positive integer, got {thin}")
+    adaptive = algorithm == "adaagm"
+    s0 = params.s0
+    if not adaptive:
+        s0 = 1.0 / problem.L_known if problem.L_known > 0.0 else math.nan
+        if not 0.0 < s0 < math.inf:  # an L of 0, NaN or inf, or one whose 1/L overflows
+            raise ValueError(f"{algorithm} runs at 1/L: problem {problem.name} has no known L")
     x0 = np.zeros(problem.dimension) if x0 is None else np.asarray(x0, dtype=float)
     stop = stop or StopCriteria()
-    adaptive = algorithm == "adaagm"
     # loop invariants, read once
     f_star, x_star = problem.f_star, problem.x_star
     t0, m, gamma, max_iters = params.t0, params.m, params.gamma, stop.max_iters
@@ -317,27 +318,20 @@ def run_adaagm(problem: SmoothProblem, params: Optional[AlgoParams] = None,
         params = default_params(problem)
     for message in validate_params(params):
         warnings.warn(message, stacklevel=2)
-    return _iterate(problem, "adaagm", params, params.s0, x0, stop, thin)
+    return _iterate(problem, "adaagm", params, x0, stop, thin)
 
 
-def run_gd(problem: SmoothProblem, step: float,
-           stop: Optional[StopCriteria] = None, x0=None, *, thin: int = 1) -> Trace:
-    """Fixed-step gradient descent baseline."""
-    check_step(step)
-    if problem.L_known > 0 and step >= 2.0 / problem.L_known:
-        warnings.warn(f"step {step:.6g} >= 2/L = {2.0 / problem.L_known:.6g}; "
-                      "gradient descent may diverge", stacklevel=2)
-    return _iterate(problem, "gd", _GD, step, x0, stop, thin)
+def run_gd(problem: SmoothProblem, stop: Optional[StopCriteria] = None, x0=None, *,
+           thin: int = 1) -> Trace:
+    """Gradient descent baseline at the step 1/``problem.L_known``."""
+    return _iterate(problem, "gd", _GD, x0, stop, thin)
 
 
-def run_nesterov(problem: SmoothProblem, step: float,
-                 stop: Optional[StopCriteria] = None, x0=None, *, thin: int = 1) -> Trace:
-    """Classical momentum baseline with the theta recursion from theta_0 = 1."""
-    check_step(step)
-    if problem.L_known > 0 and step > 1.0 / problem.L_known:
-        warnings.warn(f"step {step:.6g} > 1/L = {1.0 / problem.L_known:.6g}; "
-                      "the accelerated rate is not guaranteed", stacklevel=2)
-    return _iterate(problem, "nesterov", _NESTEROV, step, x0, stop, thin)
+def run_nesterov(problem: SmoothProblem, stop: Optional[StopCriteria] = None, x0=None, *,
+                 thin: int = 1) -> Trace:
+    """Classical momentum baseline at the step 1/``problem.L_known``, with
+    the theta recursion from theta_0 = 1."""
+    return _iterate(problem, "nesterov", _NESTEROV, x0, stop, thin)
 
 
 # --- CSV serialization -------------------------------------------------------

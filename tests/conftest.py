@@ -17,7 +17,7 @@ from adaagm import (
     make_quadratic,
     rho,
 )
-from adaagm.diagnostics import TOLERANCE, _require
+from adaagm.diagnostics import TOLERANCE, certificate_kinds
 
 #: Two more parameter sets from the paper, for the gamma != 1 branch of the
 #: loop and the general closed forms: step floors q = 1/4 and 1/12.
@@ -146,6 +146,10 @@ def certify_rows(trace, problem, params, kind):
         raise ValueError(f"unknown certificate kind {kind!r}")
     if not len(trace):
         raise ValueError("trace is empty")
+    kinds = certificate_kinds(problem, params)
+    if kind not in kinds:
+        raise ValueError(f"certificate {kind!r} does not grade a run on problem {problem.name}; "
+                         f"it is graded with {', '.join(kinds) or 'no kind'}")
     recs = list(trace.records)
     q = floor_q(params)
     cert = RateCertificate(kind=kind, constant_q=q)
@@ -180,7 +184,6 @@ def certify_rows(trace, problem, params, kind):
     cert.epochs = sum(1 for _, _, _, same in epochs() if not same)
 
     if kind == "sublinear":
-        _require(problem, kind, "x_star", "f_star", "L_known")
         L = problem.L_known
         for r, _, j, _ in epochs():
             D = epoch_D(j)
@@ -189,8 +192,6 @@ def certify_rows(trace, problem, params, kind):
             check(r.k, r.gap, D * L / r.t ** 2)
 
     elif kind == "linear":
-        _require(problem, kind, "x_star", "f_star", "L_known")
-        _require(problem, kind, "mu_known")
         rho_val = rho(params, problem.mu_known, problem.L_known)
         cert.constant_rho = rho_val
         L = problem.L_known
@@ -202,7 +203,6 @@ def certify_rows(trace, problem, params, kind):
             check(r.k, r.gap, D * L / r.t ** 2 * math.exp(k_rel * log1m))
 
     elif kind == "step_floor":
-        _require(problem, kind, "L_known")
         for r, _, j, same in epochs():
             if same:  # an epoch's first row meets its own floor by construction
                 check(r.k, min(recs[j].s, q / problem.L_known), r.s)
@@ -215,7 +215,6 @@ def certify_rows(trace, problem, params, kind):
             check(r.k, r.s, recs[j].s * math.exp(growth) * k_rel ** growth)
 
     elif kind == "energy_monotone":
-        _require(problem, kind, "x_star", "f_star")
         factor = 1.0
         if (params.omega == 0.5 and params.delta == 0.5
                 and problem.mu_known > 0 and problem.L_known > 0):

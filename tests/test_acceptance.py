@@ -176,7 +176,7 @@ def test_criterion_7_nesterov_degeneration():
     step = 1.0 / p.L_known
     stop = StopCriteria(max_iters=1000, grad_tol=0.0)
     x0 = np.array([5.0, -3.0])
-    _, xs, _ = run_with_iterates(run_nesterov, p, step, stop, x0=x0)
+    _, xs, _ = run_with_iterates(run_nesterov, p, stop, x0=x0)
     # classical momentum written out independently of the solver's driver
     x, y, theta = x0.copy(), x0.copy(), 1.0
     worst = 0.0

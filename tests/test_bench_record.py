@@ -194,3 +194,46 @@ def test_record_sums_iterations_per_problem_and_section(tmp_path, monkeypatch):
     out = json.loads((tmp_path / "out.json").read_text())
     assert out["checkouts"]["change"]["cells"]["w/seed17"]["iterations_by_problem"] == {
         "quad/agm": 193}
+
+
+END_TO_END = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+              {"name": "speed", "better": "higher", "bound": 0.25},
+              {"name": "not_reported", "better": "lower", "bound": 0.25}]
+
+
+def _runs(**values):
+    """One fake result per repeat, with the given metric values in repeat order."""
+    n = len(next(iter(values.values())))
+    return [{"metrics": {name: {"value": v[i], "unit": "s"} for name, v in values.items()}}
+            for i in range(n)]
+
+
+def test_paired_counts_wins_in_the_better_direction_and_ties_for_neither():
+    base = _runs(wall_s=[1.0, 1.0, 1.0, 1.0], speed=[5.0, 5.0, 5.0, 5.0])
+    other = _runs(wall_s=[0.9, 1.0, 1.1, 0.8], speed=[6.0, 5.0, 4.0, 7.0])
+    assert bench_record.paired(base, other, END_TO_END) == {
+        "wall_s": {"wins": 2, "pairs": 4, "unresolved": False},
+        "speed": {"wins": 2, "pairs": 4, "unresolved": False}}
+
+
+def test_paired_flags_a_base_spread_wider_than_the_bound():
+    # quartiles 1.0 and 1.3 around the median 1.1: 0.3 > 0.25 * 1.1
+    base = _runs(wall_s=[1.0, 1.0, 1.1, 1.3, 1.3], speed=[5.0, 5.1, 5.0, 5.1, 5.0])
+    other = _runs(wall_s=[1.0] * 5, speed=[5.0] * 5)
+    out = bench_record.paired(base, other, END_TO_END)
+    assert out["wall_s"]["unresolved"] is True
+    assert out["speed"]["unresolved"] is False
+    assert out["wall_s"]["wins"] == 3 and out["speed"]["wins"] == 0
+
+
+def test_record_pairs_each_later_label_with_the_first(tmp_path, monkeypatch):
+    same = {"summary.csv": "aa"}
+    argv = _fake_checkouts(tmp_path, monkeypatch, {"parent": [same, same],
+                                                  "change": [same, same]})
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": END_TO_END}))
+    assert bench_record.main(argv) == 0
+    out = json.loads((tmp_path / "out.json").read_text())
+    # the fake runs all take 1.0 s: every pair is a tie
+    assert out["paired"] == {"change": {"w/seed17": {
+        "wall_s": {"wins": 0, "pairs": 2, "unresolved": False}}}}

@@ -337,7 +337,7 @@ def test_failed_cell_prints_its_reason(tmp_path, capsys):
     path = tmp_path / "zero.ini"
     path.write_text(ZERO_L)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert ("z x nest seed=0: failed iters=0 certs=- (solver nest runs at 1/L: "
+    assert ("z x nest seed=0: failed iters=0 certs=- (nesterov runs at 1/L: "
             "problem z has no known L)\n") in capsys.readouterr().out
     # the reason stays out of summary.csv, which has no column for it
     assert (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:] == [

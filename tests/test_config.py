@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -385,6 +386,30 @@ class TestRunner:
         assert len(rows) == 19
         assert rows[0] == ("problem,solver,seed,status,iterations,final_gap,"
                            "final_grad_norm,q,certificates,restarts,fallbacks")
+
+    @pytest.mark.parametrize("L", [0.0, float("nan"), float("inf")])
+    def test_fixed_step_cell_without_L_fails_alone(self, tmp_path, monkeypatch, L):
+        # the 1/L rule refuses the quad nesterov cells; the adaptive cells of
+        # quad need no L and run, ungraded, and the matrix runs to its end
+        real_build = adaagm.runner.build_problem
+
+        def build(spec, base_dir="."):
+            problem = real_build(spec, base_dir)
+            return dataclasses.replace(problem, L_known=L) if spec.name == "quad" else problem
+
+        monkeypatch.setattr(adaagm.runner, "build_problem", build)
+        config = load_config(DEMO_CONFIG)
+        config.output_dir = str(tmp_path / "out")
+        results = run_experiment(config)
+        assert len(results) == 18
+        for r in results:
+            if r.problem == "quad" and r.solver == "nesterov":
+                assert (r.status, r.iterations) == ("failed", 0)
+                assert r.reason == "nesterov runs at 1/L: problem quad has no known L"
+            else:
+                assert r.status == "ok"
+                assert (r.certificates == "-") == (r.problem == "quad" or r.solver == "nesterov")
+        assert not list((tmp_path / "out").glob("quad_nesterov_*.csv"))
 
 
 def test_summary_columns_are_the_cell_result_fields(tmp_path):

@@ -13,6 +13,7 @@ from adaagm import (
     CERTIFICATE_KINDS,
     PROFILES,
     StopCriteria,
+    certificate_kinds,
     certify,
     default_params,
     energy,
@@ -268,31 +269,6 @@ class TestCertify:
         with pytest.raises(ValueError, match="start point has 20 entries, .* dimension 2$"):
             certify(trace, p2, params, kind)
 
-    def test_linear_requires_mu(self, convex_run):
-        _, params, trace = convex_run
-        p0 = make_quadratic(np.diag([1.0] * 19 + [0.0]), np.zeros(20))
-        assert p0.mu_known == 0.0
-        with pytest.raises(ValueError, match="mu_known"):
-            certify(trace, p0, params, "linear")
-
-    def test_zero_mu_is_a_missing_constant(self, convex_run):
-        # mu_known = 0 encodes "no mu known", so linear refuses it the way
-        # every kind refuses a constant it reads and the problem lacks
-        _, params, trace = convex_run
-        p0 = make_quadratic(np.diag([1.0] * 19 + [0.0]), np.zeros(20))
-        with pytest.raises(ValueError, match=r"^certificate 'linear' needs problem\.mu_known$"):
-            certify(trace, p0, params, "linear")
-
-    @pytest.mark.parametrize("kind", ["step_floor", "sublinear"])
-    def test_zero_L_is_a_missing_constant(self, kind):
-        # once a ZeroDivisionError in step_floor's q/L
-        p = make_quadratic(np.zeros((2, 2)), np.zeros(2))
-        assert p.L_known == 0.0
-        params = PROFILES["cor-4.4"]
-        trace = run_adaagm(p, params, StopCriteria(max_iters=1), x0=np.ones(2))
-        with pytest.raises(ValueError, match=rf"^certificate '{kind}' needs problem\.L_known$"):
-            certify(trace, p, params, kind)
-
     def test_violations_recorded(self, convex_run):
         p, params, trace = convex_run
         # shrink a step below the floor on a copied trace
@@ -313,15 +289,6 @@ class TestCertify:
         path = tmp_path / "viol.csv"
         write_violations_csv(certs, path)
         assert path.read_text().splitlines()[0] == "kind,k,lhs,rhs"
-
-    def test_energy_certificate_needs_energy(self, convex_run):
-        # the energy needs x* and f*: without them the certificate refuses,
-        # while a trace that merely lacks energies checks nothing
-        # (TestArrayCertifyMatchesRows::test_trace_without_energies)
-        p, params, trace = convex_run
-        bare = dataclasses.replace(p, x_star=None, f_star=None)
-        with pytest.raises(ValueError, match="'energy_monotone' needs problem.x_star"):
-            certify(trace, bare, params, "energy_monotone")
 
     def test_reference_solved_minimizer_has_the_one_tolerance(self):
         # demo logit's x* comes from the damped Newton solve, which reaches
@@ -542,6 +509,52 @@ class TestArrayCertifyMatchesRows:
         # no energy pair to compare: nothing is checked, nothing fails
         cert = assert_matches_rows(stripped, p, params, "energy_monotone")
         assert cert.passed and cert.checks == 0
+
+
+#: Problem variants by the constants they know; "no-L" keeps x*, f* and mu.
+KNOWN_CONSTANTS = {
+    "no-L": lambda p: dataclasses.replace(p, L_known=0.0),
+    "L": lambda p: dataclasses.replace(p, x_star=None, f_star=None, mu_known=0.0),
+    "L-xstar": lambda p: dataclasses.replace(p, mu_known=0.0),
+    "L-xstar-mu": lambda p: p,
+}
+
+
+@pytest.fixture(scope="module")
+def graded_runs():
+    """diag(1, 10), which knows L, x*, f* and mu, and a short run of it per
+    parameter set, run once."""
+    p = make_quadratic(np.diag([1.0, 10.0]), np.array([1.0, 10.0]))
+    runs = {}
+
+    def run(params):
+        if repr(params) not in runs:
+            runs[repr(params)] = run_adaagm(p, params, StopCriteria(max_iters=30, grad_tol=0.0),
+                                            x0=np.array([5.0, -3.0]))
+        return runs[repr(params)]
+
+    return p, run
+
+
+@pytest.mark.parametrize("profile", ["cor-4.4", "sc-2", "default"])
+@pytest.mark.parametrize("known", KNOWN_CONSTANTS)
+@pytest.mark.parametrize("kind", CERTIFICATE_KINDS)
+def test_certify_grades_only_what_certificate_kinds_names(graded_runs, kind, known, profile):
+    # one rule: certificate_kinds decides, and certify refuses every other kind
+    full, run = graded_runs
+    problem = KNOWN_CONSTANTS[known](full)
+    params = default_params(problem) if profile == "default" else PROFILES[profile]
+    trace = run(params)
+    kinds = certificate_kinds(problem, params)
+    if kind in kinds:
+        assert certify(trace, problem, params, kind).kind == kind
+        assert assert_matches_rows(trace, problem, params, kind) is not None
+    else:
+        message = (f"certificate '{kind}' does not grade a run on problem quadratic; "
+                   f"it is graded with {', '.join(kinds) or 'no kind'}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            certify(trace, problem, params, kind)
+        assert assert_matches_rows(trace, problem, params, kind) is None  # the rows raise alike
 
 
 def _short_default_run(max_iters):

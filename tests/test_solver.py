@@ -4,6 +4,7 @@ import gc
 import inspect
 import math
 import os
+import re
 import sys
 import tracemalloc
 import warnings
@@ -213,8 +214,8 @@ class TestThinning:
     def test_non_positive_thin_rejected(self, diag_problem, thin):
         stop = StopCriteria(max_iters=5)
         for run in (lambda: run_adaagm(diag_problem, stop=stop, x0=X0, thin=thin),
-                    lambda: run_nesterov(diag_problem, 0.01, stop, X0, thin=thin),
-                    lambda: run_gd(diag_problem, 0.01, stop, X0, thin=thin)):
+                    lambda: run_nesterov(diag_problem, stop, X0, thin=thin),
+                    lambda: run_gd(diag_problem, stop, X0, thin=thin)):
             with pytest.raises(ValueError, match="thin"):
                 run()
 
@@ -229,7 +230,7 @@ class TestConvergence:
     def test_beats_gradient_descent_at_moderate_budget(self, diag_problem):
         stop = StopCriteria(max_iters=300, grad_tol=0.0)
         fast = run_adaagm(diag_problem, PROFILES["cor-4.4"], stop=stop, x0=X0)
-        slow = run_gd(diag_problem, step=1.0 / diag_problem.L_known, stop=stop, x0=X0)
+        slow = run_gd(diag_problem, stop=stop, x0=X0)
         assert fast.records[-1].gap < slow.records[-1].gap
 
     def test_strongly_convex_profile_linear_tail(self):
@@ -275,17 +276,17 @@ class TestConvergence:
 class TestDivergence:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_gd_huge_step_raises_with_iteration(self, diag_problem):
-        with pytest.warns(UserWarning, match="2/L"):
-            with pytest.raises(DivergenceError) as info:
-                run_gd(diag_problem, step=10.0,
-                       stop=StopCriteria(max_iters=10000), x0=X0)
+        # an L_known of 0.1 understates L = 100: the step 1/L is 10
+        understated = dataclasses.replace(diag_problem, L_known=1.0 / 10.0)
+        with pytest.raises(DivergenceError) as info:
+            run_gd(understated, stop=StopCriteria(max_iters=10000), x0=X0)
         assert info.value.k > 0
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_forced_constant_step_can_diverge(self, diag_problem):
-        with pytest.warns(UserWarning, match="1/L"):
-            with pytest.raises(DivergenceError):
-                run_nesterov(diag_problem, 10.0, StopCriteria(max_iters=10000), x0=X0)
+        understated = dataclasses.replace(diag_problem, L_known=1.0 / 10.0)
+        with pytest.raises(DivergenceError):
+            run_nesterov(understated, StopCriteria(max_iters=10000), x0=X0)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_finite_check_sees_entries_not_the_norm(self):
@@ -294,10 +295,11 @@ class TestDivergence:
         def oracle(bad):
             return lambda x: (0.0, np.array([1e200, bad if x[0] < 0.5 else 1e200]))
         stop = StopCriteria(max_iters=3, grad_tol=0.0)
-        trace = run_gd(SmoothProblem(2, oracle(1e200)), 1e-300, stop, x0=np.ones(2))
+        trace = run_gd(SmoothProblem(2, oracle(1e200), L_known=1.0 / 1e-300), stop,
+                       x0=np.ones(2))
         assert [r.grad_norm for r in trace.records] == [math.inf] * 4
         with pytest.raises(DivergenceError) as info:
-            run_gd(SmoothProblem(2, oracle(np.nan)), 1e-200, stop, x0=np.ones(2))
+            run_gd(SmoothProblem(2, oracle(np.nan), L_known=1.0 / 1e-200), stop, x0=np.ones(2))
         assert info.value.k == 1
 
     def test_adaptive_run_does_not_diverge_from_huge_s0(self, diag_problem):
@@ -312,25 +314,29 @@ class TestDivergence:
 class TestBaselines:
     def test_gd_one_step_identity_quadratic(self):
         # x1 = x0 - s*(x0 - 0) with A = I, b = 0
-        p = make_quadratic(np.eye(2), np.zeros(2))
-        trace = run_gd(p, step=0.5, stop=StopCriteria(max_iters=1, grad_tol=0.0),
-                       x0=np.array([2.0, -4.0]))
+        p = dataclasses.replace(make_quadratic(np.eye(2), np.zeros(2)), L_known=1.0 / 0.5)
+        trace = run_gd(p, stop=StopCriteria(max_iters=1, grad_tol=0.0), x0=np.array([2.0, -4.0]))
         assert np.allclose(trace.x_final, [1.0, -2.0])
 
-    @pytest.mark.parametrize("step", [0.0, -0.5, float("nan"), float("inf"), -float("inf")])
-    def test_step_must_be_positive_and_finite(self, diag_problem, step):
-        for run in (run_gd, run_nesterov):
-            with pytest.raises(ValueError, match="step must be a positive finite number"):
-                run(diag_problem, step, StopCriteria(max_iters=5), x0=X0)
+    @pytest.mark.parametrize("L", [0.0, -0.5, math.nan, math.inf, -math.inf, 1e-310])
+    def test_step_needs_a_known_L(self, diag_problem, L):
+        # the step is 1/L: 0, a negative L and NaN are no L, inf would make
+        # it 0, and 1/1e-310 overflows to inf
+        calls = []
 
-    def test_nesterov_warns_above_one_over_L(self, diag_problem):
-        with pytest.warns(UserWarning, match="1/L"):
-            run_nesterov(diag_problem, step=0.02,
-                         stop=StopCriteria(max_iters=2), x0=X0)
+        def counted(x):
+            calls.append(x)
+            return diag_problem.value_and_grad(x)
+
+        blind = dataclasses.replace(diag_problem, L_known=L, value_and_grad=counted)
+        for run, name in ((run_gd, "gd"), (run_nesterov, "nesterov")):
+            message = f"{name} runs at 1/L: problem quadratic has no known L"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run(blind, StopCriteria(max_iters=5), x0=X0)
+        assert calls == []  # refused before the first oracle call
 
     def test_nesterov_theta_column(self, diag_problem):
-        trace = run_nesterov(diag_problem, step=0.01,
-                             stop=StopCriteria(max_iters=3, grad_tol=0.0), x0=X0)
+        trace = run_nesterov(diag_problem, stop=StopCriteria(max_iters=3, grad_tol=0.0), x0=X0)
         ts = [r.t for r in trace.records]
         assert ts[0] == 1.0
         assert ts[1] == pytest.approx(next_t(1.0, 1.0))
@@ -340,7 +346,7 @@ class TestBaselines:
         # momentum loop, bit for bit
         step = 1.0 / diag_problem.L_known
         stop = StopCriteria(max_iters=200, grad_tol=0.0)
-        _, xs, _ = run_with_iterates(run_nesterov, diag_problem, step, stop, x0=X0)
+        _, xs, _ = run_with_iterates(run_nesterov, diag_problem, stop, x0=X0)
         assert len(xs) == 201
         x, y, theta = X0.copy(), X0.copy(), 1.0
         for xk in xs:
@@ -354,7 +360,7 @@ class TestBaselines:
         # the fixed rule at m=0 keeps t=1, so the momentum term vanishes
         step = 1.0 / diag_problem.L_known
         stop = StopCriteria(max_iters=200, grad_tol=0.0)
-        trace, xs, _ = run_with_iterates(run_gd, diag_problem, step, stop, x0=X0)
+        trace, xs, _ = run_with_iterates(run_gd, diag_problem, stop, x0=X0)
         assert len(xs) == 201
         assert all(r.t == 1.0 and r.L_est is None for r in trace.records)
         x = X0.copy()
@@ -374,8 +380,8 @@ class TestRecordedIterates:
 
     @pytest.mark.parametrize("run, args, gamma", [
         (run_adaagm, (SC_1,), 0.5),
-        (run_nesterov, (0.01,), 1.0),
-        (run_gd, (0.01,), 1.0),
+        (run_nesterov, (), 1.0),
+        (run_gd, (), 1.0),
     ], ids=["adaagm-sc-1", "nesterov", "gd"])
     def test_iterates_match_the_run(self, diag_problem, run, args, gamma):
         stop = StopCriteria(max_iters=37, grad_tol=0.0)
@@ -648,7 +654,7 @@ def test_fallbacks_count_the_loops_band_iterations(diag_problem, monkeypatch):
     trace = run_adaagm(diag_problem, default_params(diag_problem), stop, X0, thin=10)
     assert len(flags) == trace.records[-1].k + 1
     assert 0 < trace.fallbacks == sum(flags[1:]) < trace.records[-1].k
-    assert run_nesterov(diag_problem, 0.01, stop, X0).fallbacks == 0
+    assert run_nesterov(diag_problem, stop, X0).fallbacks == 0
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -665,7 +671,7 @@ class TestRestart:
         old = read_trace_csv(os.path.join(DATA, f"format1_{name}.csv"))
         stop = StopCriteria(max_iters=40, grad_tol=0.0)
         if name == "nesterov":
-            new = run_nesterov(diag_problem, 0.01, stop, X0)
+            new = run_nesterov(diag_problem, stop, X0)
         else:
             params = PROFILES[name]
             params = dataclasses.replace(params, s0=floor_q(params) / diag_problem.L_known)
