@@ -539,7 +539,7 @@ def graded_runs():
 @pytest.mark.parametrize("profile", ["cor-4.4", "sc-2", "default"])
 @pytest.mark.parametrize("known", KNOWN_CONSTANTS)
 @pytest.mark.parametrize("kind", CERTIFICATE_KINDS)
-def test_certify_grades_only_what_certificate_kinds_names(graded_runs, kind, known, profile):
+def test_certify_gates_on_certificate_kinds(graded_runs, kind, known, profile):
     # one rule: certificate_kinds decides, and certify refuses every other kind
     full, run = graded_runs
     problem = KNOWN_CONSTANTS[known](full)
